@@ -12,7 +12,6 @@ from .graphs import (
     Graph,
     adjacency_matrix,
     degree_sequence,
-    from_edge_list,
     generate,
     incidence_matrix,
     is_connected,
@@ -35,7 +34,6 @@ from .linalg import (
     char_poly,
     det_lu,
     eigenvalues_symmetric,
-    kron,
     multiset_close,
     poly_close,
     poly_from_roots,
@@ -71,7 +69,6 @@ __all__ = [
     "Graph",
     "adjacency_matrix",
     "degree_sequence",
-    "from_edge_list",
     "generate",
     "incidence_matrix",
     "is_connected",
@@ -90,7 +87,6 @@ __all__ = [
     "char_poly",
     "det_lu",
     "eigenvalues_symmetric",
-    "kron",
     "multiset_close",
     "poly_close",
     "poly_from_roots",

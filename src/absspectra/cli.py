@@ -22,11 +22,11 @@ import re
 import sys
 
 from .graphs import (
-    degree_sequence,
-    generate,
-    is_connected,
-    load_graph,
+    GENERATOR_KINDS,
     adjacency_matrix,
+    generate,
+    is_path,
+    load_graph,
     to_edge_list_text,
     to_json_dict,
 )
@@ -36,6 +36,7 @@ from .spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from .transforms import TRANSFORM_KINDS, apply_transform
 from .verifier import (
     DEFAULT_TOL,
+    _round15,
     default_suite,
     has_key_failure,
     reports_to_csv,
@@ -44,7 +45,7 @@ from .verifier import (
     run_suite,
 )
 
-_GENERATOR_ARITY = {"complete": 1, "cycle": 1, "path": 1, "star": 1, "complete_bipartite": 2}
+_GENERATOR_ARITY = {kind: 2 if kind == "complete_bipartite" else 1 for kind in GENERATOR_KINDS}
 _K_TOKEN = re.compile(r"^k=(\d+)$")
 
 
@@ -100,10 +101,6 @@ def _parse_tokens(tokens):
         k = int(_K_TOKEN.match(rest[0]).group(1))
         return apply_transform(head, inner, k), rest[1:]
     raise GraphSpecError(f"unknown graph spec head {head!r}")
-
-
-def _round15(value):
-    return 0.0 if value == 0 else float(f"{value:.15g}")
 
 
 def _json_ready(obj):
@@ -192,8 +189,7 @@ def _cmd_charpoly(args):
     else:  # recurrence
         if not args.abs:
             raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")
-        degs = degree_sequence(graph)
-        if not (is_connected(graph) and graph.m == graph.n - 1 and all(d <= 2 for d in degs)):
+        if not is_path(graph):
             raise ValueError("--via recurrence needs a path graph")
         coeffs = path_abs_charpoly(graph.n)
     if args.csv:

@@ -7,6 +7,7 @@ the line graph.
 """
 
 import json
+import operator
 
 import numpy as np
 
@@ -17,18 +18,22 @@ class Graph:
     """Simple undirected graph with canonical vertex and edge ordering.
 
     Construction collapses duplicate pairs, normalizes every pair to
-    ``(min, max)`` and rejects self-loops and out-of-range vertex ids.
+    ``(min, max)`` and rejects self-loops, out-of-range or non-integral
+    vertex ids, and a vertex count that is a bool or not a non-negative int.
     Instances are immutable; all operations return new graphs.
     """
 
     __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n, pairs=()):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
         seen = set()
         for u, v in pairs:
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"vertex ids must be integers, got ({u!r}, {v!r})") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -44,6 +49,10 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # rebuild through the constructor: restoring slots would hit __setattr__
+        return (Graph, (self.n, self.edges))
 
     @property
     def m(self):
@@ -64,11 +73,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def from_edge_list(n, pairs):
-    """Build a graph from ``(u, v)`` pairs on vertices ``0..n-1``."""
-    return Graph(n, pairs)
 
 
 def generate(kind, *params):
@@ -133,6 +137,13 @@ def is_connected(graph):
                     nxt.append(v)
         frontier = nxt
     return len(seen) == graph.n
+
+
+def is_path(graph):
+    """True when the graph is a path on n >= 1 vertices."""
+    if graph.n < 1 or graph.m != graph.n - 1 or not is_connected(graph):
+        return False
+    return all(d <= 2 for d in degree_sequence(graph))
 
 
 def line_graph(graph):
@@ -210,7 +221,7 @@ def to_json_dict(graph):
 
 def from_json_dict(data):
     """Inverse of :func:`to_json_dict`."""
-    return Graph(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    return Graph(data["n"], data["edges"])
 
 
 def load_graph(path):

@@ -131,11 +131,6 @@ def det_lu(matrix):
     return det
 
 
-def kron(a, b):
-    """Kronecker product: block matrix with (i,j) block a[i,j] * b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def poly_trim(coeffs):
     """Drop exact trailing zero coefficients (zero polynomial stays ``[0.0]``)."""
     c = np.asarray(coeffs, dtype=float)

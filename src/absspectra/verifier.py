@@ -7,12 +7,16 @@ prefactors are inconsistent with ``det(c*M) = c^n * det(M)``, or whose energy
 right-hand sides reference the transformed instead of the base graph, emit two
 variants: ``corrected`` (the reading consistent with the block/Kronecker
 derivation; the one acceptance keys on) and ``as_printed`` (informational).
-Everything is deterministic: two runs over the same inputs produce identical
-reports.
+Each check is one function: the work both variants need (precondition,
+transformed graph, tolerance, shared oracles) runs once, and a failure there
+marks both variants ``error``; oracle work only one variant needs runs apart,
+so its failure marks only that variant ``error``. Everything is deterministic:
+two runs over the same inputs produce identical reports.
 """
 
 import csv
 import enum
+import functools
 import io
 import json
 import math
@@ -27,6 +31,7 @@ from .graphs import (
     generate,
     incidence_matrix,
     is_connected,
+    is_path,
     is_regular,
     line_graph,
 )
@@ -41,8 +46,9 @@ from .spectra import (
     path_abs_charpoly,
     predicted_energy,
     predicted_transform_spectrum,
+    regular_abs_factor,
 )
-from .transforms import semitotal_line, semitotal_point, shadow, splitting, subdivision
+from .transforms import apply_transform
 
 DEFAULT_TOL = 1e-8
 # Eigensolver-limited checks relax to this on graphs with n + m > 100.
@@ -118,12 +124,6 @@ def _is_cycle(graph):
     return graph.n >= 3 and is_regular(graph) == 2 and is_connected(graph)
 
 
-def _is_path(graph):
-    if graph.n < 1 or graph.m != graph.n - 1 or not is_connected(graph):
-        return False
-    return all(d <= 2 for d in degree_sequence(graph))
-
-
 def _is_star(graph):
     if graph.n < 2 or graph.m != graph.n - 1 or not is_connected(graph):
         return False
@@ -162,7 +162,7 @@ def describe_graph(graph):
         return f"K{graph.n}"
     if _is_cycle(graph):
         return f"C{graph.n}"
-    if _is_path(graph):
+    if is_path(graph):
         return f"P{graph.n}"
     if _is_star(graph):
         return f"S{graph.n}"
@@ -174,7 +174,11 @@ def describe_graph(graph):
 
 # --- check implementations ---------------------------------------------------
 #
-# Each returns (applicable, max_deviation, tolerance, details).
+# A check takes (graph, params, tol). A single-variant check returns its result
+# (applicable, max_deviation, tolerance, details). A two-variant check first
+# does the work both variants need, then returns one outcome per variant, in
+# the order _CHECKS names them: the result itself, or a zero-argument function
+# computing it when that variant has oracle work of its own (see run_check).
 
 
 def _connected_regular_degree(graph):
@@ -217,57 +221,33 @@ def _chk_schur(graph, params, tol):
     return True, dev, tol, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
 
 
-def _chk_reg_scaling_corrected(graph, params, tol):
+def _chk_reg_scaling(graph, params, tol):
     r = is_regular(graph)
-    if r is None or r < 1:
-        return False, 0.0, tol, "not regular with r >= 1"
     vtol, note = _etol(graph, tol)
-    predicted = closed_form_abs_spectrum(
-        "regular_scaled", linalg.eigenvalues_symmetric(adjacency_matrix(graph)), r
-    )
-    dev = linalg.multiset_deviation(predicted, abs_spectrum(graph))
-    return True, dev, vtol, f"ABS spectrum vs sqrt(r^2-r)/r scaled adjacency spectrum, r={r}{note}"
 
+    def corrected():
+        if r is None or r < 1:
+            return False, 0.0, tol, "not regular with r >= 1"
+        predicted = closed_form_abs_spectrum(
+            "regular_scaled", linalg.eigenvalues_symmetric(adjacency_matrix(graph)), r
+        )
+        dev = linalg.multiset_deviation(predicted, abs_spectrum(graph))
+        return True, dev, vtol, f"ABS spectrum vs sqrt(r^2-r)/r scaled adjacency spectrum, r={r}{note}"
 
-def _chk_reg_scaling_printed(graph, params, tol):
-    r = is_regular(graph)
-    if r is None or r < 2:
-        return False, 0.0, tol, "needs regular r >= 2 (scale factor positive)"
-    vtol, note = _etol(graph, tol)
-    c = math.sqrt(r * r - r) / r
-    psi = linalg.char_poly(adjacency_matrix(graph))
-    # printed identity: phi(x) = c * psi(x / c); as a coefficient array the
-    # right side is psi_i * c^(1-i), which omits the order-n determinant
-    # exponent and differs from phi by c^(1-n).
-    printed = np.array([psi[i] * c ** (1 - i) for i in range(psi.size)])
-    phi = linalg.char_poly(abs_matrix(graph))
-    dev = linalg.poly_deviation(phi, printed)
-    return True, dev, vtol, f"char poly vs printed single-power prefactor, r={r}{note}"
+    def as_printed():
+        if r is None or r < 2:
+            return False, 0.0, tol, "needs regular r >= 2 (scale factor positive)"
+        c = regular_abs_factor(r)
+        psi = linalg.char_poly(adjacency_matrix(graph))
+        # printed identity: phi(x) = c * psi(x / c); as a coefficient array the
+        # right side is psi_i * c^(1-i), which omits the order-n determinant
+        # exponent and differs from phi by c^(1-n).
+        printed = np.array([psi[i] * c ** (1 - i) for i in range(psi.size)])
+        phi = linalg.char_poly(abs_matrix(graph))
+        dev = linalg.poly_deviation(phi, printed)
+        return True, dev, vtol, f"char poly vs printed single-power prefactor, r={r}{note}"
 
-
-def _lift_corrected(kind, transform_func):
-    def check(graph, params, tol):
-        r = _connected_regular_degree(graph)
-        if r is None:
-            return False, 0.0, tol, "needs a connected regular graph with r >= 1"
-        transformed = transform_func(graph)
-        vtol, note = _etol(transformed, tol)
-        if kind == "semitotal_line":
-            # polynomial route: x^max(0,m-n) * phi(T2) == x^max(0,n-m) * prod(quadratics)
-            n, m = graph.n, graph.m
-            phi = linalg.char_poly(abs_matrix(transformed))
-            lhs = linalg.poly_mul(_monomial(max(0, m - n)), phi)
-            rhs = _monomial(max(0, n - m))
-            for theta in lift_base_spectrum(kind, graph):
-                rhs = linalg.poly_mul(rhs, lift_quadratic(kind, r, theta))
-            dev = linalg.poly_deviation(lhs, rhs)
-            return True, dev, vtol, f"zero-padded char poly vs product of lift quadratics, r={r}{note}"
-        predicted = predicted_transform_spectrum(kind, graph)
-        actual = linalg.eigenvalues_symmetric(abs_matrix(transformed))
-        dev = linalg.multiset_deviation(predicted, actual)
-        return True, dev, vtol, f"predicted lift spectrum vs eigensolver, r={r}{note}"
-
-    return check
+    return corrected, as_printed
 
 
 def _monomial(k):
@@ -276,73 +256,97 @@ def _monomial(k):
     return coeffs
 
 
-def _lift_printed(kind, transform_func):
+def _lift_check(kind):
     def check(graph, params, tol):
         r = _connected_regular_degree(graph)
         if r is None:
-            return False, 0.0, tol, "needs a connected regular graph with r >= 1"
-        transformed = transform_func(graph)
+            skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
+            return skip, skip
+        transformed = apply_transform(kind, graph)
         vtol, note = _etol(transformed, tol)
         n, m = graph.n, graph.m
-        phi = linalg.char_poly(abs_matrix(transformed))
-        if kind == "semitotal_line":
-            base_poly = linalg.char_poly(adjacency_matrix(line_graph(graph)))
-            u = math.sqrt((4.0 * r - 2.0) / (4.0 * r))
-            v = (3.0 * r - 2.0) / (3.0 * r)
-            power = n - m
+        # both semitotal_line variants read phi: it is computed once, or fails in each
+        phi = functools.cache(lambda: linalg.char_poly(abs_matrix(transformed)))
 
-            def rhs_at(x):
-                pre = u * x + v
-                if abs(pre) < 1e-9:  # too close to the prefactor's pole
-                    return math.nan
-                return pre * x**power * linalg.poly_eval(base_poly, (x * x - (6.0 * r - 4.0) / (3.0 * r)) / pre)
+        def corrected():
+            if kind == "semitotal_line":
+                # polynomial route: x^max(0,m-n) * phi(T2) == x^max(0,n-m) * prod(quadratics)
+                lhs = linalg.poly_mul(_monomial(max(0, m - n)), phi())
+                rhs = _monomial(max(0, n - m))
+                for theta in lift_base_spectrum(kind, graph):
+                    rhs = linalg.poly_mul(rhs, lift_quadratic(kind, r, theta))
+                dev = linalg.poly_deviation(lhs, rhs)
+                return True, dev, vtol, f"zero-padded char poly vs product of lift quadratics, r={r}{note}"
+            predicted = predicted_transform_spectrum(kind, graph)
+            actual = linalg.eigenvalues_symmetric(abs_matrix(transformed))
+            dev = linalg.multiset_deviation(predicted, actual)
+            return True, dev, vtol, f"predicted lift spectrum vs eigensolver, r={r}{note}"
 
-        elif kind == "semitotal_point":
-            base_poly = linalg.char_poly(adjacency_matrix(graph))
-            s = math.sqrt((2.0 * r - 1.0) / (2.0 * r))
-            t = r / (r + 1.0)
-            power = m - n
+        def as_printed():
+            lhs_poly = phi()
+            if kind == "semitotal_line":
+                base_poly = linalg.char_poly(adjacency_matrix(line_graph(graph)))
+                u = math.sqrt((4.0 * r - 2.0) / (4.0 * r))
+                v = (3.0 * r - 2.0) / (3.0 * r)
+                power = n - m
 
-            def rhs_at(x):
-                pre = s * x + t
-                if abs(pre) < 1e-9:
-                    return math.nan
-                return pre * x**power * linalg.poly_eval(base_poly, (x * x - r * r / (r + 1.0)) / pre)
+                def rhs_at(x):
+                    pre = u * x + v
+                    if abs(pre) < 1e-9:  # too close to the prefactor's pole
+                        return math.nan
+                    return pre * x**power * linalg.poly_eval(base_poly, (x * x - (6.0 * r - 4.0) / (3.0 * r)) / pre)
 
-        else:  # subdivision
-            base_poly = linalg.char_poly(adjacency_matrix(graph))
-            power = m - n
+            elif kind == "semitotal_point":
+                base_poly = linalg.char_poly(adjacency_matrix(graph))
+                s = math.sqrt((2.0 * r - 1.0) / (2.0 * r))
+                t = r / (r + 1.0)
+                power = m - n
 
-            def rhs_at(x):
-                return (r / (r + 2.0)) * x**power * linalg.poly_eval(base_poly, (x * x * (r + 2.0) - r * r) / r)
+                def rhs_at(x):
+                    pre = s * x + t
+                    if abs(pre) < 1e-9:
+                        return math.nan
+                    return pre * x**power * linalg.poly_eval(base_poly, (x * x - r * r / (r + 1.0)) / pre)
 
-        devs = []
-        for x in _SAMPLE_POINTS:
-            lhs = linalg.poly_eval(phi, x)
-            rhs = rhs_at(x)
-            if not math.isfinite(rhs):
-                continue
-            devs.append(_scalar_deviation(lhs, rhs))
-        dev = max(devs)
-        return True, dev, vtol, f"pointwise char poly vs printed prefactor identity, r={r}{note}"
+            else:  # subdivision
+                base_poly = linalg.char_poly(adjacency_matrix(graph))
+                power = m - n
+
+                def rhs_at(x):
+                    return (r / (r + 2.0)) * x**power * linalg.poly_eval(base_poly, (x * x * (r + 2.0) - r * r) / r)
+
+            devs = []
+            for x in _SAMPLE_POINTS:
+                lhs = linalg.poly_eval(lhs_poly, x)
+                rhs = rhs_at(x)
+                if not math.isfinite(rhs):
+                    continue
+                devs.append(_scalar_deviation(lhs, rhs))
+            dev = max(devs)
+            return True, dev, vtol, f"pointwise char poly vs printed prefactor identity, r={r}{note}"
+
+        return corrected, as_printed
 
     return check
 
 
 def _chk_path_recurrence(graph, params, tol):
-    if not (_is_path(graph) and graph.n >= 5):
+    if not (is_path(graph) and graph.n >= 5):
         return False, 0.0, tol, "needs a path on n >= 5 vertices"
     dev = linalg.poly_deviation(path_abs_charpoly(graph.n), linalg.char_poly(abs_matrix(graph)))
     return True, dev, tol, f"recurrence coefficients vs Faddeev-LeVerrier, n={graph.n}"
 
 
-def _closed_form_check(detector, closed_form):
+def _closed_form_check(kind, detect):
+    """``detect`` returns the family's parameters, or True for a family sized by n alone."""
+
     def check(graph, params, tol):
-        args = detector(graph)
-        if args is None:
+        found = detect(graph)
+        if not found:
             return False, 0.0, tol, "graph is not in this family"
         vtol, note = _etol(graph, tol)
-        dev = linalg.multiset_deviation(closed_form(*args), abs_spectrum(graph))
+        args = (graph.n,) if found is True else found
+        dev = linalg.multiset_deviation(closed_form_abs_spectrum(kind, *args), abs_spectrum(graph))
         return True, dev, vtol, f"closed-form spectrum vs eigensolver{note}"
 
     return check
@@ -357,113 +361,84 @@ def _chk_trace_harmonic(graph, params, tol):
 
 
 def _chk_r1_bound(graph, params, tol):
+    equality_scope = (False, 0.0, tol, "equality clause scoped to connected regular graphs, n >= 4")
     if graph.n < 4 or not is_connected(graph):
-        return False, 0.0, tol, "needs a connected graph on n >= 4 vertices"
+        return (False, 0.0, tol, "needs a connected graph on n >= 4 vertices"), equality_scope
     vtol, note = _etol(graph, tol)
     lhs = math.fsum(x * x for x in abs_spectrum(graph).tolist())
     rhs = (graph.n - 1) * (graph.n - 2.0 * degree_index(graph, "modified_second_zagreb"))
-    dev = max(0.0, lhs - rhs)
-    return True, dev, vtol, f"sum mu^2 = {_fmt(lhs)} <= (n-1)(n - 2 R_-1) = {_fmt(rhs)}{note}"
-
-
-def _chk_r1_equality(graph, params, tol):
-    if graph.n < 4 or not is_connected(graph) or is_regular(graph) is None:
-        return False, 0.0, tol, "equality clause scoped to connected regular graphs, n >= 4"
-    vtol, note = _etol(graph, tol)
-    lhs = math.fsum(x * x for x in abs_spectrum(graph).tolist())
-    rhs = (graph.n - 1) * (graph.n - 2.0 * degree_index(graph, "modified_second_zagreb"))
-    dev = _scalar_deviation(lhs, rhs)
+    bound = (True, max(0.0, lhs - rhs), vtol, f"sum mu^2 = {_fmt(lhs)} <= (n-1)(n - 2 R_-1) = {_fmt(rhs)}{note}")
+    if is_regular(graph) is None:
+        return bound, equality_scope
     details = (
         f"equality-for-regular claim: sum mu^2 = {_fmt(lhs)} vs bound {_fmt(rhs)}"
         f" (equality is observed exactly for complete graphs){note}"
     )
-    return True, dev, vtol, details
+    return bound, (True, _scalar_deviation(lhs, rhs), vtol, details)
 
 
-def _energy_check(kind, transform_func, variant):
+def _energy_check(kind):
     def check(graph, params, tol):
         r = _connected_regular_degree(graph)
         if r is None:
-            return False, 0.0, tol, "needs a connected regular graph with r >= 1"
+            skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
+            return skip, skip
         k = int(params.get("k", 2))
         if k < 1:
             raise ValueError(f"{kind} energy check needs k >= 1, got {k}")
-        transformed = transform_func(graph, k)
+        transformed = apply_transform(kind, graph, k)
         vtol, note = _etol(transformed, tol)
         lhs = abs_energy(transformed).energy
         predicted = predicted_energy(kind, graph, k)
-        rhs = predicted.corrected if variant == "corrected" else predicted.as_printed
-        dev = _scalar_deviation(lhs, rhs)
-        side = "base-graph energy" if variant == "corrected" else "transformed-graph energy, printed factor"
-        return True, dev, vtol, f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}{note}"
+
+        def outcome(rhs, side):
+            details = f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}{note}"
+            return True, _scalar_deviation(lhs, rhs), vtol, details
+
+        return (
+            outcome(predicted.corrected, "base-graph energy"),
+            outcome(predicted.as_printed, "transformed-graph energy, printed factor"),
+        )
 
     return check
 
 
-def _detect_complete(graph):
-    return (graph.n,) if _is_complete(graph) else None
-
-
-def _detect_cycle(graph):
-    return (graph.n,) if _is_cycle(graph) else None
-
-
-def _detect_star(graph):
-    return (graph.n,) if _is_star(graph) else None
-
+_SINGLE = ("single",)
+_BOTH = ("corrected", "as_printed")
 
 _CHECKS = {
-    CheckId.LEM_INCIDENCE_REG: (("single", _chk_incidence_reg),),
-    CheckId.LEM_INCIDENCE_LINE: (("single", _chk_incidence_line),),
-    CheckId.LEM_SCHUR: (("single", _chk_schur),),
-    CheckId.THM_REG_SCALING: (
-        ("corrected", _chk_reg_scaling_corrected),
-        ("as_printed", _chk_reg_scaling_printed),
-    ),
-    CheckId.THM_SUBDIVISION: (
-        ("corrected", _lift_corrected("subdivision", subdivision)),
-        ("as_printed", _lift_printed("subdivision", subdivision)),
-    ),
-    CheckId.THM_SEMITOTAL_POINT: (
-        ("corrected", _lift_corrected("semitotal_point", semitotal_point)),
-        ("as_printed", _lift_printed("semitotal_point", semitotal_point)),
-    ),
-    CheckId.THM_SEMITOTAL_LINE: (
-        ("corrected", _lift_corrected("semitotal_line", semitotal_line)),
-        ("as_printed", _lift_printed("semitotal_line", semitotal_line)),
-    ),
-    CheckId.THM_PATH_RECURRENCE: (("single", _chk_path_recurrence),),
-    CheckId.THM_COMPLETE: (
-        ("single", _closed_form_check(_detect_complete, lambda n: closed_form_abs_spectrum("complete", n))),
-    ),
-    CheckId.THM_CYCLE: (
-        ("single", _closed_form_check(_detect_cycle, lambda n: closed_form_abs_spectrum("cycle", n))),
-    ),
-    CheckId.THM_KMN: (
-        (
-            "single",
-            _closed_form_check(
-                _complete_bipartite_parts, lambda a, b: closed_form_abs_spectrum("complete_bipartite", a, b)
-            ),
-        ),
-    ),
-    CheckId.THM_STAR: (
-        ("single", _closed_form_check(_detect_star, lambda n: closed_form_abs_spectrum("star", n))),
-    ),
-    CheckId.THM_TRACE_HARMONIC: (("single", _chk_trace_harmonic),),
-    CheckId.THM_R1_BOUND: (
-        ("corrected", _chk_r1_bound),
-        ("as_printed", _chk_r1_equality),
-    ),
-    CheckId.THM_SPLIT_ENERGY: (
-        ("corrected", _energy_check("splitting", splitting, "corrected")),
-        ("as_printed", _energy_check("splitting", splitting, "as_printed")),
-    ),
-    CheckId.THM_SHADOW_ENERGY: (
-        ("corrected", _energy_check("shadow", shadow, "corrected")),
-        ("as_printed", _energy_check("shadow", shadow, "as_printed")),
-    ),
+    CheckId.LEM_INCIDENCE_REG: (_SINGLE, _chk_incidence_reg),
+    CheckId.LEM_INCIDENCE_LINE: (_SINGLE, _chk_incidence_line),
+    CheckId.LEM_SCHUR: (_SINGLE, _chk_schur),
+    CheckId.THM_REG_SCALING: (_BOTH, _chk_reg_scaling),
+    CheckId.THM_SUBDIVISION: (_BOTH, _lift_check("subdivision")),
+    CheckId.THM_SEMITOTAL_POINT: (_BOTH, _lift_check("semitotal_point")),
+    CheckId.THM_SEMITOTAL_LINE: (_BOTH, _lift_check("semitotal_line")),
+    CheckId.THM_PATH_RECURRENCE: (_SINGLE, _chk_path_recurrence),
+    CheckId.THM_COMPLETE: (_SINGLE, _closed_form_check("complete", _is_complete)),
+    CheckId.THM_CYCLE: (_SINGLE, _closed_form_check("cycle", _is_cycle)),
+    CheckId.THM_KMN: (_SINGLE, _closed_form_check("complete_bipartite", _complete_bipartite_parts)),
+    CheckId.THM_STAR: (_SINGLE, _closed_form_check("star", _is_star)),
+    CheckId.THM_TRACE_HARMONIC: (_SINGLE, _chk_trace_harmonic),
+    CheckId.THM_R1_BOUND: (_BOTH, _chk_r1_bound),
+    CheckId.THM_SPLIT_ENERGY: (_BOTH, _energy_check("splitting")),
+    CheckId.THM_SHADOW_ENERGY: (_BOTH, _energy_check("shadow")),
 }
+
+
+def _error(exc, tol):
+    return True, "error", 0.0, tol, f"{type(exc).__name__}: {exc}"
+
+
+def _settle(outcome, tol):
+    """(applicable, verdict, deviation, tolerance, details) of one variant's outcome."""
+    try:
+        applicable, deviation, vtol, details = outcome() if callable(outcome) else outcome
+    except Exception as exc:  # oracle failure -> recorded, not raised
+        return _error(exc, tol)
+    if not applicable:
+        return False, "inapplicable", 0.0, vtol, details
+    return True, "pass" if deviation <= vtol else "fail", deviation, vtol, details
 
 
 def run_check(check, graph, params=None, tol=DEFAULT_TOL):
@@ -471,7 +446,10 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL):
 
     ``params`` may carry ``k`` (copy count for the splitting/shadow energy
     checks, default 2) and ``descriptor`` (display name override). Oracle
-    failures are captured as verdict ``error`` instead of raising.
+    failures are captured as verdict ``error`` instead of raising. Work that
+    every variant of a check needs is done once; if it fails, every variant
+    reports the error. Work private to one variant fails only that variant,
+    so e.g. an ``as_printed`` error leaves the ``corrected`` verdict intact.
     """
     if not isinstance(check, CheckId):
         try:
@@ -482,31 +460,28 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL):
         raise ValueError(f"tolerance must be positive, got {tol}")
     params = dict(params or {})
     descriptor = params.get("descriptor") or describe_graph(graph)
-    reports = []
-    for variant, func in _CHECKS[check]:
-        try:
-            applicable, deviation, vtol, details = func(graph, params, tol)
-            if applicable:
-                verdict = "pass" if deviation <= vtol else "fail"
-            else:
-                verdict, deviation = "inapplicable", 0.0
-        except Exception as exc:  # oracle failure -> recorded, not raised
-            applicable, verdict = True, "error"
-            deviation, vtol = 0.0, tol
-            details = f"{type(exc).__name__}: {exc}"
-        reports.append(
-            CheckReport(
-                check=check.value,
-                variant=variant,
-                graph_descriptor=descriptor,
-                applicable=applicable,
-                verdict=verdict,
-                max_deviation=float(deviation),
-                tolerance=float(vtol),
-                details=details,
-            )
+    variants, func = _CHECKS[check]
+    try:
+        outcomes = func(graph, params, tol)
+    except Exception as exc:  # shared work failed -> every variant records it
+        rows = [_error(exc, tol)] * len(variants)
+    else:
+        if variants == _SINGLE:
+            outcomes = (outcomes,)
+        rows = [_settle(outcome, tol) for outcome in outcomes]
+    return [
+        CheckReport(
+            check=check.value,
+            variant=variant,
+            graph_descriptor=descriptor,
+            applicable=applicable,
+            verdict=verdict,
+            max_deviation=float(deviation),
+            tolerance=float(vtol),
+            details=details,
         )
-    return reports
+        for variant, (applicable, verdict, deviation, vtol, details) in zip(variants, rows)
+    ]
 
 
 def run_suite(entries, tol=DEFAULT_TOL):

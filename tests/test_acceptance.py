@@ -26,7 +26,6 @@ from absspectra import (
     incidence_matrix,
     is_connected,
     is_regular,
-    kron,
     line_graph,
     multiset_close,
     path_abs_charpoly,
@@ -110,13 +109,13 @@ def test_c05_kronecker_structure():
         a = adjacency_matrix(g)
         for k in (1, 2, 3):
             shadow_scale = math.sqrt(1.0 - 1.0 / (k * r))
-            assert np.max(np.abs(abs_matrix(shadow(g, k)) - shadow_scale * kron(np.ones((k, k)), a))) <= 1e-12
+            assert np.max(np.abs(abs_matrix(shadow(g, k)) - shadow_scale * np.kron(np.ones((k, k)), a))) <= 1e-12
             dm = np.zeros((k + 1, k + 1))
             dm[0, 0] = math.sqrt(1.0 - 1.0 / (r * (k + 1)))
             off = math.sqrt(1.0 - 2.0 / (r * (k + 2)))
             dm[0, 1:] = off
             dm[1:, 0] = off
-            assert np.max(np.abs(abs_matrix(splitting(g, k)) - kron(dm, a))) <= 1e-12
+            assert np.max(np.abs(abs_matrix(splitting(g, k)) - np.kron(dm, a))) <= 1e-12
             checked += 2
     _announce("C5", f"Kronecker structure of shadow/splitting ABS matrices, {checked} cases (tol 1e-12)")
 

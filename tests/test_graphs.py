@@ -1,6 +1,8 @@
 """Graph construction, generators, structural queries and matrix layouts."""
 
+import copy
 import json
+import pickle
 import random
 from itertools import combinations
 
@@ -12,7 +14,6 @@ from absspectra import (
     adjacency_matrix,
     degree_sequence,
     eigenvalues_symmetric,
-    from_edge_list,
     generate,
     incidence_matrix,
     is_connected,
@@ -28,33 +29,65 @@ from conftest import random_graph
 
 
 def test_from_edge_list_path():
-    g = from_edge_list(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert degree_sequence(g) == [1, 2, 1]
     assert g.edges == ((0, 1), (1, 2))
 
 
 def test_from_edge_list_collapses_duplicates_and_orients():
-    g = from_edge_list(2, [(0, 1), (1, 0)])
+    g = Graph(2, [(0, 1), (1, 0)])
     assert g.m == 1
     assert g.edges == ((0, 1),)
 
 
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        from_edge_list(4, [(0, 0)])
+        Graph(4, [(0, 0)])
 
 
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(IndexError):
-        from_edge_list(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(IndexError):
-        from_edge_list(3, [(-1, 2)])
+        Graph(3, [(-1, 2)])
 
 
 def test_graph_is_immutable():
     g = generate("path", 3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_graph_pickle_and_copy_roundtrip():
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert h == g and hash(h) == hash(g)
+        assert h.adjacency == g.adjacency
+
+
+def test_graph_rejects_bool_vertex_count():
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph(True)
+
+
+def test_graph_rejects_non_integral_vertex_ids():
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        Graph(3, [(0.0, 1.7)])
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        Graph(3, [(0, 1.0)])
+
+
+def test_from_json_dict_rejects_non_integral_values():
+    with pytest.raises(ValueError, match="vertex count"):
+        from_json_dict({"n": 2.9, "edges": [[0, 1]]})
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        from_json_dict({"n": 2, "edges": [[0, 1.5]]})
+
+
+def test_graph_accepts_numpy_integer_ids():
+    g = Graph(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+    assert g.edges == ((0, 2), (1, 2))
+    assert all(type(x) is int for edge in g.edges for x in edge)
 
 
 def test_generate_star():

@@ -16,7 +16,6 @@ from absspectra import (
     incidence_matrix,
     is_connected,
     is_regular,
-    kron,
     semitotal_line,
     semitotal_point,
     shadow,
@@ -182,7 +181,7 @@ def test_shadow_adjacency_is_kron_with_ones():
         g = random_graph(rng, rng.randint(1, 6))
         a = adjacency_matrix(g)
         for k in (2, 3):
-            np.testing.assert_array_equal(adjacency_matrix(shadow(g, k)), kron(np.ones((k, k)), a))
+            np.testing.assert_array_equal(adjacency_matrix(shadow(g, k)), np.kron(np.ones((k, k)), a))
 
 
 def test_splitting_adjacency_is_kron_with_arrow_matrix():
@@ -195,7 +194,7 @@ def test_splitting_adjacency_is_kron_with_arrow_matrix():
             d[0, 0] = 1.0
             d[0, 1:] = 1.0
             d[1:, 0] = 1.0
-            np.testing.assert_array_equal(adjacency_matrix(splitting(g, k)), kron(d, a))
+            np.testing.assert_array_equal(adjacency_matrix(splitting(g, k)), np.kron(d, a))
 
 
 def test_abs_matrix_of_shadow_and_splitting_kron_forms():
@@ -206,14 +205,14 @@ def test_abs_matrix_of_shadow_and_splitting_kron_forms():
         for k in (1, 2, 3):
             scale = math.sqrt(1.0 - 1.0 / (k * r))
             np.testing.assert_allclose(
-                abs_matrix(shadow(g, k)), scale * kron(np.ones((k, k)), a), atol=1e-12
+                abs_matrix(shadow(g, k)), scale * np.kron(np.ones((k, k)), a), atol=1e-12
             )
             dm = np.zeros((k + 1, k + 1))
             dm[0, 0] = math.sqrt(1.0 - 1.0 / (r * (k + 1)))
             off = math.sqrt(1.0 - 2.0 / (r * (k + 2)))
             dm[0, 1:] = off
             dm[1:, 0] = off
-            np.testing.assert_allclose(abs_matrix(splitting(g, k)), kron(dm, a), atol=1e-12)
+            np.testing.assert_allclose(abs_matrix(splitting(g, k)), np.kron(dm, a), atol=1e-12)
 
 
 def test_apply_transform_dispatch():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -19,6 +20,8 @@ from absspectra import (
     run_suite,
 )
 from absspectra.verifier import has_key_failure, report_to_dict
+
+GOLDEN_SUITE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden_suite.json"
 
 
 def _single(reports, variant):
@@ -208,3 +211,27 @@ def test_report_serialization():
     assert rows[0][0] == "check"
     assert rows[1][0] == "THM_CYCLE"
     assert report_to_dict(reports[0])["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "check, graph",
+    [(CheckId.THM_SUBDIVISION, generate("cycle", 40)), (CheckId.THM_REG_SCALING, generate("cycle", 70))],
+)
+def test_variant_error_stays_private(check, graph):
+    # as_printed hits the char_poly order cap; corrected needs no char_poly
+    reports = run_check(check, graph)
+    assert _single(reports, "corrected").verdict == "pass"
+    printed = _single(reports, "as_printed")
+    assert printed.verdict == "error" and "char_poly cap" in printed.details
+    assert not has_key_failure(reports)
+
+
+def test_default_suite_matches_golden():
+    golden = json.loads(GOLDEN_SUITE.read_text())
+    got = json.loads(reports_to_json(run_suite(default_suite())))
+    assert len(got) == len(golden)
+    for g, w in zip(got, golden):
+        assert {k: v for k, v in g.items() if k != "max_deviation"} == {
+            k: v for k, v in w.items() if k != "max_deviation"
+        }
+        assert abs(g["max_deviation"] - w["max_deviation"]) <= 1e-9 * max(1.0, abs(w["max_deviation"]))
