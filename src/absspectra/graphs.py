@@ -13,6 +13,16 @@ import numpy as np
 
 GENERATOR_KINDS = ("complete", "cycle", "path", "star", "complete_bipartite")
 
+# Largest edge count a generator or transform may build; checked from the
+# documented counts before any pair is made, so oversized requests fail fast.
+EDGE_BUDGET = 10**6
+
+
+def check_edge_budget(count, what):
+    """Raise ``ValueError`` when building ``what`` would need more than EDGE_BUDGET edges."""
+    if count > EDGE_BUDGET:
+        raise ValueError(f"{what} would have {count} edges, over the budget of {EDGE_BUDGET}")
+
 
 class Graph:
     """Simple undirected graph with canonical vertex and edge ordering.
@@ -91,12 +101,14 @@ def generate(kind, *params):
         a, b = int(params[0]), int(params[1])
         if a < 1 or b < 1:
             raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
+        check_edge_budget(a * b, f"complete_bipartite({a}, {b})")
         return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
     n = int(params[0])
     if n < 1:
         raise ValueError(f"{kind} needs n >= 1, got {n}")
+    check_edge_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), f"{kind}({n})")
     if kind == "complete":
         return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "cycle":
@@ -146,8 +158,14 @@ def is_path(graph):
     return all(d <= 2 for d in degree_sequence(graph))
 
 
+def line_graph_edge_count(graph):
+    """Edges of the line graph: one per pair of edges at a common vertex, sum of C(d_v, 2)."""
+    return sum(d * (d - 1) // 2 for d in degree_sequence(graph))
+
+
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
+    check_edge_budget(line_graph_edge_count(graph), "line graph")
     edges = graph.edges
     incident = [[] for _ in range(graph.n)]
     for idx, (u, v) in enumerate(edges):

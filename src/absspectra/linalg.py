@@ -6,6 +6,7 @@ represented as 1-D float arrays of coefficients in ascending order of power
 polynomial is ``[0.0]``. Spectra are 1-D float arrays sorted ascending.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,13 +37,34 @@ def _offdiag_norm(a):
     return math.sqrt(float(np.sum(off * off)))
 
 
+@functools.lru_cache(maxsize=64)
+def _round_robin_step(order):
+    """Row/column index pair taking one round's pairing to the next (circle method).
+
+    The pairs of a round sit at positions (0, 1), (2, 3), ...; position 0 stays
+    and the others move one seat along the ring 2, 4, ..., order-2, order-1,
+    order-3, ..., 1. After ``order - 1`` rounds every pair has met once and
+    the layout is back where it started. The arrays are shared, so read-only.
+    """
+    ring = np.r_[2:order:2, order - 1 : 0 : -2]
+    step = np.arange(order)
+    step[ring] = np.roll(ring, 1)
+    step.flags.writeable = False
+    return np.ix_(step, step)
+
+
 def eigenvalues_symmetric(matrix, sweep_cap=_JACOBI_SWEEP_CAP):
     """All eigenvalues of a real symmetric matrix, sorted ascending.
 
-    Uses cyclic Jacobi rotations until the off-diagonal Frobenius norm falls
-    below ``1e-12 * max(1, ||M||_F)``. Raises :class:`NoConvergenceError` if
-    the sweep cap is exceeded (does not happen for finite symmetric input in
-    practice; the cap is a hard safety stop).
+    Uses Jacobi rotations in round-robin order (Brent & Luk 1985): a sweep is
+    n - 1 rounds, each rotating n/2 disjoint pairs as whole-array operations,
+    so every pair is visited once per sweep (odd n is padded with a zero row
+    and column that no rotation touches). The stopping rule and the cap are
+    those of cyclic Jacobi: whole sweeps run until the off-diagonal Frobenius
+    norm falls below ``1e-12 * max(1, ||M||_F)``, and pivots below that
+    target over ``n^2 + 1`` are skipped. Raises :class:`NoConvergenceError`
+    if ``sweep_cap`` sweeps do not reach it (does not happen for finite
+    symmetric input in practice; the cap is a hard safety stop).
     """
     a = _as_square_matrix(matrix)
     n = a.shape[0]
@@ -53,39 +75,49 @@ def eigenvalues_symmetric(matrix, sweep_cap=_JACOBI_SWEEP_CAP):
     if n == 1:
         return a.diagonal().copy()
 
-    a = a.copy()
     target = _JACOBI_RTOL * max(1.0, math.sqrt(float(np.sum(a * a))))
     # Skipping pivots this small cannot keep the off-norm above target.
     tiny = target / (n * n + 1)
 
+    order = n + n % 2
+    half = order // 2
+    b = np.zeros((order, order))
+    b[:n, :n] = a
+    step = _round_robin_step(order)
+    stride = 2 * order + 2  # flat distance from pair i's 2x2 block to pair i+1's
+    rot = np.empty((half, 2, 2))
+
     for _ in range(sweep_cap):
-        if _offdiag_norm(a) <= target:
+        if _offdiag_norm(b) <= target:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tiny:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rowp, rowq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                colp, colq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                a[p, q] = a[q, p] = 0.0
+        for _ in range(order - 1):
+            flat = b.reshape(-1)
+            app, aqq, apq = flat[0::stride], flat[order + 1 :: stride], flat[1::stride]
+            active = np.abs(apq) > tiny
+            # |theta| <= ||M||_F / tiny, so the denominator of t cannot overflow.
+            theta = (aqq - app) / np.where(active, 2.0 * apq, 1.0)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(active, t, 0.0)  # skipped pairs get the identity
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1] = -s
+            rot[:, 1, 0] = s
+            # Rows, then columns as the rows of the transpose; this leaves the
+            # transpose of the rotated matrix, which has the same eigenvalues.
+            b = (rot @ b.reshape(half, 2, order)).reshape(order, order)
+            b = (rot @ b.T.reshape(half, 2, order)).reshape(order, order)
+            flat = b.reshape(-1)
+            flat[1::stride][active] = 0.0
+            flat[order::stride][active] = 0.0
+            b = b[step]
     else:
-        if _offdiag_norm(a) > target:
+        if _offdiag_norm(b) > target:
             raise NoConvergenceError(
                 f"Jacobi did not converge within {sweep_cap} sweeps (n={n})"
             )
-    return np.sort(np.diag(a).copy())
+    # Whole sweeps return every row to its place, so the padding row is last.
+    return np.sort(np.diag(b)[:n])
 
 
 def char_poly(matrix):

@@ -8,15 +8,19 @@ the resulting matrices is literal:
 * ``splitting(G, k)`` keeps originals at ``0..n-1`` and puts copy block
   ``c in 1..k`` at ``c*n .. c*n + n - 1``;
 * ``shadow(G, k)`` puts copy ``c in 0..k-1`` at ``c*n .. c*n + n - 1``.
+
+Each transform checks the edge count of its result against the graph edge
+budget before it builds anything.
 """
 
-from .graphs import Graph, line_graph
+from .graphs import Graph, check_edge_budget, line_graph, line_graph_edge_count
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
 
 
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
+    check_edge_budget(2 * graph.m, "subdivision")
     n = graph.n
     pairs = []
     for j, (u, v) in enumerate(graph.edges):
@@ -31,6 +35,7 @@ def semitotal_point(graph):
     Original vertex degrees double; edge-vertices have degree 2. The result
     has n + m vertices and 3m edges.
     """
+    check_edge_budget(3 * graph.m, "semitotal_point")
     n = graph.n
     pairs = list(graph.edges)
     for j, (u, v) in enumerate(graph.edges):
@@ -45,6 +50,7 @@ def semitotal_line(graph):
     Original vertices keep their degree; the vertex for edge uv gets degree
     d(u) + d(v).
     """
+    check_edge_budget(line_graph_edge_count(graph) + 2 * graph.m, "semitotal_line")
     n = graph.n
     pairs = []
     for i, j in line_graph(graph).edges:
@@ -63,6 +69,7 @@ def splitting(graph, k):
     """
     if k < 1:
         raise ValueError(f"splitting needs k >= 1, got {k}")
+    check_edge_budget((2 * k + 1) * graph.m, f"splitting with k={k}")
     n = graph.n
     pairs = list(graph.edges)
     for c in range(1, k + 1):
@@ -83,6 +90,7 @@ def shadow(graph, k):
         raise ValueError(f"shadow needs k >= 1, got {k}")
     if k == 1:
         return graph
+    check_edge_budget(k * k * graph.m, f"shadow with k={k}")
     n = graph.n
     pairs = []
     for c in range(k):

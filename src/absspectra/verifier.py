@@ -456,8 +456,8 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL):
             check = CheckId[str(check)]
         except KeyError:
             raise ValueError(f"unknown check id {check!r}") from None
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     params = dict(params or {})
     descriptor = params.get("descriptor") or describe_graph(graph)
     variants, func = _CHECKS[check]

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -166,6 +167,26 @@ def test_verify_env_tolerance(monkeypatch):
     monkeypatch.setenv("ABS_SPECTRA_TOL", "1e-6")
     code, _, _ = run_cli("verify", "--check", "THM_TRACE_HARMONIC", "--graph", "complete:5")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_nonfinite_tolerance(value, monkeypatch):
+    code, out, err = run_cli("verify", "--check", "THM_CYCLE", "--graph", "cycle:5", f"--tol={value}")
+    assert code == 2 and out == "" and "tolerance" in err
+    monkeypatch.setenv("ABS_SPECTRA_TOL", value)
+    code, out, err = run_cli("verify", "--check", "THM_CYCLE", "--graph", "cycle:5")
+    assert code == 2 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("energy", "--abs", "--graph", "shadow:complete:100:k=1000"), ("gen", "complete", "200000")],
+)
+def test_edge_budget_fails_fast(argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_verify_as_printed_failures_do_not_flip_exit_code():

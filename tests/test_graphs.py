@@ -1,6 +1,7 @@
 """Graph construction, generators, structural queries and matrix layouts."""
 
 import copy
+import functools
 import json
 import pickle
 import random
@@ -23,6 +24,7 @@ from absspectra import (
     parse_edge_list_text,
     to_edge_list_text,
 )
+from absspectra import graphs
 from absspectra.graphs import from_json_dict, to_json_dict
 
 from conftest import random_graph
@@ -114,6 +116,32 @@ def test_generate_complete_bipartite():
 def test_generate_rejects_bad_sizes(kind, params):
     with pytest.raises(ValueError):
         generate(kind, *params)
+
+
+def test_edge_budget_rejects_oversized_generators():
+    for kind, params in (("complete", (200000,)), ("complete_bipartite", (1001, 1000)), ("cycle", (10**6 + 1,))):
+        with pytest.raises(ValueError, match="budget"):
+            generate(kind, *params)
+
+
+def test_edge_budget_uses_exact_counts(monkeypatch):
+    # a budget equal to the edge count builds the graph; one edge less is refused
+    rng = random.Random(17)
+    builders = [
+        functools.partial(generate, kind, *params)
+        for kind, params in (
+            ("complete", (7,)), ("cycle", (7,)), ("path", (7,)), ("star", (7,)), ("complete_bipartite", (3, 4)),
+        )
+    ]
+    builders += [functools.partial(line_graph, random_graph(rng, 8)) for _ in range(5)]
+    for build in builders:
+        m = build().m
+        monkeypatch.setattr(graphs, "EDGE_BUDGET", m - 1)
+        with pytest.raises(ValueError, match="budget"):
+            build()
+        monkeypatch.setattr(graphs, "EDGE_BUDGET", m)
+        assert build().m == m
+        monkeypatch.undo()
 
 
 def test_structural_queries():

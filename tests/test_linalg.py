@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from absspectra import (
+    Graph,
     NoConvergenceError,
     adjacency_matrix,
     char_poly,
@@ -57,9 +58,95 @@ def test_eigenvalues_validation():
 
 
 def test_eigenvalues_sweep_cap():
-    m = _random_symmetric(random.Random(1), 6)
-    with pytest.raises(NoConvergenceError):
-        eigenvalues_symmetric(m, sweep_cap=0)
+    rng = random.Random(1)
+    for n in (5, 6):
+        with pytest.raises(NoConvergenceError):
+            eigenvalues_symmetric(_random_symmetric(rng, n), sweep_cap=0)
+
+
+def _cyclic_jacobi_reference(matrix):
+    """Scalar cyclic Jacobi: the same rotations and stopping rule, one (p, q) at a time."""
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    target = 1e-12 * max(1.0, math.sqrt(float(np.sum(a * a))))
+    tiny = target / (n * n + 1)
+
+    def offdiag_norm():
+        off = a - np.diag(np.diag(a))
+        return math.sqrt(float(np.sum(off * off)))
+
+    for _ in range(100):
+        if offdiag_norm() <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= tiny:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rowp, rowq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rowp - s * rowq
+                a[q, :] = s * rowp + c * rowq
+                colp, colq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * colp - s * colq
+                a[:, q] = s * colp + c * colq
+                a[p, q] = a[q, p] = 0.0
+    else:
+        if offdiag_norm() > target:
+            raise NoConvergenceError("reference did not converge within 100 sweeps")
+    return np.sort(np.diag(a))
+
+
+def _solver_test_matrices(n, rng):
+    """Random, graph (ABS and adjacency), zero, diagonal and below-skip-threshold matrices of order n."""
+    half = n // 2
+    graphs = [
+        generate("complete", n),
+        generate("path", n),
+        generate("complete_bipartite", half, n - half),
+        # two disjoint equal paths (plus an isolated vertex when n is odd): every eigenvalue repeats
+        Graph(n, [(i, i + 1) for i in range(half - 1)] + [(half + i, half + i + 1) for i in range(half - 1)]),
+    ]
+    if n >= 3:
+        graphs.append(generate("cycle", n))
+    mats = [_random_symmetric(rng, n, scale=3.0), np.zeros((n, n)), np.diag([rng.gauss(0, 5) for _ in range(n)])]
+    for g in graphs:
+        mats.extend((abs_matrix(g), adjacency_matrix(g)))
+    # off-diagonals below 1e-12 * ||M||_F / (n^2 + 1): every pivot is skipped
+    small = np.diag(np.arange(1.0, n + 1.0))
+    small[np.triu_indices(n, 1)] = 1e-16
+    mats.append(np.triu(small) + np.triu(small, 1).T)
+    return mats
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [64, 100])
+def test_eigenvalues_match_cyclic_reference_and_eigvalsh(n):
+    rng = random.Random(1000 + n)
+    for m in _solver_test_matrices(n, rng):
+        tol = 1e-11 * max(1.0, float(np.linalg.norm(m)))
+        before = m.copy()
+        eigs = eigenvalues_symmetric(m)
+        np.testing.assert_array_equal(m, before)
+        assert eigs.shape == (n,) and np.all(np.diff(eigs) >= 0)
+        assert np.max(np.abs(eigs - np.linalg.eigvalsh(m))) <= tol
+        assert np.max(np.abs(eigs - _cyclic_jacobi_reference(m))) <= tol
+
+
+def test_eigenvalues_match_mpmath_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2024)
+    with mpmath.workdps(50):
+        for n in range(2, 13):
+            m = _random_symmetric(rng, n)
+            exact = sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True))
+            tol = 1e-11 * max(1.0, float(np.linalg.norm(m)))
+            assert np.max(np.abs(eigenvalues_symmetric(m) - exact)) <= tol
 
 
 def test_eigenvalues_match_numpy_and_trace():

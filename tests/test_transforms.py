@@ -23,6 +23,8 @@ from absspectra import (
     subdivision,
 )
 
+from absspectra import graphs, transforms
+
 from conftest import random_graph
 
 
@@ -223,3 +225,19 @@ def test_apply_transform_dispatch():
         apply_transform("mystery", g)
     with pytest.raises(ValueError):
         apply_transform("splitting", g)  # k missing
+
+
+def test_apply_transform_edge_budget_uses_exact_counts(monkeypatch):
+    # a budget equal to the result's edge count builds it; one edge less is refused
+    rng = random.Random(23)
+    bases = [random_graph(rng, 7) for _ in range(4)] + [generate("star", 6)]
+    for g in bases:
+        for kind in transforms.TRANSFORM_KINDS:
+            for k in (2, 3) if kind in ("splitting", "shadow") else (None,):
+                m = apply_transform(kind, g, k).m
+                monkeypatch.setattr(graphs, "EDGE_BUDGET", m - 1)
+                with pytest.raises(ValueError, match="budget"):
+                    apply_transform(kind, g, k)
+                monkeypatch.setattr(graphs, "EDGE_BUDGET", m)
+                assert apply_transform(kind, g, k).m == m
+                monkeypatch.undo()

@@ -144,8 +144,9 @@ def test_run_check_accepts_string_ids_and_rejects_unknown():
     assert reports[0].check == "THM_CYCLE"
     with pytest.raises(ValueError, match="unknown check"):
         run_check("THM_NOPE", generate("cycle", 5))
-    with pytest.raises(ValueError, match="positive"):
-        run_check(CheckId.THM_CYCLE, generate("cycle", 5), tol=0.0)
+    for tol in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_check(CheckId.THM_CYCLE, generate("cycle", 5), tol=tol)
 
 
 def test_error_captured_in_report():
