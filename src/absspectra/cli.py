@@ -24,8 +24,8 @@ import sys
 from .graphs import (
     GENERATOR_KINDS,
     adjacency_matrix,
+    families,
     generate,
-    is_path,
     load_graph,
     to_edge_list_text,
     to_json_dict,
@@ -36,6 +36,7 @@ from .spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from .transforms import TRANSFORM_KINDS, apply_transform
 from .verifier import (
     DEFAULT_TOL,
+    _fmt15,
     _round15,
     default_suite,
     has_key_failure,
@@ -152,7 +153,7 @@ def _cmd_matrix(args):
     matrix = _select_matrix(args, _graph_from_args(args))
     if args.csv:
         for row in matrix:
-            print(",".join(f"{_round15(v):.15g}" for v in row))
+            print(",".join(_fmt15(v) for v in row))
     else:
         _print_json({"order": matrix.shape[0], "rows": [list(row) for row in matrix]})
     return 0
@@ -161,9 +162,9 @@ def _cmd_matrix(args):
 def _cmd_spectrum(args):
     report = spectrum_report(_graph_from_args(args), "abs" if args.abs else "adjacency")
     if args.csv:
-        print("spectrum," + ",".join(f"{_round15(v):.15g}" for v in report["spectrum"]))
+        print("spectrum," + ",".join(_fmt15(v) for v in report["spectrum"]))
         for key in ("energy", "trace_sq", "harmonic_check"):
-            print(f"{key},{_round15(report[key]):.15g}")
+            print(f"{key},{_fmt15(report[key])}")
     else:
         _print_json(report)
     return 0
@@ -173,7 +174,7 @@ def _cmd_indices(args):
     values = all_indices(_graph_from_args(args))
     if args.csv:
         for kind, value in values.items():
-            print(f"{kind},{_round15(value):.15g}")
+            print(f"{kind},{_fmt15(value)}")
     else:
         _print_json(values)
     return 0
@@ -189,11 +190,11 @@ def _cmd_charpoly(args):
     else:  # recurrence
         if not args.abs:
             raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")
-        if not is_path(graph):
+        if "path" not in families(graph):
             raise ValueError("--via recurrence needs a path graph")
         coeffs = path_abs_charpoly(graph.n)
     if args.csv:
-        print("coeffs," + ",".join(f"{_round15(v):.15g}" for v in coeffs))
+        print("coeffs," + ",".join(_fmt15(v) for v in coeffs))
     else:
         _print_json({"order": len(coeffs) - 1, "coeffs": list(coeffs)})
     return 0

@@ -85,27 +85,37 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _size(value, kind):
+    """``value`` as an int; a bool or non-integral size raises ``ValueError``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{kind} sizes must be integers, got {value!r}")
+
+
 def generate(kind, *params):
     """Generate a named graph family member.
 
     ``complete``, ``cycle``, ``path`` and ``star`` take one size (cycle needs
     n >= 3, the rest n >= 1; a star on n vertices has center 0 and n-1 leaves).
     ``complete_bipartite`` takes part sizes (m, n) >= 1 with part A on
-    ``0..m-1`` and part B on ``m..m+n-1``.
+    ``0..m-1`` and part B on ``m..m+n-1``. Sizes must be integers (not bool).
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
     if kind == "complete_bipartite":
         if len(params) != 2:
             raise ValueError("complete_bipartite takes two part sizes")
-        a, b = int(params[0]), int(params[1])
+        a, b = _size(params[0], kind), _size(params[1], kind)
         if a < 1 or b < 1:
             raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
         check_edge_budget(a * b, f"complete_bipartite({a}, {b})")
         return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
-    n = int(params[0])
+    n = _size(params[0], kind)
     if n < 1:
         raise ValueError(f"{kind} needs n >= 1, got {n}")
     check_edge_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), f"{kind}({n})")
@@ -134,28 +144,66 @@ def is_regular(graph):
     return r if all(d == r for d in degs) else None
 
 
+def _two_colouring(graph):
+    """Colour a graph on n >= 1 vertices by one search from vertex 0: (colours, bipartite).
+
+    Unreached vertices keep colour -1; ``bipartite`` is False when an edge
+    joins two vertices of one colour.
+    """
+    colour = [0] + [-1] * (graph.n - 1)
+    bipartite = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in graph.adjacency[u]:
+            if colour[v] == -1:
+                colour[v] = 1 - colour[u]
+                stack.append(v)
+            elif colour[v] == colour[u]:
+                bipartite = False
+    return colour, bipartite
+
+
 def is_connected(graph):
-    """Breadth-first reachability; graphs on 0 or 1 vertices count as connected."""
-    if graph.n <= 1:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == graph.n
+    """Reachability from vertex 0; graphs on 0 or 1 vertices count as connected."""
+    return graph.n <= 1 or -1 not in _two_colouring(graph)[0]
 
 
-def is_path(graph):
-    """True when the graph is a path on n >= 1 vertices."""
-    if graph.n < 1 or graph.m != graph.n - 1 or not is_connected(graph):
-        return False
-    return all(d <= 2 for d in degree_sequence(graph))
+def connected_regular_degree(graph):
+    """Common degree r of a connected r-regular graph with r >= 1, else None."""
+    r = is_regular(graph)
+    return r if r and is_connected(graph) else None
+
+
+def families(graph):
+    """Every named family the graph belongs to, mapped to the sizes :func:`generate` takes.
+
+    The inverse of :func:`generate`: keys are ``GENERATOR_KINDS`` in their
+    order, and a graph may belong to several (K3 is ``complete`` and
+    ``cycle``; C4 is also ``complete_bipartite`` (2, 2)). The first part of
+    K_{a,b} is the side of vertex 0. Graphs on fewer than 2 vertices and
+    disconnected graphs belong to none.
+    """
+    n, m = graph.n, graph.m
+    if n < 2:
+        return {}
+    colour, bipartite = _two_colouring(graph)
+    if -1 in colour:
+        return {}
+    degs = degree_sequence(graph)
+    found = {}
+    if m == n * (n - 1) // 2:
+        found["complete"] = (n,)
+    if n >= 3 and all(d == 2 for d in degs):
+        found["cycle"] = (n,)
+    if m == n - 1 and max(degs) <= 2:
+        found["path"] = (n,)
+    if m == n - 1 and max(degs) == n - 1:
+        found["star"] = (n,)
+    a = colour.count(0)
+    if bipartite and m == a * (n - a):
+        found["complete_bipartite"] = (a, n - a)
+    return found
 
 
 def line_graph_edge_count(graph):

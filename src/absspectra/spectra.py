@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graphs import adjacency_matrix, degree_sequence, is_connected, is_regular, line_graph
+from .graphs import adjacency_matrix, connected_regular_degree, degree_sequence, line_graph
 from .indices import degree_index
 from .transforms import shadow, splitting
 
@@ -167,65 +167,66 @@ def path_abs_charpoly(n):
 
 
 def _require_connected_regular(graph, what):
-    r = is_regular(graph)
+    r = connected_regular_degree(graph)
     if r is None:
-        raise ValueError(f"{what} needs a regular graph")
-    if r < 1:
-        raise ValueError(f"{what} needs degree r >= 1, got r = {r}")
-    if not is_connected(graph):
-        raise ValueError(f"{what} needs a connected graph")
+        raise ValueError(f"{what} needs a connected regular graph with r >= 1")
     return r
 
 
-def lift_quadratic(kind, r, base_eigenvalue):
-    """Quadratic x^2 - B*x - C (ascending coefficients) lifting one base eigenvalue.
+def lift_coefficients(kind, r):
+    """Coefficients (u, v, w) lifting base eigenvalues of an r-regular graph.
 
-    For an r-regular graph, each eigenvalue of the base matrix (adjacency for
-    subdivision and semitotal point, line-graph adjacency for semitotal line)
-    yields two ABS eigenvalues of the transformed graph as the roots of this
-    quadratic:
+    For a base eigenvalue lam (adjacency of :func:`lift_base_graph`), the two
+    ABS eigenvalues of the transformed graph are the roots of
+    ``x^2 - u*lam*x - (v*lam + w)``:
 
-    * subdivision:      B = 0,                       C = r*(lam + r)/(r + 2)
-    * semitotal_point:  B = sqrt((2r-1)/(2r))*lam,   C = lam*r/(r+1) + r^2/(r+1)
-    * semitotal_line:   B = sqrt((4r-2)/(4r))*theta, C = (theta + 2)*(3r-2)/(3r)
+    * subdivision:      u = 0,                v = r/(r+2),      w = r^2/(r+2)
+    * semitotal_point:  u = sqrt((2r-1)/(2r)), v = r/(r+1),      w = r^2/(r+1)
+    * semitotal_line:   u = sqrt((4r-2)/(4r)), v = (3r-2)/(3r),  w = (6r-4)/(3r)
+
+    The printed characteristic-polynomial identities use the same numbers:
+    ``phi(x) = (u*x + v) * x^s * psi((x^2 - w) / (u*x + v))`` with psi the
+    base characteristic polynomial and s the zero surplus.
     """
-    lam = float(base_eigenvalue)
     if kind == "subdivision":
-        b, c = 0.0, r * (lam + r) / (r + 2.0)
-    elif kind == "semitotal_point":
-        b = math.sqrt((2.0 * r - 1.0) / (2.0 * r)) * lam
-        c = (r / (r + 1.0)) * lam + r * r / (r + 1.0)
-    elif kind == "semitotal_line":
-        b = math.sqrt((4.0 * r - 2.0) / (4.0 * r)) * lam
-        c = ((3.0 * r - 2.0) / (3.0 * r)) * (lam + 2.0)
-    else:
-        raise ValueError(f"unknown lift kind {kind!r}; expected one of {LIFT_KINDS}")
-    return np.array([-c, -b, 1.0])
-
-
-def lift_base_spectrum(kind, graph):
-    """Base eigenvalues fed into :func:`lift_quadratic` for the given transform."""
+        return 0.0, r / (r + 2.0), r * r / (r + 2.0)
+    if kind == "semitotal_point":
+        return math.sqrt((2.0 * r - 1.0) / (2.0 * r)), r / (r + 1.0), r * r / (r + 1.0)
     if kind == "semitotal_line":
-        return adjacency_spectrum(line_graph(graph))
-    if kind in ("subdivision", "semitotal_point"):
-        return adjacency_spectrum(graph)
+        return math.sqrt((4.0 * r - 2.0) / (4.0 * r)), (3.0 * r - 2.0) / (3.0 * r), (6.0 * r - 4.0) / (3.0 * r)
     raise ValueError(f"unknown lift kind {kind!r}; expected one of {LIFT_KINDS}")
+
+
+def lift_base_graph(kind, graph):
+    """Graph whose adjacency eigenvalues a lift maps: L(G) for semitotal line, G otherwise."""
+    return line_graph(graph) if kind == "semitotal_line" else graph
+
+
+def lift_quadratic(kind, r, base_eigenvalue):
+    """Quadratic x^2 - u*lam*x - (v*lam + w) (ascending coefficients) lifting one base eigenvalue.
+
+    (u, v, w) come from :func:`lift_coefficients`.
+    """
+    u, v, w = lift_coefficients(kind, r)
+    lam = float(base_eigenvalue)
+    return np.array([-(v * lam + w), -u * lam, 1.0])
 
 
 def predicted_transform_spectrum(kind, graph):
     """Predicted ABS spectrum of a transformed connected regular graph.
 
-    Each base eigenvalue contributes the two roots of its lift quadratic.
-    Subdivision and semitotal point then carry ``m - n`` extra zeros; the
-    semitotal line graph carries ``n - m`` extra zeros. A negative surplus
-    means that many structurally exact zero roots cancel instead, so the near
-    -zero values are dropped. The result always has n + m values, sorted
-    ascending, and matches the eigensolver on the constructed transform.
+    Each base eigenvalue contributes the two roots of its lift quadratic. The
+    transform has n + m vertices, so ``n + m - 2 * |base|`` zeros are left
+    over: ``m - n`` for subdivision and semitotal point, ``n - m`` for the
+    semitotal line graph. A negative surplus means that many structurally
+    exact zero roots cancel instead, so the near-zero values are dropped. The
+    result always has n + m values, sorted ascending, and matches the
+    eigensolver on the constructed transform.
     """
     r = _require_connected_regular(graph, "predicted transform spectrum")
-    n, m = graph.n, graph.m
+    base = lift_base_graph(kind, graph)
     values = []
-    for lam in lift_base_spectrum(kind, graph):
+    for lam in adjacency_spectrum(base):
         c0, c1, _ = lift_quadratic(kind, r, lam)
         b, c = -c1, -c0
         disc = b * b + 4.0 * c
@@ -236,7 +237,7 @@ def predicted_transform_spectrum(kind, graph):
         root = math.sqrt(disc)
         values.append((b + root) / 2.0)
         values.append((b - root) / 2.0)
-    surplus = (n - m) if kind == "semitotal_line" else (m - n)
+    surplus = graph.n + graph.m - 2 * base.n
     if surplus >= 0:
         values.extend([0.0] * surplus)
         out = np.array(values)

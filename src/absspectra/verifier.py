@@ -27,11 +27,12 @@ import numpy as np
 from . import linalg
 from .graphs import (
     adjacency_matrix,
+    connected_regular_degree,
     degree_sequence,
+    families,
     generate,
     incidence_matrix,
     is_connected,
-    is_path,
     is_regular,
     line_graph,
 )
@@ -40,8 +41,10 @@ from .spectra import (
     abs_energy,
     abs_matrix,
     abs_spectrum,
+    adjacency_spectrum,
     closed_form_abs_spectrum,
-    lift_base_spectrum,
+    lift_base_graph,
+    lift_coefficients,
     lift_quadratic,
     path_abs_charpoly,
     predicted_energy,
@@ -113,62 +116,23 @@ def _etol(graph, tol):
     return tol, ""
 
 
-# --- structure detectors (used for applicability and naming) ----------------
-
-
-def _is_complete(graph):
-    return graph.n >= 2 and graph.m == graph.n * (graph.n - 1) // 2
-
-
-def _is_cycle(graph):
-    return graph.n >= 3 and is_regular(graph) == 2 and is_connected(graph)
-
-
-def _is_star(graph):
-    if graph.n < 2 or graph.m != graph.n - 1 or not is_connected(graph):
-        return False
-    return max(degree_sequence(graph)) == graph.n - 1
-
-
-def _complete_bipartite_parts(graph):
-    """Part sizes (a, b) when the graph is a complete bipartite K_{a,b}, else None."""
-    if graph.n < 2 or graph.m == 0 or not is_connected(graph):
-        return None
-    color = [-1] * graph.n
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.adjacency[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    nxt.append(v)
-                elif color[v] == color[u]:
-                    return None
-        frontier = nxt
-    a = color.count(0)
-    b = graph.n - a
-    return (a, b) if graph.m == a * b else None
+_FAMILY_NAMES = {
+    "complete": "K{}",
+    "cycle": "C{}",
+    "path": "P{}",
+    "star": "S{}",
+    "complete_bipartite": "K_{{{},{}}}",
+}
 
 
 def describe_graph(graph):
-    """Deterministic short name: named family when recognized, else n/m summary."""
+    """Deterministic short name: first named family recognized, else n/m summary."""
     if graph.n == 0:
         return "empty(0)"
     if graph.n == 1:
         return "K1"
-    if _is_complete(graph):
-        return f"K{graph.n}"
-    if _is_cycle(graph):
-        return f"C{graph.n}"
-    if is_path(graph):
-        return f"P{graph.n}"
-    if _is_star(graph):
-        return f"S{graph.n}"
-    parts = _complete_bipartite_parts(graph)
-    if parts is not None:
-        return f"K_{{{parts[0]},{parts[1]}}}"
+    for kind, sizes in families(graph).items():
+        return _FAMILY_NAMES[kind].format(*sizes)
     return f"graph(n={graph.n},m={graph.m})"
 
 
@@ -179,13 +143,6 @@ def describe_graph(graph):
 # does the work both variants need, then returns one outcome per variant, in
 # the order _CHECKS names them: the result itself, or a zero-argument function
 # computing it when that variant has oracle work of its own (see run_check).
-
-
-def _connected_regular_degree(graph):
-    r = is_regular(graph)
-    if r is None or r < 1 or not is_connected(graph):
-        return None
-    return r
 
 
 def _chk_incidence_reg(graph, params, tol):
@@ -258,22 +215,24 @@ def _monomial(k):
 
 def _lift_check(kind):
     def check(graph, params, tol):
-        r = _connected_regular_degree(graph)
+        r = connected_regular_degree(graph)
         if r is None:
             skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
             return skip, skip
         transformed = apply_transform(kind, graph)
         vtol, note = _etol(transformed, tol)
-        n, m = graph.n, graph.m
+        u, v, w = lift_coefficients(kind, r)
+        base = lift_base_graph(kind, graph)
+        surplus = transformed.n - 2 * base.n  # zero roots beyond the lifted pairs
         # both semitotal_line variants read phi: it is computed once, or fails in each
         phi = functools.cache(lambda: linalg.char_poly(abs_matrix(transformed)))
 
         def corrected():
             if kind == "semitotal_line":
-                # polynomial route: x^max(0,m-n) * phi(T2) == x^max(0,n-m) * prod(quadratics)
-                lhs = linalg.poly_mul(_monomial(max(0, m - n)), phi())
-                rhs = _monomial(max(0, n - m))
-                for theta in lift_base_spectrum(kind, graph):
+                # polynomial route: x^max(0,-s) * phi(T2) == x^max(0,s) * prod(quadratics)
+                lhs = linalg.poly_mul(_monomial(max(0, -surplus)), phi())
+                rhs = _monomial(max(0, surplus))
+                for theta in adjacency_spectrum(base):
                     rhs = linalg.poly_mul(rhs, lift_quadratic(kind, r, theta))
                 dev = linalg.poly_deviation(lhs, rhs)
                 return True, dev, vtol, f"zero-padded char poly vs product of lift quadratics, r={r}{note}"
@@ -284,41 +243,14 @@ def _lift_check(kind):
 
         def as_printed():
             lhs_poly = phi()
-            if kind == "semitotal_line":
-                base_poly = linalg.char_poly(adjacency_matrix(line_graph(graph)))
-                u = math.sqrt((4.0 * r - 2.0) / (4.0 * r))
-                v = (3.0 * r - 2.0) / (3.0 * r)
-                power = n - m
-
-                def rhs_at(x):
-                    pre = u * x + v
-                    if abs(pre) < 1e-9:  # too close to the prefactor's pole
-                        return math.nan
-                    return pre * x**power * linalg.poly_eval(base_poly, (x * x - (6.0 * r - 4.0) / (3.0 * r)) / pre)
-
-            elif kind == "semitotal_point":
-                base_poly = linalg.char_poly(adjacency_matrix(graph))
-                s = math.sqrt((2.0 * r - 1.0) / (2.0 * r))
-                t = r / (r + 1.0)
-                power = m - n
-
-                def rhs_at(x):
-                    pre = s * x + t
-                    if abs(pre) < 1e-9:
-                        return math.nan
-                    return pre * x**power * linalg.poly_eval(base_poly, (x * x - r * r / (r + 1.0)) / pre)
-
-            else:  # subdivision
-                base_poly = linalg.char_poly(adjacency_matrix(graph))
-                power = m - n
-
-                def rhs_at(x):
-                    return (r / (r + 2.0)) * x**power * linalg.poly_eval(base_poly, (x * x * (r + 2.0) - r * r) / r)
-
+            base_poly = linalg.char_poly(adjacency_matrix(base))
             devs = []
             for x in _SAMPLE_POINTS:
                 lhs = linalg.poly_eval(lhs_poly, x)
-                rhs = rhs_at(x)
+                pre = u * x + v
+                if abs(pre) < 1e-9:  # too close to the prefactor's pole
+                    continue
+                rhs = pre * x**surplus * linalg.poly_eval(base_poly, (x * x - w) / pre)
                 if not math.isfinite(rhs):
                     continue
                 devs.append(_scalar_deviation(lhs, rhs))
@@ -331,22 +263,19 @@ def _lift_check(kind):
 
 
 def _chk_path_recurrence(graph, params, tol):
-    if not (is_path(graph) and graph.n >= 5):
+    if not ("path" in families(graph) and graph.n >= 5):
         return False, 0.0, tol, "needs a path on n >= 5 vertices"
     dev = linalg.poly_deviation(path_abs_charpoly(graph.n), linalg.char_poly(abs_matrix(graph)))
     return True, dev, tol, f"recurrence coefficients vs Faddeev-LeVerrier, n={graph.n}"
 
 
-def _closed_form_check(kind, detect):
-    """``detect`` returns the family's parameters, or True for a family sized by n alone."""
-
+def _closed_form_check(kind):
     def check(graph, params, tol):
-        found = detect(graph)
-        if not found:
+        sizes = families(graph).get(kind)
+        if sizes is None:
             return False, 0.0, tol, "graph is not in this family"
         vtol, note = _etol(graph, tol)
-        args = (graph.n,) if found is True else found
-        dev = linalg.multiset_deviation(closed_form_abs_spectrum(kind, *args), abs_spectrum(graph))
+        dev = linalg.multiset_deviation(closed_form_abs_spectrum(kind, *sizes), abs_spectrum(graph))
         return True, dev, vtol, f"closed-form spectrum vs eigensolver{note}"
 
     return check
@@ -379,7 +308,7 @@ def _chk_r1_bound(graph, params, tol):
 
 def _energy_check(kind):
     def check(graph, params, tol):
-        r = _connected_regular_degree(graph)
+        r = connected_regular_degree(graph)
         if r is None:
             skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
             return skip, skip
@@ -415,10 +344,10 @@ _CHECKS = {
     CheckId.THM_SEMITOTAL_POINT: (_BOTH, _lift_check("semitotal_point")),
     CheckId.THM_SEMITOTAL_LINE: (_BOTH, _lift_check("semitotal_line")),
     CheckId.THM_PATH_RECURRENCE: (_SINGLE, _chk_path_recurrence),
-    CheckId.THM_COMPLETE: (_SINGLE, _closed_form_check("complete", _is_complete)),
-    CheckId.THM_CYCLE: (_SINGLE, _closed_form_check("cycle", _is_cycle)),
-    CheckId.THM_KMN: (_SINGLE, _closed_form_check("complete_bipartite", _complete_bipartite_parts)),
-    CheckId.THM_STAR: (_SINGLE, _closed_form_check("star", _is_star)),
+    CheckId.THM_COMPLETE: (_SINGLE, _closed_form_check("complete")),
+    CheckId.THM_CYCLE: (_SINGLE, _closed_form_check("cycle")),
+    CheckId.THM_KMN: (_SINGLE, _closed_form_check("complete_bipartite")),
+    CheckId.THM_STAR: (_SINGLE, _closed_form_check("star")),
     CheckId.THM_TRACE_HARMONIC: (_SINGLE, _chk_trace_harmonic),
     CheckId.THM_R1_BOUND: (_BOTH, _chk_r1_bound),
     CheckId.THM_SPLIT_ENERGY: (_BOTH, _energy_check("splitting")),
@@ -516,6 +445,11 @@ def _round15(x):
     return 0.0 if x == 0 else float(f"{x:.15g}")
 
 
+def _fmt15(x):
+    """Text of ``_round15(x)`` at 15 significant digits (``-0.0`` prints as ``0``)."""
+    return f"{_round15(x):.15g}"
+
+
 def report_to_dict(report):
     """JSON-ready dict with floats rounded to 15 significant digits."""
     return {
@@ -550,8 +484,8 @@ def reports_to_csv(reports):
                 r.graph_descriptor,
                 str(r.applicable).lower(),
                 r.verdict,
-                f"{_round15(r.max_deviation):.15g}",
-                f"{_round15(r.tolerance):.15g}",
+                _fmt15(r.max_deviation),
+                _fmt15(r.tolerance),
                 r.details,
             ]
         )

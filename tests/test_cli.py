@@ -10,6 +10,8 @@ import pytest
 
 from absspectra import generate, to_edge_list_text
 from absspectra.cli import GraphSpecError, main, parse_graph_spec
+from absspectra.graphs import GENERATOR_KINDS
+from absspectra.transforms import TRANSFORM_KINDS
 
 
 def run_cli(*argv):
@@ -136,6 +138,52 @@ def test_charpoly_routes_agree():
     c_rec = json.loads(out_rec)["coeffs"]
     assert c_fl == pytest.approx(c_rec, abs=1e-8)
     assert c_roots == pytest.approx(c_rec, abs=1e-8)
+
+
+def test_graph_spec_fuzz_exits_0_or_2(tmp_path, monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    monkeypatch.chdir(tmp_path)  # a "file" head must find no graph files
+    size = st.integers(-1, 12).map(str)
+    k_token = st.integers(0, 3).map("k={}".format)
+    junk = st.sampled_from(["", "file", "x", "k=", "k=-1", "k=1.5", "2.5", " 3", "0x3", "1e1", "\u0663"])
+    token = st.one_of(st.sampled_from(GENERATOR_KINDS + TRANSFORM_KINDS), size, k_token, junk)
+    # well-formed specs nest at most two transforms: three semitotal_line layers
+    # over complete:12 take seconds to build
+    spec = st.one_of(
+        st.tuples(st.sampled_from(("complete", "cycle", "path", "star")), size).map(list),
+        st.tuples(st.just("complete_bipartite"), size, size).map(list),
+    )
+    for _ in range(2):
+        spec = st.one_of(
+            spec,
+            st.tuples(st.sampled_from(("subdivision", "semitotal_point", "semitotal_line")), spec).map(
+                lambda t: [t[0], *t[1]]
+            ),
+            st.tuples(st.sampled_from(("splitting", "shadow")), spec, k_token).map(lambda t: [t[0], *t[1], t[2]]),
+        )
+
+    def replace(case):
+        tokens, edits = case
+        for i, tok in edits:
+            tokens[i % len(tokens)] = tok
+        return tokens
+
+    # a well-formed spec with up to two tokens replaced, or any short token list
+    mutated = st.tuples(spec, st.lists(st.tuples(st.integers(0, 7), token), max_size=2)).map(replace)
+    tokens = st.one_of(spec, mutated, st.lists(token, min_size=1, max_size=6))
+
+    @hyp.settings(derandomize=True, deadline=None)
+    @hyp.given(tokens.map(":".join))
+    def check(text):
+        code, out, err = run_cli("indices", "--graph", text)
+        assert code in (0, 2), (text, code, err)
+        if code == 0:
+            assert set(json.loads(out)) and not err
+        else:
+            assert not out and err
+
+    check()
 
 
 def test_charpoly_recurrence_requires_abs_path():

@@ -5,7 +5,7 @@ import functools
 import json
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from absspectra import (
     to_edge_list_text,
 )
 from absspectra import graphs
-from absspectra.graphs import from_json_dict, to_json_dict
+from absspectra.graphs import GENERATOR_KINDS, connected_regular_degree, families, from_json_dict, to_json_dict
 
 from conftest import random_graph
 
@@ -118,6 +118,18 @@ def test_generate_rejects_bad_sizes(kind, params):
         generate(kind, *params)
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_rejects_non_integral_sizes(kind):
+    good = [3, 2] if kind == "complete_bipartite" else [4]
+    for bad in (4.7, 4.0, True, "5", None):
+        for i in range(len(good)):
+            params = list(good)
+            params[i] = bad
+            with pytest.raises(ValueError, match="integers"):
+                generate(kind, *params)
+    assert generate(kind, *map(np.int64, good)) == generate(kind, *good)
+
+
 def test_edge_budget_rejects_oversized_generators():
     for kind, params in (("complete", (200000,)), ("complete_bipartite", (1001, 1000)), ("cycle", (10**6 + 1,))):
         with pytest.raises(ValueError, match="budget"):
@@ -160,6 +172,100 @@ def test_structural_queries():
     assert is_connected(Graph(0))
     assert is_connected(Graph(1))
     assert is_regular(Graph(3)) == 0
+
+
+def test_connected_regular_degree():
+    assert connected_regular_degree(generate("cycle", 5)) == 2
+    assert connected_regular_degree(generate("complete", 2)) == 1
+    for g in (Graph(0), Graph(1), Graph(3), generate("path", 4), Graph(4, [(0, 1), (2, 3)])):
+        assert connected_regular_degree(g) is None
+
+
+# --- family recognition --------------------------------------------------------
+
+
+def _family_members(max_n):
+    """(kind, sizes) of every family member on 2..max_n vertices that families() names."""
+    for n in range(2, max_n + 1):
+        yield from (("complete", (n,)), ("path", (n,)), ("star", (n,)))
+        if n >= 3:
+            yield "cycle", (n,)
+        yield from (("complete_bipartite", (a, n - a)) for a in range(1, n))
+
+
+def _relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _unordered_parts(found):
+    if "complete_bipartite" in found:
+        found = dict(found, complete_bipartite=tuple(sorted(found["complete_bipartite"])))
+    return found
+
+
+def test_families_inverts_generate():
+    for kind, sizes in _family_members(24):
+        assert families(generate(kind, *sizes))[kind] == sizes
+
+
+def test_families_invariant_under_relabelling():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    named = st.sampled_from(list(_family_members(9))).map(lambda member: generate(member[0], *member[1]))
+    arbitrary = st.integers(0, 8).flatmap(
+        lambda n: st.sets(st.sampled_from(list(combinations(range(n), 2))) if n > 1 else st.nothing()).map(
+            lambda pairs: Graph(n, pairs)
+        )
+    )
+    graph_and_perm = st.one_of(named, arbitrary).flatmap(
+        lambda g: st.tuples(st.just(g), st.permutations(range(g.n)))
+    )
+
+    @hyp.settings(derandomize=True, deadline=None)
+    @hyp.given(graph_and_perm)
+    def check(case):
+        g, perm = case
+        # only the order of K_{a,b}'s parts may change: part one is vertex 0's side
+        assert _unordered_parts(families(_relabel(g, perm))) == _unordered_parts(families(g))
+
+    check()
+
+
+def test_families_overlaps():
+    assert families(generate("complete", 2)) == {
+        "complete": (2,), "path": (2,), "star": (2,), "complete_bipartite": (1, 1),
+    }
+    assert families(generate("complete", 3)) == {"complete": (3,), "cycle": (3,)}
+    assert families(generate("path", 3)) == {"path": (3,), "star": (3,), "complete_bipartite": (2, 1)}
+    assert families(generate("star", 3)) == {"path": (3,), "star": (3,), "complete_bipartite": (1, 2)}
+    assert families(generate("cycle", 4)) == {"cycle": (4,), "complete_bipartite": (2, 2)}
+    for n in range(4, 12):
+        assert families(generate("star", n)) == {"star": (n,), "complete_bipartite": (1, n - 1)}
+    assert list(families(generate("complete", 2))) == ["complete", "path", "star", "complete_bipartite"]
+
+
+def test_families_empty_for_tiny_and_disconnected_graphs():
+    for g in (Graph(0), Graph(1), Graph(2), Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (0, 2)])):
+        assert families(g) == {}
+
+
+def test_families_exhaustive_on_small_graphs():
+    # every labelled graph on n <= 5 vertices against every relabelling of every family member
+    expected = {}
+    for kind, sizes in _family_members(5):
+        g = generate(kind, *sizes)
+        for perm in permutations(range(g.n)):
+            found = sizes
+            if kind == "complete_bipartite" and perm.index(0) >= sizes[0]:
+                found = sizes[::-1]  # vertex 0 now lies in the second part
+            expected.setdefault((g.n, _relabel(g, perm).edges), {})[kind] = found
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            want = expected.get((n, g.edges), {})
+            assert families(g) == want
+            assert list(families(g)) == [kind for kind in GENERATOR_KINDS if kind in want]
 
 
 def test_handshake_lemma_random():

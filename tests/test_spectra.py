@@ -32,7 +32,7 @@ from absspectra import (
     subdivision,
 )
 from absspectra.linalg import poly_deviation
-from absspectra.spectra import spectrum_report
+from absspectra.spectra import lift_coefficients, spectrum_report
 
 from conftest import random_graph, regular_corpus
 
@@ -190,6 +190,15 @@ def test_predicted_transform_spectra_on_regular_corpus(kind, transform):
         pred = predicted_transform_spectrum(kind, g)
         actual = eigenvalues_symmetric(abs_matrix(transform(g)))
         assert multiset_close(pred, actual, 1e-8)
+
+
+def test_lift_coefficients_table():
+    r = 3
+    assert lift_coefficients("subdivision", r) == pytest.approx((0.0, 3 / 5, 9 / 5))
+    assert lift_coefficients("semitotal_point", r) == pytest.approx((math.sqrt(5 / 6), 3 / 4, 9 / 4))
+    assert lift_coefficients("semitotal_line", r) == pytest.approx((math.sqrt(10 / 12), 7 / 9, 14 / 9))
+    with pytest.raises(ValueError, match="unknown lift kind"):
+        lift_coefficients("splitting", r)
 
 
 def test_predicted_transform_rejects_irregular_and_disconnected():

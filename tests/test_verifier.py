@@ -11,6 +11,7 @@ import pytest
 from absspectra import (
     Graph,
     CheckId,
+    CheckReport,
     default_suite,
     describe_graph,
     generate,
@@ -162,6 +163,9 @@ def test_describe_graph_names():
     assert describe_graph(generate("star", 5)) == "S5"
     assert describe_graph(generate("complete_bipartite", 2, 3)) == "K_{2,3}"
     assert describe_graph(generate("complete", 3)) == "K3"  # complete wins over cycle
+    assert describe_graph(generate("complete", 2)) == "K2"  # complete wins over path, star, K_{1,1}
+    assert describe_graph(generate("path", 3)) == "P3"  # path wins over star and K_{2,1}
+    assert describe_graph(generate("cycle", 4)) == "C4"  # cycle wins over K_{2,2}
     assert describe_graph(Graph(1)) == "K1"
     assert describe_graph(Graph(0)) == "empty(0)"
     assert describe_graph(Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])).startswith("graph(")
@@ -212,6 +216,12 @@ def test_report_serialization():
     assert rows[0][0] == "check"
     assert rows[1][0] == "THM_CYCLE"
     assert report_to_dict(reports[0])["verdict"] == "pass"
+
+
+def test_csv_floats_print_at_15_digits():
+    report = CheckReport("THM_CYCLE", "single", "C5", True, "pass", -0.0, 1.0 / 3.0, "d")
+    row = list(csv.reader(io.StringIO(reports_to_csv([report]))))[1]
+    assert row[5:7] == ["0", "0.333333333333333"]
 
 
 @pytest.mark.parametrize(
