@@ -28,7 +28,7 @@ from .graphs import (
     generate,
     load_graph,
     to_edge_list_text,
-    to_json_dict,
+    to_json_text,
 )
 from . import linalg
 from .indices import all_indices
@@ -122,7 +122,7 @@ def _emit_graph(graph, csv_mode):
     if csv_mode:
         sys.stdout.write(to_edge_list_text(graph))
     else:
-        _print_json(to_json_dict(graph))
+        print(to_json_text(graph))
 
 
 def _graph_from_args(args):

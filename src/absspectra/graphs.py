@@ -8,6 +8,7 @@ the line graph.
 
 import json
 import operator
+from itertools import combinations
 
 import numpy as np
 
@@ -17,11 +18,21 @@ GENERATOR_KINDS = ("complete", "cycle", "path", "star", "complete_bipartite")
 # documented counts before any pair is made, so oversized requests fail fast.
 EDGE_BUDGET = 10**6
 
+# Largest entry count of a dense matrix (2^24 entries, 128 MiB as float64);
+# checked before the matrix is allocated, so a large order fails fast.
+DENSE_BUDGET = 2**24
+
 
 def check_edge_budget(count, what):
     """Raise ``ValueError`` when building ``what`` would need more than EDGE_BUDGET edges."""
     if count > EDGE_BUDGET:
         raise ValueError(f"{what} would have {count} edges, over the budget of {EDGE_BUDGET}")
+
+
+def check_dense_budget(rows, cols, what):
+    """Raise ``ValueError`` when a dense ``rows`` x ``cols`` ``what`` would exceed DENSE_BUDGET entries."""
+    if rows * cols > DENSE_BUDGET:
+        raise ValueError(f"{what} would have {rows} x {cols} entries, over the budget of {DENSE_BUDGET}")
 
 
 class Graph:
@@ -38,7 +49,10 @@ class Graph:
     def __init__(self, n, pairs=()):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
-        seen = set()
+        # a list, sorted before repeats are dropped, keeps the ascending runs that
+        # generators and transforms emit, which the sort merges in near-linear
+        # time; a set would scramble them
+        norm = []
         for u, v in pairs:
             try:
                 u, v = operator.index(u), operator.index(v)
@@ -48,14 +62,17 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
-            seen.add((u, v) if u < v else (v, u))
+            norm.append((u, v) if u < v else (v, u))
+        norm.sort()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "edges", tuple(dict.fromkeys(norm)))
+        # in sorted (min, max) order each list is already ascending: lower
+        # neighbours arrive first, then higher ones
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(ns)) for ns in adj))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -211,24 +228,30 @@ def line_graph_edge_count(graph):
     return sum(d * (d - 1) // 2 for d in degree_sequence(graph))
 
 
+def line_pairs(graph, offset=0):
+    """Edges of the line graph as ``(offset + i, offset + j)`` pairs of edge indices, i < j.
+
+    Two edges of a simple graph share at most one endpoint, so each pair
+    comes from exactly one vertex's incident list and none repeats; the lists
+    are built in edge-index order, so i < j.
+    """
+    incident = [[] for _ in range(graph.n)]
+    for idx, (u, v) in enumerate(graph.edges, offset):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    for ids in incident:
+        yield from combinations(ids, 2)
+
+
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
     check_edge_budget(line_graph_edge_count(graph), "line graph")
-    edges = graph.edges
-    incident = [[] for _ in range(graph.n)]
-    for idx, (u, v) in enumerate(edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-    pairs = set()
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                pairs.add((ids[a], ids[b]))
-    return Graph(len(edges), sorted(pairs))
+    return Graph(graph.m, line_pairs(graph))
 
 
 def incidence_matrix(graph):
     """n x m 0/1 incidence matrix (integer dtype); column j marks the endpoints of edge j."""
+    check_dense_budget(graph.n, graph.m, "incidence matrix")
     f = np.zeros((graph.n, graph.m), dtype=np.int64)
     for j, (u, v) in enumerate(graph.edges):
         f[u, j] = 1
@@ -238,6 +261,7 @@ def incidence_matrix(graph):
 
 def adjacency_matrix(graph):
     """Dense 0/1 adjacency matrix as float64 (ready for the eigensolver)."""
+    check_dense_budget(graph.n, graph.n, "adjacency matrix")
     a = np.zeros((graph.n, graph.n))
     for u, v in graph.edges:
         a[u, v] = 1.0
@@ -283,6 +307,14 @@ def parse_edge_list_text(text):
 def to_json_dict(graph):
     """JSON-ready form: {"n": ..., "edges": [[u, v], ...]}."""
     return {"n": graph.n, "edges": [[u, v] for u, v in graph.edges]}
+
+
+def to_json_text(graph):
+    """Serialize to JSON text, equal to ``json.dumps(to_json_dict(graph), indent=2)``."""
+    if not graph.edges:
+        return '{\n  "n": %d,\n  "edges": []\n}' % graph.n
+    body = ",".join(f"\n    [\n      {u},\n      {v}\n    ]" for u, v in graph.edges)
+    return '{\n  "n": %d,\n  "edges": [%s\n  ]\n}' % (graph.n, body)
 
 
 def from_json_dict(data):

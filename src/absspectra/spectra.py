@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graphs import adjacency_matrix, connected_regular_degree, degree_sequence, line_graph
+from .graphs import adjacency_matrix, check_dense_budget, connected_regular_degree, degree_sequence, line_graph
 from .indices import degree_index
 from .transforms import shadow, splitting
 
@@ -45,6 +45,7 @@ class PredictedEnergy:
 
 def abs_matrix(graph):
     """Dense ABS matrix of a graph."""
+    check_dense_budget(graph.n, graph.n, "ABS matrix")
     degs = degree_sequence(graph)
     a = np.zeros((graph.n, graph.n))
     for u, v in graph.edges:

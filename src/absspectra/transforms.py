@@ -13,7 +13,7 @@ Each transform checks the edge count of its result against the graph edge
 budget before it builds anything.
 """
 
-from .graphs import Graph, check_edge_budget, line_graph, line_graph_edge_count
+from .graphs import Graph, check_edge_budget, line_graph_edge_count, line_pairs
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
 
@@ -52,9 +52,7 @@ def semitotal_line(graph):
     """
     check_edge_budget(line_graph_edge_count(graph) + 2 * graph.m, "semitotal_line")
     n = graph.n
-    pairs = []
-    for i, j in line_graph(graph).edges:
-        pairs.append((n + i, n + j))
+    pairs = list(line_pairs(graph, n))
     for j, (u, v) in enumerate(graph.edges):
         pairs.append((u, n + j))
         pairs.append((v, n + j))

@@ -12,6 +12,29 @@ def random_graph(rng, n, p=0.5):
     return Graph(n, pairs)
 
 
+def adjacency_reference(graph):
+    """Ascending neighbour tuples per vertex, from the edge set alone."""
+    neighbours = [set() for _ in range(graph.n)]
+    for u, v in graph.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    return tuple(tuple(sorted(ns)) for ns in neighbours)
+
+
+def line_graph_pairs_reference(graph):
+    """Sorted line-graph pairs (i, j), i < j, collected through a set from the incident lists."""
+    incident = [[] for _ in range(graph.n)]
+    for idx, (u, v) in enumerate(graph.edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    pairs = set()
+    for ids in incident:
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                pairs.add((ids[a], ids[b]))
+    return sorted(pairs)
+
+
 def random_connected_graph(rng, n):
     while True:
         g = random_graph(rng, n, p=rng.uniform(0.3, 0.8))

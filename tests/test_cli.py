@@ -8,9 +8,10 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from absspectra import generate, to_edge_list_text
+from absspectra import Graph, apply_transform, generate, load_graph, to_edge_list_text
+from absspectra import graphs
 from absspectra.cli import GraphSpecError, main, parse_graph_spec
-from absspectra.graphs import GENERATOR_KINDS
+from absspectra.graphs import GENERATOR_KINDS, to_json_dict, to_json_text
 from absspectra.transforms import TRANSFORM_KINDS
 
 
@@ -59,6 +60,53 @@ def test_transform_subcommand():
     assert data["n"] == 4 and len(data["edges"]) == 4
     code, _, err = run_cli("transform", "splitting", "--graph", "cycle:3")
     assert code == 2 and "k" in err
+
+
+def test_graph_commands_print_json_text(tmp_path):
+    files = {
+        "empty.json": '{"n": 0, "edges": []}',
+        "k1.txt": "1 0\n",
+        "edgeless.txt": "3 0\n",
+        "k2.json": '{"n": 2, "edges": [[1, 0]]}',
+        "c5.txt": to_edge_list_text(generate("cycle", 5)),
+    }
+    cases = []
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        cases.append((("load", str(path)), load_graph(path)))
+        for kind in TRANSFORM_KINDS:
+            k = 2 if kind in ("splitting", "shadow") else None
+            argv = ("transform", kind, "--graph", f"file:{path}") + (("--k", "2") if k else ())
+            cases.append((argv, apply_transform(kind, load_graph(path), k)))
+    for kind, sizes in (("complete", (1,)), ("complete", (5,)), ("cycle", (4,)), ("path", (6,)), ("star", (4,))):
+        cases.append((("gen", kind, *map(str, sizes)), generate(kind, *sizes)))
+    cases.append((("gen", "complete_bipartite", "2", "3"), generate("complete_bipartite", 2, 3)))
+    assert any(g == Graph(0) for _, g in cases) and any(g == Graph(1) for _, g in cases)
+    for argv, graph in cases:
+        code, out, err = run_cli(*argv)
+        assert code == 0 and err == ""
+        assert out == to_json_text(graph) + "\n" == json.dumps(to_json_dict(graph), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--abs"),
+        ("matrix", "--adjacency"),
+        ("spectrum", "--abs"),
+        ("energy", "--adjacency"),
+        ("charpoly", "--abs", "--via", "fl"),
+    ],
+)
+def test_dense_budget_exits_2(argv, monkeypatch):
+    # P8 needs 8 x 8 = 64 entries: a budget of 64 runs, 63 is refused before any output
+    monkeypatch.setattr(graphs, "DENSE_BUDGET", 64)
+    code, out, _ = run_cli(*argv, "--graph", "path:8")
+    assert code == 0 and out
+    monkeypatch.setattr(graphs, "DENSE_BUDGET", 63)
+    code, out, err = run_cli(*argv, "--graph", "path:8")
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_graph_spec_grammar():

@@ -12,6 +12,7 @@ import pytest
 
 from absspectra import (
     Graph,
+    abs_matrix,
     adjacency_matrix,
     degree_sequence,
     eigenvalues_symmetric,
@@ -25,9 +26,17 @@ from absspectra import (
     to_edge_list_text,
 )
 from absspectra import graphs
-from absspectra.graphs import GENERATOR_KINDS, connected_regular_degree, families, from_json_dict, to_json_dict
+from absspectra.graphs import (
+    GENERATOR_KINDS,
+    connected_regular_degree,
+    families,
+    from_json_dict,
+    line_pairs,
+    to_json_dict,
+    to_json_text,
+)
 
-from conftest import random_graph
+from conftest import adjacency_reference, line_graph_pairs_reference, random_graph
 
 
 def test_from_edge_list_path():
@@ -154,6 +163,47 @@ def test_edge_budget_uses_exact_counts(monkeypatch):
         monkeypatch.setattr(graphs, "EDGE_BUDGET", m)
         assert build().m == m
         monkeypatch.undo()
+
+
+def test_dense_budget_uses_exact_entry_counts(monkeypatch):
+    # a budget equal to the matrix's entry count builds it; one entry less is refused
+    g = random_graph(random.Random(19), 9)
+    for build, entries in ((adjacency_matrix, g.n * g.n), (abs_matrix, g.n * g.n), (incidence_matrix, g.n * g.m)):
+        monkeypatch.setattr(graphs, "DENSE_BUDGET", entries - 1)
+        with pytest.raises(ValueError, match="budget"):
+            build(g)
+        monkeypatch.setattr(graphs, "DENSE_BUDGET", entries)
+        assert build(g).size == entries
+        monkeypatch.undo()
+
+
+def _graph_strategy(st, max_n=10):
+    """Hypothesis strategy (``st`` is ``hypothesis.strategies``): graphs on 0..max_n vertices.
+
+    Pairs come in either orientation, in any order and possibly repeated.
+    """
+
+    def on(n):
+        if n < 2:
+            return st.just(Graph(n))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        return st.lists(pair, max_size=3 * n).map(lambda pairs: Graph(n, pairs))
+
+    return st.integers(0, max_n).flatmap(on)
+
+
+def test_adjacency_lists_ascending():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(derandomize=True, deadline=None)
+    @hyp.given(_graph_strategy(hyp.strategies))
+    def check(g):
+        assert g.adjacency == adjacency_reference(g)
+
+    check()
+    for kind, sizes in _family_members(9):
+        g = generate(kind, *sizes)
+        assert g.adjacency == adjacency_reference(g)
 
 
 def test_structural_queries():
@@ -308,6 +358,27 @@ def test_line_graph_matches_bruteforce_and_edge_count():
         assert lg.m == sum(d * (d - 1) // 2 for d in degs)
 
 
+def _line_graph_cases(seed):
+    """Every family member on up to 9 vertices, then random graphs of varied density."""
+    rng = random.Random(seed)
+    cases = [generate(kind, *sizes) for kind, sizes in _family_members(9)]
+    return cases + [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(40)]
+
+
+def test_line_graph_matches_set_reference():
+    for g in _line_graph_cases(43):
+        assert line_graph(g) == Graph(g.m, line_graph_pairs_reference(g))
+
+
+def test_line_pairs_distinct_ascending_and_offset():
+    for g in _line_graph_cases(47):
+        reference = line_graph_pairs_reference(g)
+        for offset in (0, 5):
+            pairs = list(line_pairs(g, offset))
+            assert all(i < j for i, j in pairs)
+            assert sorted(pairs) == [(offset + i, offset + j) for i, j in reference]
+
+
 def test_line_graph_invariant_under_relabeling():
     rng = random.Random(13)
     for _ in range(15):
@@ -368,6 +439,15 @@ def test_edge_list_text_comments_and_errors():
         parse_edge_list_text("")
     with pytest.raises(ValueError):
         parse_edge_list_text("3 2\n0 1\n")  # count mismatch
+
+
+def test_to_json_text_equals_indented_json_dumps():
+    rng = random.Random(41)
+    cases = [Graph(0), Graph(1), Graph(3), generate("complete", 2), Graph(3, [(np.int64(2), np.int64(0))])]
+    cases += [generate(kind, *sizes) for kind, sizes in _family_members(9)]
+    cases += [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(30)]
+    for g in cases:
+        assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2)
 
 
 def test_json_roundtrip(tmp_path):

@@ -25,7 +25,7 @@ from absspectra import (
 
 from absspectra import graphs, transforms
 
-from conftest import random_graph
+from conftest import adjacency_reference, line_graph_pairs_reference, random_graph
 
 
 def test_subdivision_of_triangle_is_hexagon():
@@ -105,6 +105,24 @@ def test_semitotal_line_degree_law():
             assert degs_t[x] == degs_g[x]
         for j, (u, v) in enumerate(g.edges):
             assert degs_t[g.n + j] == degs_g[u] + degs_g[v]
+
+
+def _semitotal_line_reference(g):
+    """L(G)'s set-built pairs on the edge-vertices, plus each edge-vertex joined to its endpoints."""
+    n = g.n
+    pairs = [(n + i, n + j) for i, j in line_graph_pairs_reference(g)]
+    pairs += [(x, n + j) for j, edge in enumerate(g.edges) for x in edge]
+    return Graph(n + g.m, pairs)
+
+
+def test_semitotal_line_matches_set_reference():
+    rng = random.Random(31)
+    cases = [generate(kind, n) for kind in ("complete", "path", "star") for n in range(1, 9)]
+    cases += [generate("cycle", n) for n in range(3, 9)]
+    cases += [generate("complete_bipartite", a, b) for a in range(1, 5) for b in range(1, 5)]
+    cases += [Graph(0), Graph(3)] + [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(40)]
+    for g in cases:
+        assert semitotal_line(g) == _semitotal_line_reference(g)
 
 
 def test_splitting_of_k2_is_p4():
@@ -241,3 +259,14 @@ def test_apply_transform_edge_budget_uses_exact_counts(monkeypatch):
                 monkeypatch.setattr(graphs, "EDGE_BUDGET", m)
                 assert apply_transform(kind, g, k).m == m
                 monkeypatch.undo()
+
+
+def test_transform_adjacency_lists_ascending():
+    rng = random.Random(37)
+    bases = [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(12)]
+    bases += [generate("star", 6), generate("complete", 5), generate("complete_bipartite", 2, 3)]
+    for g in bases:
+        for kind in transforms.TRANSFORM_KINDS:
+            for k in (1, 2, 3) if kind in ("splitting", "shadow") else (None,):
+                t = apply_transform(kind, g, k)
+                assert t.adjacency == adjacency_reference(t)
