@@ -21,15 +21,7 @@ import os
 import re
 import sys
 
-from .graphs import (
-    GENERATOR_KINDS,
-    adjacency_matrix,
-    families,
-    generate,
-    load_graph,
-    to_edge_list_text,
-    to_json_text,
-)
+from .graphs import GENERATOR_KINDS, adjacency_matrix, families, generate, load_graph, to_edge_list_text, to_json_text
 from . import linalg
 from .indices import all_indices
 from .spectra import abs_matrix, path_abs_charpoly, spectrum_report
@@ -48,6 +40,7 @@ from .verifier import (
 
 _GENERATOR_ARITY = {kind: 2 if kind == "complete_bipartite" else 1 for kind in GENERATOR_KINDS}
 _K_TOKEN = re.compile(r"^k=(\d+)$")
+_K_KINDS = ("splitting", "shadow")
 
 
 class GraphSpecError(ValueError):
@@ -95,7 +88,7 @@ def _parse_tokens(tokens):
     if head in ("subdivision", "semitotal_point", "semitotal_line"):
         inner, rest = _parse_tokens(rest)
         return apply_transform(head, inner), rest
-    if head in ("splitting", "shadow"):
+    if head in _K_KINDS:
         inner, rest = _parse_tokens(rest)
         if not rest or not _K_TOKEN.match(rest[0]):
             raise GraphSpecError(f"{head}: expects :k=K after the inner graph spec")
@@ -104,18 +97,30 @@ def _parse_tokens(tokens):
     raise GraphSpecError(f"unknown graph spec head {head!r}")
 
 
-def _json_ready(obj):
-    if isinstance(obj, float):
-        return _round15(obj)
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
+class _JsonText(dict):
+    """``text(value)`` is ``json.dumps(value, indent=2)`` with floats rounded by ``_round15``.
 
+    Dicts map strings to anything, and a list holds only lists or only floats.
+    The instance maps each float met so far to its text, so it is formatted once.
+    """
 
-def _print_json(obj):
-    print(json.dumps(_json_ready(obj), indent=2))
+    def __missing__(self, x):
+        text = self[x] = json.dumps(_round15(x))
+        return text
+
+    def text(self, value, indent=""):
+        if not isinstance(value, (dict, list)):
+            return self[value] if isinstance(value, float) else json.dumps(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts = [f"{json.dumps(key)}: {self.text(item, inner)}" for key, item in value.items()]
+        elif value and isinstance(value[0], list):
+            parts = [self.text(item, inner) for item in value]
+        else:
+            parts = map(self.__getitem__, value)
+        body = f",\n{inner}".join(parts)
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
 def _emit_graph(graph, csv_mode):
@@ -123,10 +128,6 @@ def _emit_graph(graph, csv_mode):
         sys.stdout.write(to_edge_list_text(graph))
     else:
         print(to_json_text(graph))
-
-
-def _graph_from_args(args):
-    return parse_graph_spec(args.graph)
 
 
 def _select_matrix(args, graph):
@@ -144,44 +145,45 @@ def _cmd_load(args):
 
 
 def _cmd_transform(args):
-    graph = _graph_from_args(args)
-    _emit_graph(apply_transform(args.kind, graph, args.k), args.csv)
+    if args.k is not None and args.kind not in _K_KINDS:
+        raise ValueError(f"transform {args.kind} takes no --k (only {' and '.join(_K_KINDS)} do)")
+    _emit_graph(apply_transform(args.kind, parse_graph_spec(args.graph), args.k), args.csv)
     return 0
 
 
 def _cmd_matrix(args):
-    matrix = _select_matrix(args, _graph_from_args(args))
+    matrix = _select_matrix(args, parse_graph_spec(args.graph))
     if args.csv:
         for row in matrix:
             print(",".join(_fmt15(v) for v in row))
     else:
-        _print_json({"order": matrix.shape[0], "rows": [list(row) for row in matrix]})
+        print(_JsonText().text({"order": matrix.shape[0], "rows": matrix.tolist()}))
     return 0
 
 
 def _cmd_spectrum(args):
-    report = spectrum_report(_graph_from_args(args), "abs" if args.abs else "adjacency")
+    report = spectrum_report(parse_graph_spec(args.graph), "abs" if args.abs else "adjacency")
     if args.csv:
         print("spectrum," + ",".join(_fmt15(v) for v in report["spectrum"]))
         for key in ("energy", "trace_sq", "harmonic_check"):
             print(f"{key},{_fmt15(report[key])}")
     else:
-        _print_json(report)
+        print(_JsonText().text(report))
     return 0
 
 
 def _cmd_indices(args):
-    values = all_indices(_graph_from_args(args))
+    values = all_indices(parse_graph_spec(args.graph))
     if args.csv:
         for kind, value in values.items():
             print(f"{kind},{_fmt15(value)}")
     else:
-        _print_json(values)
+        print(_JsonText().text(values))
     return 0
 
 
 def _cmd_charpoly(args):
-    graph = _graph_from_args(args)
+    graph = parse_graph_spec(args.graph)
     matrix = _select_matrix(args, graph)
     if args.via == "fl":
         coeffs = linalg.char_poly(matrix)
@@ -196,24 +198,24 @@ def _cmd_charpoly(args):
     if args.csv:
         print("coeffs," + ",".join(_fmt15(v) for v in coeffs))
     else:
-        _print_json({"order": len(coeffs) - 1, "coeffs": list(coeffs)})
+        print(_JsonText().text({"order": len(coeffs) - 1, "coeffs": coeffs.tolist()}))
     return 0
 
 
 def _cmd_verify(args):
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("ABS_SPECTRA_TOL", DEFAULT_TOL))
+    tol = args.tol if args.tol is not None else float(os.environ.get("ABS_SPECTRA_TOL", DEFAULT_TOL))
     if args.suite:
+        given = [opt for opt in ("check", "graph", "k") if getattr(args, opt) is not None]
+        if given:
+            raise ValueError(f"verify --suite takes no {', '.join('--' + opt for opt in given)}")
         reports = run_suite(default_suite(), tol)
     elif args.check:
         if not args.graph:
             raise ValueError("verify --check needs --graph")
-        graph = _graph_from_args(args)
         params = {"descriptor": args.graph}
         if args.k is not None:
             params["k"] = args.k
-        reports = run_check(args.check, graph, params, tol)
+        reports = run_check(args.check, parse_graph_spec(args.graph), params, tol)
     else:
         raise ValueError("verify needs --suite default or --check ID")
     sys.stdout.write(reports_to_csv(reports) if args.csv else reports_to_json(reports) + "\n")
@@ -224,79 +226,75 @@ def _add_graph_option(parser, required=True):
     parser.add_argument("--graph", required=required, help="graph spec (see module help)")
 
 
-def _add_matrix_selector(parser):
+def _add_matrix_options(parser, via=False):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--abs", action="store_true", help="use the ABS matrix")
     group.add_argument("--adjacency", action="store_true", help="use the adjacency matrix")
+    if via:
+        parser.add_argument("--via", choices=("fl", "roots", "recurrence"), default="fl")
+    _add_graph_option(parser)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="absspectra", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a named graph family member")
+def _gen_arguments(p):
     p.add_argument("kind", choices=sorted(_GENERATOR_ARITY))
     p.add_argument("params", nargs="+", type=int, help="size parameters")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("load", help="load a graph from a file and echo it")
-    p.add_argument("path")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_load)
 
-    p = sub.add_parser("transform", help="apply a transform to a graph")
+def _transform_arguments(p):
     p.add_argument("kind", choices=TRANSFORM_KINDS)
     p.add_argument("--k", type=int, default=None, help="copy count for splitting/shadow")
     _add_graph_option(p)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("matrix", help="emit the ABS or adjacency matrix")
-    _add_matrix_selector(p)
-    _add_graph_option(p)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_matrix)
 
-    for name, help_text in (("spectrum", "emit the spectrum report"), ("energy", "emit the energy report")):
-        p = sub.add_parser(name, help=help_text)
-        _add_matrix_selector(p)
-        _add_graph_option(p)
-        p.add_argument("--csv", action="store_true")
-        p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("indices", help="emit all degree-based indices")
-    _add_graph_option(p)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_indices)
-
-    p = sub.add_parser("charpoly", help="emit characteristic polynomial coefficients (ascending)")
-    _add_matrix_selector(p)
-    p.add_argument("--via", choices=("fl", "roots", "recurrence"), default="fl")
-    _add_graph_option(p)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_charpoly)
-
-    p = sub.add_parser("verify", help="run identity checks and report verdicts")
+def _verify_arguments(p):
     p.add_argument("--suite", choices=("default",), default=None)
     p.add_argument("--check", default=None, help="single check id, e.g. THM_CYCLE")
     _add_graph_option(p, required=False)
     p.add_argument("--k", type=int, default=None, help="copy count for the energy checks")
     p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-8, env ABS_SPECTRA_TOL)")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
 
+
+# name -> (help, argument adder, handler); every command also takes --csv, added last
+_COMMANDS = {
+    "gen": ("generate a named graph family member", _gen_arguments, _cmd_gen),
+    "load": ("load a graph from a file and echo it", lambda p: p.add_argument("path"), _cmd_load),
+    "transform": ("apply a transform to a graph", _transform_arguments, _cmd_transform),
+    "matrix": ("emit the ABS or adjacency matrix", _add_matrix_options, _cmd_matrix),
+    "spectrum": ("emit the spectrum report", _add_matrix_options, _cmd_spectrum),
+    "energy": ("emit the energy report", _add_matrix_options, _cmd_spectrum),
+    "indices": ("emit all degree-based indices", _add_graph_option, _cmd_indices),
+    "charpoly": (
+        "emit characteristic polynomial coefficients (ascending)",
+        lambda p: _add_matrix_options(p, via=True),
+        _cmd_charpoly,
+    ),
+    "verify": ("run identity checks and report verdicts", _verify_arguments, _cmd_verify),
+}
+
+
+def build_parser(command=None):
+    """The argument parser: all commands, or only ``command``'s sub-parser when one is named."""
+    parser = argparse.ArgumentParser(prog="absspectra", description=__doc__.split("\n")[0])
+    # with one sub-parser, the usage line still lists every command
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.add_argument("--csv", action="store_true")
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
     """Entry point; returns the process exit code instead of raising SystemExit."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except (GraphSpecError, ValueError, KeyError, OSError) as exc:

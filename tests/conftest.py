@@ -35,6 +35,17 @@ def line_graph_pairs_reference(graph):
     return sorted(pairs)
 
 
+def json_ready_reference(obj):
+    """The recursive walk the CLI once ran before ``json.dumps(..., indent=2)``: floats at 15 digits."""
+    if isinstance(obj, float):
+        return 0.0 if obj == 0 else float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {k: json_ready_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready_reference(v) for v in obj]
+    return obj
+
+
 def random_connected_graph(rng, n):
     while True:
         g = random_graph(rng, n, p=rng.uniform(0.3, 0.8))

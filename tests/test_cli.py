@@ -9,10 +9,17 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from absspectra import Graph, apply_transform, generate, load_graph, to_edge_list_text
-from absspectra import graphs
-from absspectra.cli import GraphSpecError, main, parse_graph_spec
-from absspectra.graphs import GENERATOR_KINDS, to_json_dict, to_json_text
+from absspectra import cli, graphs
+from absspectra.cli import GraphSpecError, _JsonText, build_parser, main, parse_graph_spec
+from absspectra.graphs import GENERATOR_KINDS, adjacency_matrix, to_json_dict, to_json_text
+from absspectra.indices import all_indices
+from absspectra.linalg import char_poly, eigenvalues_symmetric, poly_from_roots
+from absspectra.spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from absspectra.transforms import TRANSFORM_KINDS
+
+from conftest import json_ready_reference
+
+COMMANDS = ("gen", "load", "transform", "matrix", "spectrum", "energy", "indices", "charpoly", "verify")
 
 
 def run_cli(*argv):
@@ -87,6 +94,151 @@ def test_graph_commands_print_json_text(tmp_path):
         code, out, err = run_cli(*argv)
         assert code == 0 and err == ""
         assert out == to_json_text(graph) + "\n" == json.dumps(to_json_dict(graph), indent=2) + "\n"
+
+
+NUMERIC_ARGVS = [
+    ("matrix", "--abs"),
+    ("matrix", "--adjacency"),
+    ("spectrum", "--abs"),
+    ("spectrum", "--adjacency"),
+    ("energy", "--abs"),
+    ("energy", "--adjacency"),
+    ("indices",),
+    ("charpoly", "--abs", "--via", "fl"),
+    ("charpoly", "--adjacency", "--via", "fl"),
+    ("charpoly", "--abs", "--via", "roots"),
+    ("charpoly", "--adjacency", "--via", "roots"),
+    ("charpoly", "--abs", "--via", "recurrence"),
+]
+
+
+def _numeric_command_data(argv, graph):
+    """What the command once passed to the JSON walk, built from the library alone."""
+    if argv[0] == "indices":
+        return all_indices(graph)
+    which = "abs" if "--abs" in argv else "adjacency"
+    if argv[0] in ("spectrum", "energy"):
+        return spectrum_report(graph, which)
+    matrix = abs_matrix(graph) if which == "abs" else adjacency_matrix(graph)
+    if argv[0] == "matrix":
+        return {"order": matrix.shape[0], "rows": [list(row) for row in matrix]}
+    via = argv[-1]
+    if via == "fl":
+        coeffs = char_poly(matrix)
+    elif via == "roots":
+        coeffs = poly_from_roots(eigenvalues_symmetric(matrix))
+    else:
+        coeffs = path_abs_charpoly(graph.n)
+    return {"order": len(coeffs) - 1, "coeffs": list(coeffs)}
+
+
+def test_numeric_commands_equal_indented_json_dumps(tmp_path):
+    (tmp_path / "empty.json").write_text('{"n": 0, "edges": []}')
+    (tmp_path / "edgeless.txt").write_text("3 0\n")
+    specs = {
+        f"file:{tmp_path / 'empty.json'}": Graph(0),
+        "complete:1": Graph(1),
+        f"file:{tmp_path / 'edgeless.txt'}": Graph(3),
+        "complete:2": generate("complete", 2),
+        "cycle:5": generate("cycle", 5),
+        "complete:12": generate("complete", 12),
+        "path:8": generate("path", 8),
+    }
+    for argv in NUMERIC_ARGVS:
+        for spec, graph in specs.items():
+            code, out, err = run_cli(*argv, "--graph", spec)
+            if argv[-1] == "recurrence" and spec != "path:8":
+                # the recurrence route serves paths with n >= 5 only
+                assert code == 2 and out == "" and err.startswith("error: "), (argv, spec)
+                continue
+            expected = json.dumps(json_ready_reference(_numeric_command_data(argv, graph)), indent=2) + "\n"
+            assert (code, out, err) == (0, expected, ""), (argv, spec)
+
+
+def test_json_text_of_nonfinite_and_signed_zero():
+    nan, inf = math.nan, math.inf
+    values = [
+        nan,
+        inf,
+        -inf,
+        -0.0,
+        {"a": [nan, inf, -inf, -0.0, 0.0, -0.0, 1 / 3, 1 / 3, 1e-300, -2.5e300], "b": nan, "c": -0.0, "n": 3},
+        {"rows": [[nan, -0.0], [-inf, 0.1], []], "empty": {}, "none": [], "order": 0},
+        [],
+        {},
+    ]
+    for value in values:
+        assert _JsonText().text(value) == json.dumps(json_ready_reference(value), indent=2)
+    assert _JsonText().text([-0.0, 0.0, nan, inf, -inf]) == "[\n  0.0,\n  0.0,\n  NaN,\n  Infinity,\n  -Infinity\n]"
+
+
+def _run_all_commands_parser(argv):
+    """stdout, stderr and exit code of parsing ``argv`` with every sub-parser built."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("-h",),
+        ("--help",),
+        ("bogus",),
+        ("bogus", "--graph", "cycle:4"),
+        ("--bogus",),
+        ("matrix", "--abs", "--graph", "path:3", "--bogus"),
+        ("indices", "--graph", "path:3", "extra", "words"),
+        ("matrix", "--abs"),
+        ("spectrum", "--adjacency"),
+        ("matrix", "--abs", "--adjacency", "--graph", "path:3"),
+        ("charpoly", "--abs", "--via", "nope", "--graph", "path:6"),
+        ("gen", "mystery", "4"),
+    ]
+    + [(command, "-h") for command in COMMANDS],
+)
+def test_main_usage_text_equals_all_commands_parser(argv):
+    assert run_cli(*argv) == _run_all_commands_parser(argv)
+
+
+def test_main_builds_only_the_named_command(monkeypatch):
+    built = []
+
+    def spy(command=None):
+        parser = build_parser(command)
+        built.append((command, sorted(parser._subparsers._group_actions[0].choices)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for command in COMMANDS:
+        run_cli(command, "-h")
+    run_cli()
+    run_cli("-h")
+    run_cli("bogus")
+    assert built[: len(COMMANDS)] == [(command, [command]) for command in COMMANDS]
+    assert built[len(COMMANDS) :] == [(None, sorted(COMMANDS))] * 3
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--check", "THM_CYCLE"), ("--graph", "cycle:5"), ("--k", "2"), ("--check", "THM_CYCLE", "--graph", "cycle:5")],
+)
+def test_verify_suite_refuses_single_check_options(extra):
+    code, out, err = run_cli("verify", "--suite", "default", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(opt in err for opt in extra if opt.startswith("--"))
+
+
+@pytest.mark.parametrize("kind", ["subdivision", "semitotal_point", "semitotal_line"])
+def test_transform_refuses_k_without_copies(kind):
+    code, out, err = run_cli("transform", kind, "--k", "3", "--graph", "cycle:4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--k" in err and err.count("\n") == 1
+    code, out, err = run_cli("transform", kind, "--graph", "cycle:4")
+    assert code == 0 and out == to_json_text(apply_transform(kind, generate("cycle", 4))) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -317,5 +469,6 @@ def test_json_numbers_have_at_most_15_significant_digits():
 
 
 def test_no_subcommand_exit2():
-    code, _, _ = run_cli()
-    assert code == 2
+    code, out, err = run_cli()
+    assert code == 2 and out == ""
+    assert err.endswith("\nabsspectra: error: the following arguments are required: command\n")
