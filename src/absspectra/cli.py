@@ -28,6 +28,8 @@ from .spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from .transforms import TRANSFORM_KINDS, apply_transform
 from .verifier import (
     DEFAULT_TOL,
+    K_CHECKS,
+    CheckId,
     _fmt15,
     _round15,
     default_suite,
@@ -214,6 +216,9 @@ def _cmd_verify(args):
             raise ValueError("verify --check needs --graph")
         params = {"descriptor": args.graph}
         if args.k is not None:
+            k_checks = [c.value for c in K_CHECKS]
+            if args.check in CheckId.__members__ and args.check not in k_checks:  # run_check names unknown ids
+                raise ValueError(f"verify --check {args.check} takes no --k (only {' and '.join(k_checks)} do)")
             params["k"] = args.k
         reports = run_check(args.check, parse_graph_spec(args.graph), params, tol)
     else:

@@ -213,7 +213,7 @@ def lift_quadratic(kind, r, base_eigenvalue):
     return np.array([-(v * lam + w), -u * lam, 1.0])
 
 
-def predicted_transform_spectrum(kind, graph):
+def predicted_transform_spectrum(kind, graph, spectrum_of=adjacency_spectrum):
     """Predicted ABS spectrum of a transformed connected regular graph.
 
     Each base eigenvalue contributes the two roots of its lift quadratic. The
@@ -222,12 +222,13 @@ def predicted_transform_spectrum(kind, graph):
     semitotal line graph. A negative surplus means that many structurally
     exact zero roots cancel instead, so the near-zero values are dropped. The
     result always has n + m values, sorted ascending, and matches the
-    eigensolver on the constructed transform.
+    eigensolver on the constructed transform. ``spectrum_of`` maps a graph to
+    its adjacency spectrum; the verifier passes its per-run memo.
     """
     r = _require_connected_regular(graph, "predicted transform spectrum")
     base = lift_base_graph(kind, graph)
     values = []
-    for lam in adjacency_spectrum(base):
+    for lam in spectrum_of(base):
         c0, c1, _ = lift_quadratic(kind, r, lam)
         b, c = -c1, -c0
         disc = b * b + 4.0 * c
@@ -265,28 +266,30 @@ def splitting_energy_radicands(r, k):
     return corrected, printed
 
 
-def predicted_energy(kind, graph, k):
+def predicted_energy(kind, graph, k, spectrum_of=adjacency_spectrum):
     """Predicted ABS energy of the k-splitting or k-shadow of a connected regular graph.
 
     Returns both the corrected and the as-printed reading; see
     :class:`PredictedEnergy`. The shadow factor is ``k*sqrt(1 - 1/(kr))`` in
     both readings, but the as-printed right-hand side multiplies the shadow
-    graph's own adjacency energy (k times the base energy).
+    graph's own adjacency energy (k times the base energy). ``spectrum_of``
+    maps a graph to its adjacency spectrum; the verifier passes its per-run
+    memo.
     """
     if kind not in ENERGY_PREDICTION_KINDS:
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {ENERGY_PREDICTION_KINDS}")
     if k < 1:
         raise ValueError(f"energy prediction needs k >= 1, got {k}")
     r = _require_connected_regular(graph, f"{kind} energy prediction")
-    base_energy = adjacency_energy(graph).energy
+    base_energy = _energy(spectrum_of(graph))
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
         corrected = factor * base_energy
-        as_printed = factor * adjacency_energy(shadow(graph, k)).energy
+        as_printed = factor * _energy(spectrum_of(shadow(graph, k)))
     else:
         radicand, printed_radicand = splitting_energy_radicands(r, k)
         corrected = math.sqrt(radicand) * base_energy
-        as_printed = math.sqrt(printed_radicand) * adjacency_energy(splitting(graph, k)).energy
+        as_printed = math.sqrt(printed_radicand) * _energy(spectrum_of(splitting(graph, k)))
     return PredictedEnergy(corrected=corrected, as_printed=as_printed)
 
 

@@ -38,10 +38,8 @@ from .graphs import (
 )
 from .indices import degree_index
 from .spectra import (
-    abs_energy,
+    _energy,
     abs_matrix,
-    abs_spectrum,
-    adjacency_spectrum,
     closed_form_abs_spectrum,
     lift_base_graph,
     lift_coefficients,
@@ -136,16 +134,52 @@ def describe_graph(graph):
     return f"graph(n={graph.n},m={graph.m})"
 
 
+class _Spectra:
+    """Spectra and characteristic polynomials of one run, each computed once.
+
+    ``run_check`` makes one and ``run_suite`` shares one across its entries;
+    it is dropped when that call returns, so nothing outlives a run. Entries
+    are keyed by (graph, matrix kind), kind ``"abs"`` or ``"adjacency"``, and
+    ``Graph`` hashes by content. Stored arrays are read-only, since every
+    check that asks gets the same array. A computation that raises is not
+    stored, so it raises again for each caller: an oracle error private to one
+    variant stays private.
+    """
+
+    def __init__(self):
+        self._spectra = {}
+        self._charpolys = {}
+
+    @staticmethod
+    def _lookup(table, graph, kind, solve):
+        key = (graph, kind)
+        value = table.get(key)
+        if value is None:
+            value = solve(abs_matrix(graph) if kind == "abs" else adjacency_matrix(graph))
+            value.flags.writeable = False
+            table[key] = value
+        return value
+
+    def spectrum(self, graph, kind):
+        """Eigenvalues of the graph's ``kind`` matrix, ascending."""
+        return self._lookup(self._spectra, graph, kind, linalg.eigenvalues_symmetric)
+
+    def charpoly(self, graph, kind):
+        """Faddeev-LeVerrier characteristic polynomial of the graph's ``kind`` matrix."""
+        return self._lookup(self._charpolys, graph, kind, linalg.char_poly)
+
+
 # --- check implementations ---------------------------------------------------
 #
-# A check takes (graph, params, tol). A single-variant check returns its result
-# (applicable, max_deviation, tolerance, details). A two-variant check first
-# does the work both variants need, then returns one outcome per variant, in
-# the order _CHECKS names them: the result itself, or a zero-argument function
-# computing it when that variant has oracle work of its own (see run_check).
+# A check takes (graph, params, tol, memo), memo being the run's _Spectra. A
+# single-variant check returns its result (applicable, max_deviation,
+# tolerance, details). A two-variant check first does the work both variants
+# need, then returns one outcome per variant, in the order _CHECKS names them:
+# the result itself, or a zero-argument function computing it when that
+# variant has oracle work of its own (see run_check).
 
 
-def _chk_incidence_reg(graph, params, tol):
+def _chk_incidence_reg(graph, params, tol, memo):
     r = is_regular(graph)
     if r is None:
         return False, 0.0, 0.0, "not regular"
@@ -156,7 +190,7 @@ def _chk_incidence_reg(graph, params, tol):
     return True, dev, 0.0, f"F F^t vs A + {r}I, integer arithmetic"
 
 
-def _chk_incidence_line(graph, params, tol):
+def _chk_incidence_line(graph, params, tol, memo):
     f = incidence_matrix(graph)
     lhs = f.T @ f
     rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(line_graph(graph)).astype(np.int64)
@@ -164,7 +198,7 @@ def _chk_incidence_line(graph, params, tol):
     return True, dev, 0.0, "F^t F vs 2I + A(L(G)), integer arithmetic"
 
 
-def _chk_schur(graph, params, tol):
+def _chk_schur(graph, params, tol, memo):
     if graph.n == 0:
         return False, 0.0, tol, "empty graph"
     a = adjacency_matrix(graph)
@@ -178,29 +212,27 @@ def _chk_schur(graph, params, tol):
     return True, dev, tol, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
 
 
-def _chk_reg_scaling(graph, params, tol):
+def _chk_reg_scaling(graph, params, tol, memo):
     r = is_regular(graph)
     vtol, note = _etol(graph, tol)
 
     def corrected():
         if r is None or r < 1:
             return False, 0.0, tol, "not regular with r >= 1"
-        predicted = closed_form_abs_spectrum(
-            "regular_scaled", linalg.eigenvalues_symmetric(adjacency_matrix(graph)), r
-        )
-        dev = linalg.multiset_deviation(predicted, abs_spectrum(graph))
+        predicted = closed_form_abs_spectrum("regular_scaled", memo.spectrum(graph, "adjacency"), r)
+        dev = linalg.multiset_deviation(predicted, memo.spectrum(graph, "abs"))
         return True, dev, vtol, f"ABS spectrum vs sqrt(r^2-r)/r scaled adjacency spectrum, r={r}{note}"
 
     def as_printed():
         if r is None or r < 2:
             return False, 0.0, tol, "needs regular r >= 2 (scale factor positive)"
         c = regular_abs_factor(r)
-        psi = linalg.char_poly(adjacency_matrix(graph))
+        psi = memo.charpoly(graph, "adjacency")
         # printed identity: phi(x) = c * psi(x / c); as a coefficient array the
         # right side is psi_i * c^(1-i), which omits the order-n determinant
         # exponent and differs from phi by c^(1-n).
         printed = np.array([psi[i] * c ** (1 - i) for i in range(psi.size)])
-        phi = linalg.char_poly(abs_matrix(graph))
+        phi = memo.charpoly(graph, "abs")
         dev = linalg.poly_deviation(phi, printed)
         return True, dev, vtol, f"char poly vs printed single-power prefactor, r={r}{note}"
 
@@ -214,7 +246,7 @@ def _monomial(k):
 
 
 def _lift_check(kind):
-    def check(graph, params, tol):
+    def check(graph, params, tol, memo):
         r = connected_regular_degree(graph)
         if r is None:
             skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
@@ -224,26 +256,24 @@ def _lift_check(kind):
         u, v, w = lift_coefficients(kind, r)
         base = lift_base_graph(kind, graph)
         surplus = transformed.n - 2 * base.n  # zero roots beyond the lifted pairs
-        # both semitotal_line variants read phi: it is computed once, or fails in each
-        phi = functools.cache(lambda: linalg.char_poly(abs_matrix(transformed)))
 
         def corrected():
             if kind == "semitotal_line":
                 # polynomial route: x^max(0,-s) * phi(T2) == x^max(0,s) * prod(quadratics)
-                lhs = linalg.poly_mul(_monomial(max(0, -surplus)), phi())
+                lhs = linalg.poly_mul(_monomial(max(0, -surplus)), memo.charpoly(transformed, "abs"))
                 rhs = _monomial(max(0, surplus))
-                for theta in adjacency_spectrum(base):
+                for theta in memo.spectrum(base, "adjacency"):
                     rhs = linalg.poly_mul(rhs, lift_quadratic(kind, r, theta))
                 dev = linalg.poly_deviation(lhs, rhs)
                 return True, dev, vtol, f"zero-padded char poly vs product of lift quadratics, r={r}{note}"
-            predicted = predicted_transform_spectrum(kind, graph)
-            actual = linalg.eigenvalues_symmetric(abs_matrix(transformed))
+            predicted = predicted_transform_spectrum(kind, graph, functools.partial(memo.spectrum, kind="adjacency"))
+            actual = memo.spectrum(transformed, "abs")
             dev = linalg.multiset_deviation(predicted, actual)
             return True, dev, vtol, f"predicted lift spectrum vs eigensolver, r={r}{note}"
 
         def as_printed():
-            lhs_poly = phi()
-            base_poly = linalg.char_poly(adjacency_matrix(base))
+            lhs_poly = memo.charpoly(transformed, "abs")
+            base_poly = memo.charpoly(base, "adjacency")
             devs = []
             for x in _SAMPLE_POINTS:
                 lhs = linalg.poly_eval(lhs_poly, x)
@@ -262,39 +292,39 @@ def _lift_check(kind):
     return check
 
 
-def _chk_path_recurrence(graph, params, tol):
+def _chk_path_recurrence(graph, params, tol, memo):
     if not ("path" in families(graph) and graph.n >= 5):
         return False, 0.0, tol, "needs a path on n >= 5 vertices"
-    dev = linalg.poly_deviation(path_abs_charpoly(graph.n), linalg.char_poly(abs_matrix(graph)))
+    dev = linalg.poly_deviation(path_abs_charpoly(graph.n), memo.charpoly(graph, "abs"))
     return True, dev, tol, f"recurrence coefficients vs Faddeev-LeVerrier, n={graph.n}"
 
 
 def _closed_form_check(kind):
-    def check(graph, params, tol):
+    def check(graph, params, tol, memo):
         sizes = families(graph).get(kind)
         if sizes is None:
             return False, 0.0, tol, "graph is not in this family"
         vtol, note = _etol(graph, tol)
-        dev = linalg.multiset_deviation(closed_form_abs_spectrum(kind, *sizes), abs_spectrum(graph))
+        dev = linalg.multiset_deviation(closed_form_abs_spectrum(kind, *sizes), memo.spectrum(graph, "abs"))
         return True, dev, vtol, f"closed-form spectrum vs eigensolver{note}"
 
     return check
 
 
-def _chk_trace_harmonic(graph, params, tol):
+def _chk_trace_harmonic(graph, params, tol, memo):
     vtol, note = _etol(graph, tol)
-    lhs = math.fsum(x * x for x in abs_spectrum(graph).tolist())
+    lhs = math.fsum(x * x for x in memo.spectrum(graph, "abs").tolist())
     rhs = 2.0 * (graph.m - degree_index(graph, "harmonic"))
     dev = _scalar_deviation(lhs, rhs)
     return True, dev, vtol, f"sum mu^2 = {_fmt(lhs)} vs 2(m - H) = {_fmt(rhs)}{note}"
 
 
-def _chk_r1_bound(graph, params, tol):
+def _chk_r1_bound(graph, params, tol, memo):
     equality_scope = (False, 0.0, tol, "equality clause scoped to connected regular graphs, n >= 4")
     if graph.n < 4 or not is_connected(graph):
         return (False, 0.0, tol, "needs a connected graph on n >= 4 vertices"), equality_scope
     vtol, note = _etol(graph, tol)
-    lhs = math.fsum(x * x for x in abs_spectrum(graph).tolist())
+    lhs = math.fsum(x * x for x in memo.spectrum(graph, "abs").tolist())
     rhs = (graph.n - 1) * (graph.n - 2.0 * degree_index(graph, "modified_second_zagreb"))
     bound = (True, max(0.0, lhs - rhs), vtol, f"sum mu^2 = {_fmt(lhs)} <= (n-1)(n - 2 R_-1) = {_fmt(rhs)}{note}")
     if is_regular(graph) is None:
@@ -307,7 +337,7 @@ def _chk_r1_bound(graph, params, tol):
 
 
 def _energy_check(kind):
-    def check(graph, params, tol):
+    def check(graph, params, tol, memo):
         r = connected_regular_degree(graph)
         if r is None:
             skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
@@ -317,8 +347,8 @@ def _energy_check(kind):
             raise ValueError(f"{kind} energy check needs k >= 1, got {k}")
         transformed = apply_transform(kind, graph, k)
         vtol, note = _etol(transformed, tol)
-        lhs = abs_energy(transformed).energy
-        predicted = predicted_energy(kind, graph, k)
+        lhs = _energy(memo.spectrum(transformed, "abs"))
+        predicted = predicted_energy(kind, graph, k, functools.partial(memo.spectrum, kind="adjacency"))
 
         def outcome(rhs, side):
             details = f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}{note}"
@@ -334,6 +364,9 @@ def _energy_check(kind):
 
 _SINGLE = ("single",)
 _BOTH = ("corrected", "as_printed")
+
+# The checks that read ``params["k"]``; the copy count means nothing to the others.
+K_CHECKS = (CheckId.THM_SPLIT_ENERGY, CheckId.THM_SHADOW_ENERGY)
 
 _CHECKS = {
     CheckId.LEM_INCIDENCE_REG: (_SINGLE, _chk_incidence_reg),
@@ -370,7 +403,7 @@ def _settle(outcome, tol):
     return True, "pass" if deviation <= vtol else "fail", deviation, vtol, details
 
 
-def run_check(check, graph, params=None, tol=DEFAULT_TOL):
+def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     """All variant reports for one check on one graph.
 
     ``params`` may carry ``k`` (copy count for the splitting/shadow energy
@@ -379,6 +412,8 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL):
     every variant of a check needs is done once; if it fails, every variant
     reports the error. Work private to one variant fails only that variant,
     so e.g. an ``as_printed`` error leaves the ``corrected`` verdict intact.
+    Each spectrum and characteristic polynomial is computed once per call;
+    ``run_suite`` passes ``_memo`` to share them across its checks.
     """
     if not isinstance(check, CheckId):
         try:
@@ -391,7 +426,7 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL):
     descriptor = params.get("descriptor") or describe_graph(graph)
     variants, func = _CHECKS[check]
     try:
-        outcomes = func(graph, params, tol)
+        outcomes = func(graph, params, tol, _Spectra() if _memo is None else _memo)
     except Exception as exc:  # shared work failed -> every variant records it
         rows = [_error(exc, tol)] * len(variants)
     else:
@@ -417,13 +452,15 @@ def run_suite(entries, tol=DEFAULT_TOL):
     """Run every check on every entry; order is graph x check x variant.
 
     Entries are graphs or (graph, params) pairs. Per-check errors are captured
-    in the reports, never raised.
+    in the reports, never raised. Each spectrum and characteristic polynomial
+    is computed once per call, however many checks and entries ask for it.
     """
+    memo = _Spectra()
     reports = []
     for entry in entries:
         graph, params = entry if isinstance(entry, tuple) else (entry, None)
         for check in CheckId:
-            reports.extend(run_check(check, graph, params, tol))
+            reports.extend(run_check(check, graph, params, tol, _memo=memo))
     return reports
 
 

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from absspectra import Graph, apply_transform, generate, load_graph, to_edge_list_text
-from absspectra import cli, graphs
+from absspectra import CheckId, cli, graphs, linalg
 from absspectra.cli import GraphSpecError, _JsonText, build_parser, main, parse_graph_spec
 from absspectra.graphs import GENERATOR_KINDS, adjacency_matrix, to_json_dict, to_json_text
 from absspectra.indices import all_indices
@@ -259,6 +259,31 @@ def test_dense_budget_exits_2(argv, monkeypatch):
     monkeypatch.setattr(graphs, "DENSE_BUDGET", 63)
     code, out, err = run_cli(*argv, "--graph", "path:8")
     assert code == 2 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--abs"), ("energy", "--adjacency"), ("charpoly", "--abs", "--via", "roots")],
+)
+def test_eigensolve_order_cap_exits_2(argv, monkeypatch):
+    # P8's matrices have order 8: a cap of 8 runs, 7 is refused before any output
+    monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", 8)
+    code, out, _ = run_cli(*argv, "--graph", "path:8")
+    assert code == 0 and out
+    monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", 7)
+    code, out, err = run_cli(*argv, "--graph", "path:8")
+    assert code == 2 and out == "" and "eigensolver cap" in err
+
+
+@pytest.mark.parametrize("check", [c.value for c in CheckId] + ["THM_NOPE"])
+def test_verify_check_takes_k_only_for_energy_checks(check):
+    code, out, err = run_cli("verify", "--check", check, "--graph", "cycle:5", "--k", "3")
+    if check in ("THM_SPLIT_ENERGY", "THM_SHADOW_ENERGY"):
+        assert code == 0 and all("k=3" in r["details"] for r in json.loads(out))
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("unknown check id" if check == "THM_NOPE" else "takes no --k") in err
 
 
 def test_graph_spec_grammar():

@@ -18,6 +18,7 @@ from absspectra import (
     poly_close,
     poly_from_roots,
 )
+from absspectra import linalg
 from absspectra.linalg import multiset_deviation, poly_deviation, poly_eval, poly_mul, poly_trim
 from absspectra.spectra import abs_matrix
 
@@ -55,6 +56,13 @@ def test_eigenvalues_validation():
         eigenvalues_symmetric(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="NaN"):
         eigenvalues_symmetric([[math.nan, 0.0], [0.0, 1.0]])
+
+
+def test_eigenvalues_order_cap():
+    cap = linalg._JACOBI_ORDER_CAP
+    np.testing.assert_array_equal(eigenvalues_symmetric(np.zeros((cap, cap))), np.zeros(cap))
+    with pytest.raises(ValueError, match="eigensolver cap"):
+        eigenvalues_symmetric(np.zeros((cap + 1, cap + 1)))
 
 
 def test_eigenvalues_sweep_cap():
@@ -103,8 +111,47 @@ def _cyclic_jacobi_reference(matrix):
     return np.sort(np.diag(a))
 
 
+def _round_robin_reference(matrix):
+    """The solver's rounds with none skipped, the permutation as an ``np.ix_`` index.
+
+    A round whose pivots are all below ``tiny`` rotates by identities, so the
+    solver may skip it only if that changes no bit of the result.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    target = 1e-12 * max(1.0, math.sqrt(float(np.sum(a * a))))
+    tiny = target / (n * n + 1)
+    order = n + n % 2
+    half = order // 2
+    b = np.zeros((order, order))
+    b[:n, :n] = a
+    ring = np.r_[2:order:2, order - 1 : 0 : -2]
+    step = np.arange(order)
+    step[ring] = np.roll(ring, 1)
+    p, q = np.arange(0, order, 2), np.arange(1, order, 2)
+    rot = np.empty((half, 2, 2))
+    for _ in range(100):
+        off = b - np.diag(np.diag(b))
+        if math.sqrt(float(np.sum(off * off))) <= target:
+            break
+        for _ in range(order - 1):
+            d, g = b[q, q] - b[p, p], 2.0 * b[p, q]
+            active = np.abs(b[p, q]) > tiny
+            t = np.zeros(half)
+            t[active] = g[active] / (d + np.copysign(np.hypot(d, g), d))[active]
+            c = 1.0 / np.hypot(t, 1.0)
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1] = -t * c
+            rot[:, 1, 0] = t * c
+            b = (rot @ b.reshape(half, 2, order)).reshape(order, order)
+            b = (rot @ b.T.reshape(half, 2, order)).reshape(order, order)
+            b[p[active], q[active]] = b[q[active], p[active]] = 0.0
+            b = b[np.ix_(step, step)]
+    return np.sort(np.diag(b)[:n])
+
+
 def _solver_test_matrices(n, rng):
-    """Random, graph (ABS and adjacency), zero, diagonal and below-skip-threshold matrices of order n, by name."""
+    """Random, graph (ABS and adjacency), zero, diagonal, below-skip-threshold and block-diagonal matrices of order n, by name."""
     half = n // 2
     two_paths = [(i, i + 1) for i in range(half - 1)] + [(half + i, half + i + 1) for i in range(half - 1)]
     graphs = {
@@ -128,6 +175,12 @@ def _solver_test_matrices(n, rng):
     small = np.diag(np.arange(1.0, n + 1.0))
     small[np.triu_indices(n, 1)] = 1e-16
     mats["below skip threshold"] = np.triu(small) + np.triu(small, 1).T
+    # 2x2 blocks on the first round's pairs (0, 1), (2, 3), ...: that round
+    # diagonalizes every block, so no later round of the sweep has an active pivot
+    block = np.diag([rng.gauss(0, 3) for _ in range(n)])
+    for p in range(0, n - 1, 2):
+        block[p, p + 1] = block[p + 1, p] = rng.gauss(0, 3)
+    mats["block diagonal"] = block
     return mats
 
 
@@ -159,6 +212,12 @@ def test_eigenvalues_match_cyclic_reference_and_eigvalsh(n):
         assert np.max(np.abs(eigs - np.linalg.eigvalsh(m))) <= tol
         if n <= 40 or name not in _REFERENCE_ONLY_UP_TO_40:
             assert np.max(np.abs(eigs - _cyclic_jacobi_reference(m))) <= tol
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [64, 100])
+def test_skipped_rounds_change_no_bit(n):
+    for name, m in _solver_test_matrices(n, random.Random(1000 + n)).items():
+        np.testing.assert_array_equal(eigenvalues_symmetric(m), _round_robin_reference(m), err_msg=name)
 
 
 def test_eigenvalues_match_mpmath_50_digits():

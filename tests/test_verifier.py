@@ -20,6 +20,7 @@ from absspectra import (
     run_check,
     run_suite,
 )
+from absspectra import linalg, verifier
 from absspectra.verifier import has_key_failure, report_to_dict
 
 GOLDEN_SUITE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden_suite.json"
@@ -246,3 +247,66 @@ def test_default_suite_matches_golden():
             k: v for k, v in w.items() if k != "max_deviation"
         }
         assert abs(g["max_deviation"] - w["max_deviation"]) <= 1e-9 * max(1.0, abs(w["max_deviation"]))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_spectrum_is_computed_once_per_run(monkeypatch):
+    eigensolves = _count_calls(monkeypatch, linalg, "eigenvalues_symmetric")
+    charpolys = _count_calls(monkeypatch, linalg, "char_poly")
+    suite = default_suite()
+    # One run over the corpus: 86 distinct matrices, 57 distinct charpoly inputs
+    # (C3 and K3 are the same graph, so their entries share every result).
+    run_suite(suite)
+    assert (len(eigensolves), len(charpolys)) == (86, 57)
+    # One run per entry: K3's run solves again what C3's solved, nothing else repeats.
+    eigensolves.clear()
+    charpolys.clear()
+    for entry in suite:
+        run_suite([entry])
+    assert (len(eigensolves), len(charpolys)) == (94, 62)
+
+
+def test_nothing_outlives_a_run(monkeypatch):
+    eigensolves = _count_calls(monkeypatch, linalg, "eigenvalues_symmetric")
+    suite = default_suite()
+    run_suite(suite)
+    once = len(eigensolves)
+    eigensolves.clear()
+    run_suite(suite)
+    run_suite(suite)
+    assert len(eigensolves) == 2 * once
+    eigensolves.clear()
+    run_check(CheckId.THM_REG_SCALING, generate("cycle", 5))
+    once = len(eigensolves)
+    run_check(CheckId.THM_REG_SCALING, generate("cycle", 5))
+    assert once == 2 and len(eigensolves) == 2 * once
+
+
+def test_memoized_arrays_are_read_only():
+    memo = verifier._Spectra()
+    g = generate("cycle", 5)
+    for array in (memo.spectrum(g, "abs"), memo.spectrum(g, "adjacency"), memo.charpoly(g, "abs")):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert memo.spectrum(g, "abs") is memo.spectrum(generate("cycle", 5), "abs")
+    assert memo.spectrum(g, "abs")[-1] < memo.spectrum(g, "adjacency")[-1]  # kinds kept apart
+
+
+def test_eigensolver_order_cap_is_an_error(monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", 8)
+    (r,) = run_check(CheckId.THM_CYCLE, generate("cycle", 8))
+    assert r.verdict == "pass"
+    monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", 7)
+    (r,) = run_check(CheckId.THM_CYCLE, generate("cycle", 8))
+    assert r.verdict == "error" and "eigensolver cap" in r.details
