@@ -43,6 +43,10 @@ from .verifier import (
 _GENERATOR_ARITY = {kind: 2 if kind == "complete_bipartite" else 1 for kind in GENERATOR_KINDS}
 _K_TOKEN = re.compile(r"^k=(\d+)$")
 _K_KINDS = ("splitting", "shadow")
+# Transforms a graph spec may nest. Edge budgets do not bound the depth, since
+# some transforms keep their input's size (``shadow`` with k=1 returns it), and
+# the parser recurses once per level.
+_SPEC_DEPTH_CAP = 64
 
 
 class GraphSpecError(ValueError):
@@ -66,9 +70,11 @@ def _take_int(tokens, what):
         raise GraphSpecError(f"expected an integer for {what}, got {tokens[0]!r}") from None
 
 
-def _parse_tokens(tokens):
+def _parse_tokens(tokens, depth=0):
     if not tokens or not tokens[0]:
         raise GraphSpecError("empty graph spec")
+    if depth > _SPEC_DEPTH_CAP:
+        raise GraphSpecError(f"graph spec nests more than {_SPEC_DEPTH_CAP} transforms")
     head, rest = tokens[0], tokens[1:]
     if head == "file":
         if not rest:
@@ -88,10 +94,10 @@ def _parse_tokens(tokens):
             params.append(value)
         return generate(head, *params), rest
     if head in ("subdivision", "semitotal_point", "semitotal_line"):
-        inner, rest = _parse_tokens(rest)
+        inner, rest = _parse_tokens(rest, depth + 1)
         return apply_transform(head, inner), rest
     if head in _K_KINDS:
-        inner, rest = _parse_tokens(rest)
+        inner, rest = _parse_tokens(rest, depth + 1)
         if not rest or not _K_TOKEN.match(rest[0]):
             raise GraphSpecError(f"{head}: expects :k=K after the inner graph spec")
         k = int(_K_TOKEN.match(rest[0]).group(1))

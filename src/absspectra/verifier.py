@@ -49,7 +49,7 @@ from .spectra import (
     predicted_transform_spectrum,
     regular_abs_factor,
 )
-from .transforms import apply_transform
+from .transforms import apply_transform, semitotal_point, shadow, splitting, subdivision
 
 DEFAULT_TOL = 1e-8
 # Eigensolver-limited checks relax to this on graphs with n + m > 100.
@@ -143,7 +143,8 @@ class _Spectra:
     ``Graph`` hashes by content. Stored arrays are read-only, since every
     check that asks gets the same array. A computation that raises is not
     stored, so it raises again for each caller: an oracle error private to one
-    variant stays private.
+    variant stays private. :meth:`prefetch` solves spectra ahead of the
+    checks, stacked by order; what it leaves out is solved on first request.
     """
 
     def __init__(self):
@@ -151,11 +152,14 @@ class _Spectra:
         self._charpolys = {}
 
     @staticmethod
-    def _lookup(table, graph, kind, solve):
+    def _matrix(graph, kind):
+        return abs_matrix(graph) if kind == "abs" else adjacency_matrix(graph)
+
+    def _lookup(self, table, graph, kind, solve):
         key = (graph, kind)
         value = table.get(key)
         if value is None:
-            value = solve(abs_matrix(graph) if kind == "abs" else adjacency_matrix(graph))
+            value = solve(self._matrix(graph, kind))
             value.flags.writeable = False
             table[key] = value
         return value
@@ -167,6 +171,51 @@ class _Spectra:
     def charpoly(self, graph, kind):
         """Faddeev-LeVerrier characteristic polynomial of the graph's ``kind`` matrix."""
         return self._lookup(self._charpolys, graph, kind, linalg.char_poly)
+
+    def prefetch(self, keys):
+        """Solve the spectra of the (graph, kind) ``keys`` not yet stored, one stacked eigensolve per order.
+
+        A Jacobi round costs about as much for a stack of small matrices as
+        for one, and each member's eigenvalues are bit for bit those of its
+        own solve. A group whose solve raises stores nothing, so each caller
+        meets the error on its own solve.
+        """
+        groups = {}
+        for key in dict.fromkeys(keys):
+            if key not in self._spectra:
+                groups.setdefault(key[0].n, []).append(key)
+        for group in groups.values():
+            try:
+                rows = linalg.eigenvalues_symmetric(np.stack([self._matrix(*key) for key in group]))
+            except Exception:  # left to the lazy path, which reports it per caller
+                continue
+            rows.flags.writeable = False
+            self._spectra.update(zip(group, rows))
+
+
+def _spectral_plan(graph, params):
+    """The (graph, kind) spectra the checks ask of one suite entry, in a fixed order.
+
+    It follows the checks: the ABS spectrum of every graph (trace, bound and
+    closed-form checks); the adjacency spectrum of an r-regular graph with
+    r >= 1 (regular scaling); and for a connected one also the adjacency
+    spectrum of L(G) (semitotal line), the ABS spectra of the subdivision and
+    the semitotal point graph (their lifts), and both spectra of the
+    k-splitting and the k-shadow (energy checks). A key may repeat: L(C3) is
+    C3, and the 1-shadow is the graph itself.
+    """
+    keys = [(graph, "abs")]
+    if not is_regular(graph):
+        return keys
+    keys.append((graph, "adjacency"))
+    if not is_connected(graph):
+        return keys
+    keys += [(line_graph(graph), "adjacency"), (subdivision(graph), "abs"), (semitotal_point(graph), "abs")]
+    k = int((params or {}).get("k", 2))
+    if k >= 1:
+        for transformed in (splitting(graph, k), shadow(graph, k)):
+            keys += [(transformed, "abs"), (transformed, "adjacency")]
+    return keys
 
 
 # --- check implementations ---------------------------------------------------
@@ -453,12 +502,19 @@ def run_suite(entries, tol=DEFAULT_TOL):
 
     Entries are graphs or (graph, params) pairs. Per-check errors are captured
     in the reports, never raised. Each spectrum and characteristic polynomial
-    is computed once per call, however many checks and entries ask for it.
+    is computed once per call, however many checks and entries ask for it;
+    before its checks run, an entry's spectra are solved in one stacked
+    eigensolve per order (see ``_spectral_plan``).
     """
     memo = _Spectra()
     reports = []
     for entry in entries:
         graph, params = entry if isinstance(entry, tuple) else (entry, None)
+        try:
+            plan = _spectral_plan(graph, params)
+        except Exception:  # a transform failed; the checks that build it report that
+            plan = ()
+        memo.prefetch(plan)
         for check in CheckId:
             reports.extend(run_check(check, graph, params, tol, _memo=memo))
     return reports

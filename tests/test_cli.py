@@ -303,6 +303,23 @@ def test_graph_spec_grammar():
         parse_graph_spec("wat:3")
 
 
+def _nested_spec(head, depth, base):
+    suffix = ["k=1"] * depth if head == "shadow" else []
+    return ":".join([head] * depth + [base] + suffix)
+
+
+@pytest.mark.parametrize("head", ["shadow", "subdivision"])
+def test_deep_graph_spec_exits_2(head):
+    cap = cli._SPEC_DEPTH_CAP
+    base = "cycle:3" if head == "shadow" else "path:1"  # neither grows under its head
+    assert parse_graph_spec(_nested_spec(head, cap, base)) == parse_graph_spec(base)
+    with pytest.raises(GraphSpecError, match="nests more than"):
+        parse_graph_spec(_nested_spec(head, cap + 1, base))
+    # far past Python's recursion limit: refused as a usage error, not a crash
+    code, out, err = run_cli("transform", "shadow", "--k", "1", "--graph", _nested_spec(head, 1200, base))
+    assert code == 2 and out == "" and "nests more than" in err
+
+
 def test_graph_spec_file(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(to_edge_list_text(generate("cycle", 5)))

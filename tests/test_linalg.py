@@ -220,6 +220,68 @@ def test_skipped_rounds_change_no_bit(n):
         np.testing.assert_array_equal(eigenvalues_symmetric(m), _round_robin_reference(m), err_msg=name)
 
 
+def _stack_members(n, rng):
+    """Matrices of order n to solve as one stack, by name; "diagonal" needs no sweep."""
+    if n == 1:
+        return {"diagonal": np.array([[2.5]]), "zero": np.zeros((1, 1)), "negative": np.array([[-1.0]])}
+    return _solver_test_matrices(n, rng)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_stacked_members_equal_their_solo_solves(n):
+    members = list(_stack_members(n, random.Random(3000 + n)).values())
+    stack = np.stack(members)
+    before = stack.copy()
+    rows = eigenvalues_symmetric(stack)
+    np.testing.assert_array_equal(stack, before)
+    assert rows.shape == (len(members), n)
+    for row, m in zip(rows, members):
+        assert np.array_equal(row, eigenvalues_symmetric(m))
+    # a member's place in the stack changes no bit either
+    assert np.array_equal(eigenvalues_symmetric(stack[::-1]), rows[::-1])
+
+
+def _sweeps_needed(matrix):
+    """Fewest sweeps that bring ``matrix``, or every member of a stack, to its target."""
+    for cap in range(linalg._JACOBI_SWEEP_CAP + 1):
+        try:
+            eigenvalues_symmetric(matrix, sweep_cap=cap)
+        except NoConvergenceError:
+            continue
+        return cap
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 33])
+def test_stack_runs_until_its_slowest_member_converges(n):
+    members = _stack_members(n, random.Random(3000 + n))
+    needed = {name: _sweeps_needed(m) for name, m in members.items()}
+    # the diagonal member rides along for every sweep the random one needs
+    assert needed["diagonal"] == 0 < needed["random"] == max(needed.values())
+    assert _sweeps_needed(np.stack(list(members.values()))) == needed["random"]
+
+
+def test_stack_validation_and_caps():
+    rng = random.Random(7)
+    good = _random_symmetric(rng, 4)
+    nan = good.copy()
+    nan[1, 2] = nan[2, 1] = math.nan
+    asymmetric = good.copy()
+    asymmetric[0, 3] += 1.0
+    for bad, message in ((nan, "NaN"), (asymmetric, "symmetric")):
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_symmetric(np.stack([good, bad]))
+    for shape in ((2, 3, 4), (1, 2, 3, 3), (3,)):
+        with pytest.raises(ValueError, match="square"):
+            eigenvalues_symmetric(np.zeros(shape))
+    with pytest.raises(NoConvergenceError):
+        eigenvalues_symmetric(np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), good]), sweep_cap=1)
+    assert eigenvalues_symmetric(np.zeros((0, 4, 4))).shape == (0, 4)
+    cap = linalg._JACOBI_ORDER_CAP
+    np.testing.assert_array_equal(eigenvalues_symmetric(np.zeros((2, cap, cap))), np.zeros((2, cap)))
+    with pytest.raises(ValueError, match="eigensolver cap"):
+        eigenvalues_symmetric(np.zeros((2, cap + 1, cap + 1)))
+
+
 def test_eigenvalues_match_mpmath_50_digits():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(2024)

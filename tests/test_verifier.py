@@ -2,10 +2,12 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from absspectra import (
@@ -20,7 +22,7 @@ from absspectra import (
     run_check,
     run_suite,
 )
-from absspectra import linalg, verifier
+from absspectra import NoConvergenceError, linalg, verifier
 from absspectra.verifier import has_key_failure, report_to_dict
 
 GOLDEN_SUITE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden_suite.json"
@@ -250,12 +252,13 @@ def test_default_suite_matches_golden():
 
 
 def _count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to log the number of matrices in each call (k for a (k, n, n) stack)."""
     calls = []
     real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
+    def counted(matrix, *args, **kwargs):
+        calls.append(len(matrix) if np.ndim(matrix) == 3 else 1)
+        return real(matrix, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -268,29 +271,103 @@ def test_each_spectrum_is_computed_once_per_run(monkeypatch):
     # One run over the corpus: 86 distinct matrices, 57 distinct charpoly inputs
     # (C3 and K3 are the same graph, so their entries share every result).
     run_suite(suite)
-    assert (len(eigensolves), len(charpolys)) == (86, 57)
+    assert (sum(eigensolves), sum(charpolys)) == (86, 57)
     # One run per entry: K3's run solves again what C3's solved, nothing else repeats.
     eigensolves.clear()
     charpolys.clear()
     for entry in suite:
         run_suite([entry])
-    assert (len(eigensolves), len(charpolys)) == (94, 62)
+    assert (sum(eigensolves), sum(charpolys)) == (94, 62)
+    # The 94 matrices fall in 40 (entry, order) groups, one stacked solve each.
+    assert len(eigensolves) == 40
 
 
 def test_nothing_outlives_a_run(monkeypatch):
     eigensolves = _count_calls(monkeypatch, linalg, "eigenvalues_symmetric")
     suite = default_suite()
     run_suite(suite)
-    once = len(eigensolves)
+    once = sum(eigensolves)
+    assert once > 0
     eigensolves.clear()
     run_suite(suite)
     run_suite(suite)
-    assert len(eigensolves) == 2 * once
+    assert sum(eigensolves) == 2 * once
     eigensolves.clear()
     run_check(CheckId.THM_REG_SCALING, generate("cycle", 5))
-    once = len(eigensolves)
+    once = sum(eigensolves)
     run_check(CheckId.THM_REG_SCALING, generate("cycle", 5))
-    assert once == 2 and len(eigensolves) == 2 * once
+    assert once == 2 and sum(eigensolves) == 2 * once
+
+
+def _requested_spectra(monkeypatch, graph, params):
+    """The (graph, kind) spectra the checks ask for on one entry, with no prefetch."""
+    requested = set()
+    real = verifier._Spectra.spectrum
+
+    def spectrum(self, graph, kind):
+        requested.add((graph, kind))
+        return real(self, graph, kind)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier._Spectra, "spectrum", spectrum)
+        memo = verifier._Spectra()
+        for check in CheckId:
+            run_check(check, graph, params, _memo=memo)
+    return requested
+
+
+def _assert_plan_is_exact(monkeypatch, graph, params):
+    plan = set(verifier._spectral_plan(graph, params))
+    assert plan == _requested_spectra(monkeypatch, graph, params)  # no miss, no waste
+
+
+def test_spectral_plan_is_what_the_checks_ask_for(monkeypatch):
+    entries = default_suite()
+    entries += [(graph, {"k": k}) for graph, _ in default_suite() for k in (1, 3)]
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # regular, not connected
+    entries += [(two_triangles, None), (Graph(0), None), (Graph(3), None), (generate("cycle", 4), {"k": -2})]
+    for graph, params in entries:
+        _assert_plan_is_exact(monkeypatch, graph, params)
+
+
+def test_spectral_plan_on_random_graphs(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    graphs = st.integers(0, 7).flatmap(
+        lambda n: st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))) if n > 1 else st.nothing()).map(
+            lambda pairs: Graph(n, pairs)
+        )
+    )
+    regular = st.sampled_from(
+        [generate("cycle", n) for n in range(3, 8)] + [generate("complete", n) for n in range(2, 6)]
+    )
+
+    @hyp.settings(derandomize=True, deadline=None, max_examples=60)
+    @hyp.given(st.one_of(graphs, regular), st.integers(1, 3))
+    def check(graph, k):
+        _assert_plan_is_exact(monkeypatch, graph, {"k": k})
+
+    check()
+
+
+@pytest.mark.parametrize("order_cap", [None, 7])
+def test_failed_stacked_solve_leaves_the_lazy_path(monkeypatch, order_cap):
+    if order_cap is not None:  # the order-8 matrices fail on both paths
+        monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", order_cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier._Spectra, "prefetch", lambda self, keys: None)
+        lazy = [run_suite([entry]) for entry in default_suite()]
+    assert any(r.verdict == "error" for reports in lazy for r in reports) == (order_cap is not None)
+    assert [run_suite([entry]) for entry in default_suite()] == lazy
+    real = linalg.eigenvalues_symmetric
+
+    def solo_only(matrix, *args, **kwargs):
+        if np.ndim(matrix) == 3:
+            raise NoConvergenceError("stacked solve refused")
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigenvalues_symmetric", solo_only)
+    assert [run_suite([entry]) for entry in default_suite()] == lazy
 
 
 def test_memoized_arrays_are_read_only():
@@ -301,6 +378,14 @@ def test_memoized_arrays_are_read_only():
             array[0] = 1.0
     assert memo.spectrum(g, "abs") is memo.spectrum(generate("cycle", 5), "abs")
     assert memo.spectrum(g, "abs")[-1] < memo.spectrum(g, "adjacency")[-1]  # kinds kept apart
+    # prefetched rows are stored read-only too, and equal their own solves
+    h = generate("path", 5)
+    memo.prefetch([(h, "abs"), (h, "adjacency"), (g, "abs")])
+    for kind in ("abs", "adjacency"):
+        row = memo.spectrum(h, kind)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+        assert np.array_equal(row, verifier._Spectra().spectrum(h, kind))
 
 
 def test_eigensolver_order_cap_is_an_error(monkeypatch):
