@@ -20,12 +20,13 @@ import json
 import os
 import re
 import sys
+from itertools import takewhile
 
-from .graphs import GENERATOR_KINDS, adjacency_matrix, families, generate, load_graph, to_edge_list_text, to_json_text
+from .graphs import GENERATOR_KINDS, families, generate, load_graph, to_edge_list_text, to_json_text
 from . import linalg
 from .indices import all_indices
-from .spectra import abs_matrix, path_abs_charpoly, spectrum_report
-from .transforms import TRANSFORM_KINDS, apply_transform
+from .spectra import graph_matrix, path_abs_charpoly, spectrum_report
+from .transforms import K_KINDS, TRANSFORM_KINDS, apply_transform
 from .verifier import (
     DEFAULT_TOL,
     K_CHECKS,
@@ -42,11 +43,6 @@ from .verifier import (
 
 _GENERATOR_ARITY = {kind: 2 if kind == "complete_bipartite" else 1 for kind in GENERATOR_KINDS}
 _K_TOKEN = re.compile(r"^k=(\d+)$")
-_K_KINDS = ("splitting", "shadow")
-# Transforms a graph spec may nest. Edge budgets do not bound the depth, since
-# some transforms keep their input's size (``shadow`` with k=1 returns it), and
-# the parser recurses once per level.
-_SPEC_DEPTH_CAP = 64
 
 
 class GraphSpecError(ValueError):
@@ -54,55 +50,50 @@ class GraphSpecError(ValueError):
 
 
 def parse_graph_spec(spec):
-    """Parse the colon-separated graph grammar into a graph."""
-    graph, rest = _parse_tokens(spec.split(":"))
+    """Parse the colon-separated graph grammar into a graph.
+
+    Leading transform heads wrap a base, a generator or ``file:``, and apply
+    innermost first; each splitting or shadow head takes the next ``k=N``
+    token after the base. Nesting is bounded only by the spec and the budgets.
+    """
+    tokens = spec.split(":")
+    heads = list(takewhile(TRANSFORM_KINDS.__contains__, tokens))
+    tokens = tokens[len(heads) :]
+    if not tokens or not tokens[0]:
+        raise GraphSpecError("empty graph spec")
+    base, rest = tokens[0], tokens[1:]
+    if base == "file":
+        # leave trailing k=N tokens to the splitting/shadow heads
+        path_end = len(rest)
+        while path_end and _K_TOKEN.match(rest[path_end - 1]):
+            path_end -= 1
+        if not path_end:
+            raise GraphSpecError("file: needs a path")
+        graph, rest = load_graph(":".join(rest[:path_end])), rest[path_end:]
+    elif base in _GENERATOR_ARITY:
+        arity = _GENERATOR_ARITY[base]
+        params = []
+        for token in rest[:arity]:
+            try:
+                params.append(int(token))
+            except ValueError:
+                raise GraphSpecError(f"expected an integer for {base}, got {token!r}") from None
+        if len(params) < arity:
+            raise GraphSpecError(f"missing integer parameter for {base}")
+        graph, rest = generate(base, *params), rest[arity:]
+    else:
+        raise GraphSpecError(f"unknown graph spec head {base!r}")
+    for head in reversed(heads):
+        k = None
+        if head in K_KINDS:
+            match = _K_TOKEN.match(rest[0]) if rest else None
+            if not match:
+                raise GraphSpecError(f"{head}: expects :k=K after the inner graph spec")
+            k, rest = int(match.group(1)), rest[1:]
+        graph = apply_transform(head, graph, k)
     if rest:
         raise GraphSpecError(f"unexpected trailing tokens {':'.join(rest)!r} in graph spec {spec!r}")
     return graph
-
-
-def _take_int(tokens, what):
-    if not tokens:
-        raise GraphSpecError(f"missing integer parameter for {what}")
-    try:
-        return int(tokens[0]), tokens[1:]
-    except ValueError:
-        raise GraphSpecError(f"expected an integer for {what}, got {tokens[0]!r}") from None
-
-
-def _parse_tokens(tokens, depth=0):
-    if not tokens or not tokens[0]:
-        raise GraphSpecError("empty graph spec")
-    if depth > _SPEC_DEPTH_CAP:
-        raise GraphSpecError(f"graph spec nests more than {_SPEC_DEPTH_CAP} transforms")
-    head, rest = tokens[0], tokens[1:]
-    if head == "file":
-        if not rest:
-            raise GraphSpecError("file: needs a path")
-        # leave trailing k=N tokens to an enclosing splitting/shadow clause
-        path_tokens = list(rest)
-        leftover = []
-        while path_tokens and _K_TOKEN.match(path_tokens[-1]):
-            leftover.insert(0, path_tokens.pop())
-        if not path_tokens:
-            raise GraphSpecError("file: needs a path")
-        return load_graph(":".join(path_tokens)), leftover
-    if head in _GENERATOR_ARITY:
-        params = []
-        for _ in range(_GENERATOR_ARITY[head]):
-            value, rest = _take_int(rest, head)
-            params.append(value)
-        return generate(head, *params), rest
-    if head in ("subdivision", "semitotal_point", "semitotal_line"):
-        inner, rest = _parse_tokens(rest, depth + 1)
-        return apply_transform(head, inner), rest
-    if head in _K_KINDS:
-        inner, rest = _parse_tokens(rest, depth + 1)
-        if not rest or not _K_TOKEN.match(rest[0]):
-            raise GraphSpecError(f"{head}: expects :k=K after the inner graph spec")
-        k = int(_K_TOKEN.match(rest[0]).group(1))
-        return apply_transform(head, inner, k), rest[1:]
-    raise GraphSpecError(f"unknown graph spec head {head!r}")
 
 
 class _JsonText(dict):
@@ -138,10 +129,6 @@ def _emit_graph(graph, csv_mode):
         print(to_json_text(graph))
 
 
-def _select_matrix(args, graph):
-    return abs_matrix(graph) if args.abs else adjacency_matrix(graph)
-
-
 def _cmd_gen(args):
     _emit_graph(generate(args.kind, *args.params), args.csv)
     return 0
@@ -153,14 +140,14 @@ def _cmd_load(args):
 
 
 def _cmd_transform(args):
-    if args.k is not None and args.kind not in _K_KINDS:
-        raise ValueError(f"transform {args.kind} takes no --k (only {' and '.join(_K_KINDS)} do)")
+    if args.k is not None and args.kind not in K_KINDS:
+        raise ValueError(f"transform {args.kind} takes no --k (only {' and '.join(K_KINDS)} do)")
     _emit_graph(apply_transform(args.kind, parse_graph_spec(args.graph), args.k), args.csv)
     return 0
 
 
 def _cmd_matrix(args):
-    matrix = _select_matrix(args, parse_graph_spec(args.graph))
+    matrix = graph_matrix(parse_graph_spec(args.graph), args.matrix)
     if args.csv:
         for row in matrix:
             print(",".join(_fmt15(v) for v in row))
@@ -170,7 +157,7 @@ def _cmd_matrix(args):
 
 
 def _cmd_spectrum(args):
-    report = spectrum_report(parse_graph_spec(args.graph), "abs" if args.abs else "adjacency")
+    report = spectrum_report(parse_graph_spec(args.graph), args.matrix)
     if args.csv:
         print("spectrum," + ",".join(_fmt15(v) for v in report["spectrum"]))
         for key in ("energy", "trace_sq", "harmonic_check"):
@@ -192,13 +179,13 @@ def _cmd_indices(args):
 
 def _cmd_charpoly(args):
     graph = parse_graph_spec(args.graph)
-    matrix = _select_matrix(args, graph)
+    matrix = graph_matrix(graph, args.matrix)
     if args.via == "fl":
         coeffs = linalg.char_poly(matrix)
     elif args.via == "roots":
         coeffs = linalg.poly_from_roots(linalg.eigenvalues_symmetric(matrix))
     else:  # recurrence
-        if not args.abs:
+        if args.matrix != "abs":
             raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")
         if "path" not in families(graph):
             raise ValueError("--via recurrence needs a path graph")
@@ -225,6 +212,8 @@ def _cmd_verify(args):
             k_checks = [c.value for c in K_CHECKS]
             if args.check in CheckId.__members__ and args.check not in k_checks:  # run_check names unknown ids
                 raise ValueError(f"verify --check {args.check} takes no --k (only {' and '.join(k_checks)} do)")
+            if args.k < 1:
+                raise ValueError(f"verify --k needs k >= 1, got {args.k}")
             params["k"] = args.k
         reports = run_check(args.check, parse_graph_spec(args.graph), params, tol)
     else:
@@ -239,8 +228,10 @@ def _add_graph_option(parser, required=True):
 
 def _add_matrix_options(parser, via=False):
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--abs", action="store_true", help="use the ABS matrix")
-    group.add_argument("--adjacency", action="store_true", help="use the adjacency matrix")
+    group.add_argument("--abs", dest="matrix", action="store_const", const="abs", help="use the ABS matrix")
+    group.add_argument(
+        "--adjacency", dest="matrix", action="store_const", const="adjacency", help="use the adjacency matrix"
+    )
     if via:
         parser.add_argument("--via", choices=("fl", "roots", "recurrence"), default="fl")
     _add_graph_option(parser)

@@ -17,16 +17,21 @@ GENERATOR_KINDS = ("complete", "cycle", "path", "star", "complete_bipartite")
 # Largest edge count a generator or transform may build; checked from the
 # documented counts before any pair is made, so oversized requests fail fast.
 EDGE_BUDGET = 10**6
+# Largest vertex count: the most a connected graph within the edge budget can
+# have. Checked with EDGE_BUDGET, and by Graph for any count, such as one read from a file.
+VERTEX_BUDGET = EDGE_BUDGET + 1
 
 # Largest entry count of a dense matrix (2^24 entries, 128 MiB as float64);
 # checked before the matrix is allocated, so a large order fails fast.
 DENSE_BUDGET = 2**24
 
 
-def check_edge_budget(count, what):
-    """Raise ``ValueError`` when building ``what`` would need more than EDGE_BUDGET edges."""
-    if count > EDGE_BUDGET:
-        raise ValueError(f"{what} would have {count} edges, over the budget of {EDGE_BUDGET}")
+def check_budget(edges, vertices, what):
+    """Raise ``ValueError`` when ``what`` would need more than EDGE_BUDGET edges or VERTEX_BUDGET vertices."""
+    if edges > EDGE_BUDGET:
+        raise ValueError(f"{what} would have {edges} edges, over the budget of {EDGE_BUDGET}")
+    if vertices > VERTEX_BUDGET:
+        raise ValueError(f"{what} would have {vertices} vertices, over the budget of {VERTEX_BUDGET}")
 
 
 def check_dense_budget(rows, cols, what):
@@ -40,8 +45,9 @@ class Graph:
 
     Construction collapses duplicate pairs, normalizes every pair to
     ``(min, max)`` and rejects self-loops, out-of-range or non-integral
-    vertex ids, and a vertex count that is a bool or not a non-negative int.
-    Instances are immutable; all operations return new graphs.
+    vertex ids, items that are not pairs, ``pairs`` that is not iterable, and
+    a vertex count that is a bool, not a non-negative int or over
+    VERTEX_BUDGET. Instances are immutable; all operations return new graphs.
     """
 
     __slots__ = ("n", "edges", "adjacency")
@@ -49,11 +55,20 @@ class Graph:
     def __init__(self, n, pairs=()):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
+        check_budget(0, n, "graph")
+        try:
+            pairs = iter(pairs)
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of vertex pairs, got {pairs!r}") from None
         # a list, sorted before repeats are dropped, keeps the ascending runs that
         # generators and transforms emit, which the sort merges in near-linear
         # time; a set would scramble them
         norm = []
-        for u, v in pairs:
+        for pair in pairs:
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"an edge must be a pair of vertex ids, got {pair!r}") from None
             try:
                 u, v = operator.index(u), operator.index(v)
             except TypeError:
@@ -128,14 +143,14 @@ def generate(kind, *params):
         a, b = _size(params[0], kind), _size(params[1], kind)
         if a < 1 or b < 1:
             raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
-        check_edge_budget(a * b, f"complete_bipartite({a}, {b})")
+        check_budget(a * b, a + b, f"complete_bipartite({a}, {b})")
         return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
     n = _size(params[0], kind)
     if n < 1:
         raise ValueError(f"{kind} needs n >= 1, got {n}")
-    check_edge_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), f"{kind}({n})")
+    check_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), n, f"{kind}({n})")
     if kind == "complete":
         return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "cycle":
@@ -245,7 +260,7 @@ def line_pairs(graph, offset=0):
 
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
-    check_edge_budget(line_graph_edge_count(graph), "line graph")
+    check_budget(line_graph_edge_count(graph), graph.m, "line graph")
     return Graph(graph.m, line_pairs(graph))
 
 

@@ -26,13 +26,13 @@ class NoConvergenceError(RuntimeError):
     """Jacobi iteration failed to reach the off-diagonal target within the sweep cap."""
 
 
-def _as_square_matrix(matrix, name="matrix", stacked=False):
+def _as_square_matrix(matrix, stacked=False):
     a = np.asarray(matrix, dtype=float)
     if a.ndim not in ((2, 3) if stacked else (2,)) or a.shape[-1] != a.shape[-2]:
         what = "square or a stack of square matrices" if stacked else "square"
-        raise ValueError(f"{name} must be {what}, got shape {a.shape}")
+        raise ValueError(f"matrix must be {what}, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise ValueError("matrix contains NaN or Inf entries")
     return a
 
 
@@ -66,7 +66,7 @@ def _round_robin_step(order):
     return perm, perm_t
 
 
-def eigenvalues_symmetric(matrix, sweep_cap=_JACOBI_SWEEP_CAP):
+def eigenvalues_symmetric(matrix):
     """All eigenvalues of a real symmetric matrix, or of each matrix in a stack, sorted ascending.
 
     ``matrix`` is one (n, n) matrix, for n eigenvalues, or a (k, n, n) stack,
@@ -84,10 +84,10 @@ def eigenvalues_symmetric(matrix, sweep_cap=_JACOBI_SWEEP_CAP):
     A round costs about the same for a stack as for one matrix at small
     orders, where numpy dispatch rather than arithmetic sets its cost.
 
-    Raises :class:`NoConvergenceError` if ``sweep_cap`` sweeps do not bring
-    every member to its target (does not happen for finite symmetric input in
-    practice; the cap is a hard safety stop), and ``ValueError`` above order
-    900.
+    Raises :class:`NoConvergenceError` if ``_JACOBI_SWEEP_CAP`` (100) sweeps
+    do not bring every member to its target (does not happen for finite
+    symmetric input in practice; the cap is a hard safety stop), and
+    ``ValueError`` above order 900.
     """
     a = _as_square_matrix(matrix, stacked=True)
     n = a.shape[-1]
@@ -132,7 +132,7 @@ def eigenvalues_symmetric(matrix, sweep_cap=_JACOBI_SWEEP_CAP):
         return _offdiag_norm(b[j, :sq].reshape(order, order)) > target[j]
 
     live = list(range(k))  # members still above their target
-    for _ in range(sweep_cap):
+    for _ in range(_JACOBI_SWEEP_CAP):
         settled = [j for j in live if not above_target(j)]
         live = [j for j in live if j not in settled]
         if not live:
@@ -164,7 +164,7 @@ def eigenvalues_symmetric(matrix, sweep_cap=_JACOBI_SWEEP_CAP):
             np.take(cols, perm, axis=1, out=b, mode="wrap")
     else:
         if any(above_target(j) for j in live):
-            raise NoConvergenceError(f"Jacobi did not converge within {sweep_cap} sweeps (n={n})")
+            raise NoConvergenceError(f"Jacobi did not converge within {_JACOBI_SWEEP_CAP} sweeps (n={n})")
     # Whole sweeps return every row to its place, so the padding row is last.
     eigs = np.sort(b[:, : sq : order + 1][:, :n])
     return eigs if a.ndim == 3 else eigs[0]

@@ -14,11 +14,10 @@ import numpy as np
 from . import linalg
 from .graphs import adjacency_matrix, check_dense_budget, connected_regular_degree, degree_sequence, line_graph
 from .indices import degree_index
-from .transforms import shadow, splitting
+from .transforms import K_KINDS, shadow, splitting
 
 CLOSED_FORM_KINDS = ("regular_scaled", "complete", "cycle", "star", "complete_bipartite")
 LIFT_KINDS = ("subdivision", "semitotal_point", "semitotal_line")
-ENERGY_PREDICTION_KINDS = ("splitting", "shadow")
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,15 @@ def abs_matrix(graph):
         a[u, v] = w
         a[v, u] = w
     return a
+
+
+def graph_matrix(graph, kind):
+    """Dense matrix of a graph by kind, ``"abs"`` or ``"adjacency"``."""
+    if kind == "abs":
+        return abs_matrix(graph)
+    if kind == "adjacency":
+        return adjacency_matrix(graph)
+    raise ValueError(f"unknown matrix selector {kind!r}; expected 'abs' or 'adjacency'")
 
 
 def adjacency_spectrum(graph):
@@ -135,35 +143,24 @@ def closed_form_abs_spectrum(kind, *params):
 def path_abs_charpoly(n):
     """ABS characteristic polynomial of the n-vertex path via the tridiagonal recurrence.
 
-    Valid for n >= 5. With Omega_0 = 1, Omega_1 = x, Omega_2 = x^2 - 1/2 and
-    Omega_m = x*Omega_{m-1} - (1/2)*Omega_{m-2}, the polynomial is
-    ``x^2*Omega_{n-2} - (2/3)*x*Omega_{n-3} + (1/9)*Omega_{n-4}``.
+    Valid for n >= 5. With Omega_0 = 1, Omega_1 = x and
+    Omega_m = x*Omega_{m-1} - (1/2)*Omega_{m-2}, so Omega_2 = x^2 - 1/2, the
+    polynomial is ``x^2*Omega_{n-2} - (2/3)*x*Omega_{n-3} + (1/9)*Omega_{n-4}``.
     Omega_0 = 1 is forced by consistency with the determinant recurrence of
     tridiagonal matrices; it is needed exactly when n = 5.
     """
     if n < 5:
         raise ValueError(f"path recurrence is defined for n >= 5, got {n}")
-    omegas = [np.array([1.0]), np.array([0.0, 1.0]), np.array([-0.5, 0.0, 1.0])]
-    for m in range(3, n - 1):
-        prev, prev2 = omegas[m - 1], omegas[m - 2]
+    omegas = [np.array([1.0]), np.array([0.0, 1.0])]
+    for m in range(2, n - 1):
         coeffs = np.zeros(m + 1)
-        coeffs[1:] = prev
-        coeffs[: m - 1] -= 0.5 * prev2
+        coeffs[1:] = omegas[m - 1]
+        coeffs[: m - 1] -= 0.5 * omegas[m - 2]
         omegas.append(coeffs)
-
-    def shifted(coeffs, k, scale):
-        out = np.zeros(k + coeffs.size)
-        out[k:] = scale * coeffs
-        return out
-
-    terms = [
-        shifted(omegas[n - 2], 2, 1.0),
-        shifted(omegas[n - 3], 1, -2.0 / 3.0),
-        shifted(omegas[n - 4], 0, 1.0 / 9.0),
-    ]
     result = np.zeros(n + 1)
-    for t in terms:
-        result[: t.size] += t
+    result[2:] += omegas[n - 2]
+    result[1 : n - 1] += -2.0 / 3.0 * omegas[n - 3]
+    result[: n - 3] += 1.0 / 9.0 * omegas[n - 4]
     return result
 
 
@@ -276,8 +273,8 @@ def predicted_energy(kind, graph, k, spectrum_of=adjacency_spectrum):
     maps a graph to its adjacency spectrum; the verifier passes its per-run
     memo.
     """
-    if kind not in ENERGY_PREDICTION_KINDS:
-        raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {ENERGY_PREDICTION_KINDS}")
+    if kind not in K_KINDS:
+        raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
     if k < 1:
         raise ValueError(f"energy prediction needs k >= 1, got {k}")
     r = _require_connected_regular(graph, f"{kind} energy prediction")
@@ -300,17 +297,12 @@ def spectrum_report(graph, which="abs"):
     eigenvalues) and ``harmonic_check`` (``2*(m - H(G))``, the closed form the
     ABS trace square must equal).
     """
-    if which == "abs":
-        report = abs_energy(graph)
-    elif which == "adjacency":
-        report = adjacency_energy(graph)
-    else:
-        raise ValueError(f"unknown matrix selector {which!r}; expected 'abs' or 'adjacency'")
-    trace_sq = math.fsum((x * x for x in report.spectrum.tolist()))
+    spectrum = linalg.eigenvalues_symmetric(graph_matrix(graph, which))
+    trace_sq = math.fsum((x * x for x in spectrum.tolist()))
     harmonic_check = 2.0 * (graph.m - degree_index(graph, "harmonic"))
     return {
-        "spectrum": report.spectrum.tolist(),
-        "energy": report.energy,
+        "spectrum": spectrum.tolist(),
+        "energy": _energy(spectrum),
         "trace_sq": trace_sq,
         "harmonic_check": harmonic_check,
     }

@@ -9,18 +9,20 @@ the resulting matrices is literal:
   ``c in 1..k`` at ``c*n .. c*n + n - 1``;
 * ``shadow(G, k)`` puts copy ``c in 0..k-1`` at ``c*n .. c*n + n - 1``.
 
-Each transform checks the edge count of its result against the graph edge
-budget before it builds anything.
+Each transform checks the edge and vertex counts of its result against the
+graph budgets before it builds anything.
 """
 
-from .graphs import Graph, check_edge_budget, line_graph_edge_count, line_pairs
+from .graphs import Graph, check_budget, line_graph_edge_count, line_pairs
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
+# The transforms that take a copy count k.
+K_KINDS = ("splitting", "shadow")
 
 
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
-    check_edge_budget(2 * graph.m, "subdivision")
+    check_budget(2 * graph.m, graph.n + graph.m, "subdivision")
     n = graph.n
     pairs = []
     for j, (u, v) in enumerate(graph.edges):
@@ -35,7 +37,7 @@ def semitotal_point(graph):
     Original vertex degrees double; edge-vertices have degree 2. The result
     has n + m vertices and 3m edges.
     """
-    check_edge_budget(3 * graph.m, "semitotal_point")
+    check_budget(3 * graph.m, graph.n + graph.m, "semitotal_point")
     n = graph.n
     pairs = list(graph.edges)
     for j, (u, v) in enumerate(graph.edges):
@@ -50,7 +52,7 @@ def semitotal_line(graph):
     Original vertices keep their degree; the vertex for edge uv gets degree
     d(u) + d(v).
     """
-    check_edge_budget(line_graph_edge_count(graph) + 2 * graph.m, "semitotal_line")
+    check_budget(line_graph_edge_count(graph) + 2 * graph.m, graph.n + graph.m, "semitotal_line")
     n = graph.n
     pairs = list(line_pairs(graph, n))
     for j, (u, v) in enumerate(graph.edges):
@@ -67,7 +69,7 @@ def splitting(graph, k):
     """
     if k < 1:
         raise ValueError(f"splitting needs k >= 1, got {k}")
-    check_edge_budget((2 * k + 1) * graph.m, f"splitting with k={k}")
+    check_budget((2 * k + 1) * graph.m, (k + 1) * graph.n, f"splitting with k={k}")
     n = graph.n
     pairs = list(graph.edges)
     for c in range(1, k + 1):
@@ -88,10 +90,11 @@ def shadow(graph, k):
         raise ValueError(f"shadow needs k >= 1, got {k}")
     if k == 1:
         return graph
-    check_edge_budget(k * k * graph.m, f"shadow with k={k}")
+    check_budget(k * k * graph.m, k * graph.n, f"shadow with k={k}")
     n = graph.n
     pairs = []
-    for c in range(k):
+    # an edgeless graph gets no pairs, so skip its k^2 empty copy pairs
+    for c in range(k if graph.m else 0):
         for cp in range(k):
             for u, v in graph.edges:
                 pairs.append((c * n + u, cp * n + v))
@@ -99,15 +102,13 @@ def shadow(graph, k):
 
 
 def apply_transform(kind, graph, k=None):
-    """Dispatch a transform by name; ``k`` is required for splitting and shadow."""
+    """Dispatch a transform by name; the K_KINDS, splitting and shadow, require the copy count ``k``."""
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown transform {kind!r}; expected one of {TRANSFORM_KINDS}")
+    if kind in K_KINDS:
+        if k is None:
+            raise ValueError(f"{kind} requires the copy count k")
+        return splitting(graph, k) if kind == "splitting" else shadow(graph, k)
     if kind == "subdivision":
         return subdivision(graph)
-    if kind == "semitotal_point":
-        return semitotal_point(graph)
-    if kind == "semitotal_line":
-        return semitotal_line(graph)
-    if k is None:
-        raise ValueError(f"{kind} requires the copy count k")
-    return splitting(graph, k) if kind == "splitting" else shadow(graph, k)
+    return semitotal_point(graph) if kind == "semitotal_point" else semitotal_line(graph)

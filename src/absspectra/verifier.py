@@ -41,6 +41,7 @@ from .spectra import (
     _energy,
     abs_matrix,
     closed_form_abs_spectrum,
+    graph_matrix,
     lift_base_graph,
     lift_coefficients,
     lift_quadratic,
@@ -151,15 +152,11 @@ class _Spectra:
         self._spectra = {}
         self._charpolys = {}
 
-    @staticmethod
-    def _matrix(graph, kind):
-        return abs_matrix(graph) if kind == "abs" else adjacency_matrix(graph)
-
     def _lookup(self, table, graph, kind, solve):
         key = (graph, kind)
         value = table.get(key)
         if value is None:
-            value = solve(self._matrix(graph, kind))
+            value = solve(graph_matrix(graph, kind))
             value.flags.writeable = False
             table[key] = value
         return value
@@ -186,7 +183,7 @@ class _Spectra:
                 groups.setdefault(key[0].n, []).append(key)
         for group in groups.values():
             try:
-                rows = linalg.eigenvalues_symmetric(np.stack([self._matrix(*key) for key in group]))
+                rows = linalg.eigenvalues_symmetric(np.stack([graph_matrix(*key) for key in group]))
             except Exception:  # left to the lazy path, which reports it per caller
                 continue
             rows.flags.writeable = False

@@ -9,13 +9,13 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from absspectra import Graph, apply_transform, generate, load_graph, to_edge_list_text
-from absspectra import CheckId, cli, graphs, linalg
+from absspectra import CheckId, cli, graphs, linalg, run_check
 from absspectra.cli import GraphSpecError, _JsonText, build_parser, main, parse_graph_spec
 from absspectra.graphs import GENERATOR_KINDS, adjacency_matrix, to_json_dict, to_json_text
 from absspectra.indices import all_indices
 from absspectra.linalg import char_poly, eigenvalues_symmetric, poly_from_roots
 from absspectra.spectra import abs_matrix, path_abs_charpoly, spectrum_report
-from absspectra.transforms import TRANSFORM_KINDS
+from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
 
 from conftest import json_ready_reference
 
@@ -309,15 +309,14 @@ def _nested_spec(head, depth, base):
 
 
 @pytest.mark.parametrize("head", ["shadow", "subdivision"])
-def test_deep_graph_spec_exits_2(head):
-    cap = cli._SPEC_DEPTH_CAP
+def test_deep_graph_spec_parses_to_its_base(head):
     base = "cycle:3" if head == "shadow" else "path:1"  # neither grows under its head
-    assert parse_graph_spec(_nested_spec(head, cap, base)) == parse_graph_spec(base)
-    with pytest.raises(GraphSpecError, match="nests more than"):
-        parse_graph_spec(_nested_spec(head, cap + 1, base))
-    # far past Python's recursion limit: refused as a usage error, not a crash
-    code, out, err = run_cli("transform", "shadow", "--k", "1", "--graph", _nested_spec(head, 1200, base))
-    assert code == 2 and out == "" and "nests more than" in err
+    # the grammar sets no nesting limit; 1,200 levels is far past Python's recursion limit
+    for depth in (65, 1200):
+        spec = _nested_spec(head, depth, base)
+        assert parse_graph_spec(spec) == parse_graph_spec(base)
+        code, out, err = run_cli("transform", "shadow", "--k", "1", "--graph", spec)
+        assert (code, out, err) == (0, to_json_text(parse_graph_spec(base)) + "\n", "")
 
 
 def test_graph_spec_file(tmp_path):
@@ -428,6 +427,37 @@ def test_graph_spec_fuzz_exits_0_or_2(tmp_path, monkeypatch):
     check()
 
 
+def test_graph_spec_matches_direct_calls(tmp_path, monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    monkeypatch.chdir(tmp_path)
+    files = {"g.txt": to_edge_list_text(generate("cycle", 5)), "a:b.json": json.dumps(to_json_dict(generate("star", 4)))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    size = st.integers(1, 4)
+    base = st.one_of(
+        st.tuples(st.sampled_from(("complete", "path", "star")), size),
+        st.tuples(st.just("cycle"), st.integers(3, 5)),
+        st.tuples(st.just("complete_bipartite"), size, size),
+        st.tuples(st.just("file"), st.sampled_from(sorted(files))),
+    )
+    # (kind, k) transform layers, outermost first; k means nothing to the lifts
+    layers = st.lists(st.tuples(st.sampled_from(TRANSFORM_KINDS), st.integers(1, 2)), max_size=3)
+
+    @hyp.settings(derandomize=True, deadline=None)
+    @hyp.given(base, layers)
+    def check(base, layers):
+        head, *params = base
+        graph = load_graph(params[0]) if head == "file" else generate(head, *params)
+        for kind, k in reversed(layers):
+            graph = apply_transform(kind, graph, k)
+        k_tokens = [f"k={k}" for kind, k in reversed(layers) if kind in K_KINDS]
+        spec = ":".join([kind for kind, _ in layers] + [head, *map(str, params)] + k_tokens)
+        assert parse_graph_spec(spec) == graph
+
+    check()
+
+
 def test_charpoly_recurrence_requires_abs_path():
     code, _, err = run_cli("charpoly", "--adjacency", "--graph", "path:6", "--via", "recurrence")
     assert code == 2 and "ABS" in err
@@ -477,6 +507,45 @@ def test_edge_budget_fails_fast(argv):
     code, out, err = run_cli(*argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "budget" in err
+
+
+def test_vertex_budget_fails_fast(tmp_path):
+    (tmp_path / "big.txt").write_text("100000000 0\n")
+    (tmp_path / "big.json").write_text('{"n": 100000000, "edges": []}')
+    specs = [f"file:{tmp_path / name}" for name in ("big.txt", "big.json")]
+    specs += ["splitting:path:1:k=100000000", "shadow:path:1:k=100000000", "path:100000000"]
+    specs += [f"{kind}:file:{tmp_path / 'big.txt'}" for kind in ("subdivision", "semitotal_point", "semitotal_line")]
+    for spec in specs:
+        start = time.perf_counter()
+        code, out, err = run_cli("indices", "--graph", spec)
+        assert time.perf_counter() - start < 2.0, spec
+        assert code == 2 and out == "" and "budget" in err, spec
+    code, out, err = run_cli("load", str(tmp_path / "big.txt"))
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_shadow_of_edgeless_graph_is_fast():
+    start = time.perf_counter()
+    code, out, err = run_cli("indices", "--graph", "shadow:path:1:k=100000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and not err and set(json.loads(out).values()) == {0.0}
+
+
+@pytest.mark.parametrize("text", ['{"n": 3, "edges": [0, 1]}', '{"n": 3, "edges": null}', '{"n": 3, "edges": [[0, 1, 2]]}'])
+def test_malformed_json_edges_exit_2(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (("load", str(path)), ("indices", "--graph", f"file:{path}")):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_refuses_k_below_1():
+    code, out, err = run_cli("verify", "--check", "THM_SPLIT_ENERGY", "--graph", "cycle:4", "--k", "0")
+    assert code == 2 and out == "" and "k >= 1" in err
+    # callers of run_check still get an error verdict, not an exception
+    reports = run_check("THM_SPLIT_ENERGY", generate("cycle", 4), {"k": 0})
+    assert {r.verdict for r in reports} == {"error"}
 
 
 def test_verify_as_printed_failures_do_not_flip_exit_code():

@@ -88,6 +88,18 @@ def test_graph_rejects_non_integral_vertex_ids():
         Graph(3, [(0, 1.0)])
 
 
+def test_graph_rejects_malformed_pairs():
+    for pairs in (None, 5):
+        with pytest.raises(ValueError, match="iterable of vertex pairs"):
+            Graph(3, pairs)
+    for pairs in ([0, 1], [(0, 1, 2)], [(0,)], [None]):
+        with pytest.raises(ValueError, match="pair of vertex ids"):
+            Graph(3, pairs)
+    for edges in ([0, 1], None):
+        with pytest.raises(ValueError):
+            from_json_dict({"n": 3, "edges": edges})
+
+
 def test_from_json_dict_rejects_non_integral_values():
     with pytest.raises(ValueError, match="vertex count"):
         from_json_dict({"n": 2.9, "edges": [[0, 1]]})
@@ -162,6 +174,25 @@ def test_edge_budget_uses_exact_counts(monkeypatch):
             build()
         monkeypatch.setattr(graphs, "EDGE_BUDGET", m)
         assert build().m == m
+        monkeypatch.undo()
+
+
+def test_vertex_budget_uses_exact_counts(monkeypatch):
+    # a budget equal to the vertex count builds the graph; one vertex less is refused
+    builders = [
+        functools.partial(generate, kind, *params)
+        for kind, params in (
+            ("complete", (7,)), ("cycle", (7,)), ("path", (7,)), ("star", (7,)), ("complete_bipartite", (3, 4)),
+        )
+    ]
+    builders += [functools.partial(Graph, 7), functools.partial(parse_edge_list_text, "7 0\n")]
+    for build in builders:
+        n = build().n
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", n - 1)
+        with pytest.raises(ValueError, match="budget"):
+            build()
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", n)
+        assert build().n == n
         monkeypatch.undo()
 
 

@@ -65,11 +65,12 @@ def test_eigenvalues_order_cap():
         eigenvalues_symmetric(np.zeros((cap + 1, cap + 1)))
 
 
-def test_eigenvalues_sweep_cap():
+def test_eigenvalues_sweep_cap(monkeypatch):
     rng = random.Random(1)
+    monkeypatch.setattr(linalg, "_JACOBI_SWEEP_CAP", 0)
     for n in (5, 6):
         with pytest.raises(NoConvergenceError):
-            eigenvalues_symmetric(_random_symmetric(rng, n), sweep_cap=0)
+            eigenvalues_symmetric(_random_symmetric(rng, n))
 
 
 def _cyclic_jacobi_reference(matrix):
@@ -244,10 +245,12 @@ def test_stacked_members_equal_their_solo_solves(n):
 def _sweeps_needed(matrix):
     """Fewest sweeps that bring ``matrix``, or every member of a stack, to its target."""
     for cap in range(linalg._JACOBI_SWEEP_CAP + 1):
-        try:
-            eigenvalues_symmetric(matrix, sweep_cap=cap)
-        except NoConvergenceError:
-            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_JACOBI_SWEEP_CAP", cap)
+            try:
+                eigenvalues_symmetric(matrix)
+            except NoConvergenceError:
+                continue
         return cap
 
 
@@ -260,7 +263,7 @@ def test_stack_runs_until_its_slowest_member_converges(n):
     assert _sweeps_needed(np.stack(list(members.values()))) == needed["random"]
 
 
-def test_stack_validation_and_caps():
+def test_stack_validation_and_caps(monkeypatch):
     rng = random.Random(7)
     good = _random_symmetric(rng, 4)
     nan = good.copy()
@@ -273,8 +276,9 @@ def test_stack_validation_and_caps():
     for shape in ((2, 3, 4), (1, 2, 3, 3), (3,)):
         with pytest.raises(ValueError, match="square"):
             eigenvalues_symmetric(np.zeros(shape))
-    with pytest.raises(NoConvergenceError):
-        eigenvalues_symmetric(np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), good]), sweep_cap=1)
+    with monkeypatch.context() as mp, pytest.raises(NoConvergenceError):
+        mp.setattr(linalg, "_JACOBI_SWEEP_CAP", 1)
+        eigenvalues_symmetric(np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), good]))
     assert eigenvalues_symmetric(np.zeros((0, 4, 4))).shape == (0, 4)
     cap = linalg._JACOBI_ORDER_CAP
     np.testing.assert_array_equal(eigenvalues_symmetric(np.zeros((2, cap, cap))), np.zeros((2, cap)))

@@ -261,6 +261,23 @@ def test_apply_transform_edge_budget_uses_exact_counts(monkeypatch):
                 monkeypatch.undo()
 
 
+def test_apply_transform_vertex_budget_uses_exact_counts(monkeypatch):
+    # a budget equal to the result's vertex count builds it; one vertex less is
+    # refused by the transform itself, before it builds anything
+    rng = random.Random(29)
+    bases = [random_graph(rng, 7) for _ in range(4)] + [Graph(5)]
+    for g in bases:
+        for kind in transforms.TRANSFORM_KINDS:
+            for k in (2, 3) if kind in transforms.K_KINDS else (None,):
+                n = apply_transform(kind, g, k).n
+                monkeypatch.setattr(graphs, "VERTEX_BUDGET", n - 1)
+                with pytest.raises(ValueError, match=f"^{kind}.* vertices, over the budget"):
+                    apply_transform(kind, g, k)
+                monkeypatch.setattr(graphs, "VERTEX_BUDGET", n)
+                assert apply_transform(kind, g, k).n == n
+                monkeypatch.undo()
+
+
 def test_transform_adjacency_lists_ascending():
     rng = random.Random(37)
     bases = [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(12)]
