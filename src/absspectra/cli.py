@@ -31,7 +31,7 @@ from .verifier import (
     DEFAULT_TOL,
     K_CHECKS,
     CheckId,
-    _fmt15,
+    _csv_cell,
     _round15,
     default_suite,
     has_key_failure,
@@ -146,35 +146,29 @@ def _cmd_transform(args):
     return 0
 
 
-def _cmd_matrix(args):
-    matrix = graph_matrix(parse_graph_spec(args.graph), args.matrix)
+def _emit(args, value, rows):
+    """Print ``value`` as JSON, or with ``--csv`` each row of ``rows`` as its ``_csv_cell`` texts joined by commas."""
     if args.csv:
-        for row in matrix:
-            print(",".join(_fmt15(v) for v in row))
+        for row in rows:
+            print(",".join(map(_csv_cell, row)))
     else:
-        print(_JsonText().text({"order": matrix.shape[0], "rows": matrix.tolist()}))
+        print(_JsonText().text(value))
     return 0
+
+
+def _cmd_matrix(args):
+    rows = graph_matrix(parse_graph_spec(args.graph), args.matrix).tolist()
+    return _emit(args, {"order": len(rows), "rows": rows}, rows)
 
 
 def _cmd_spectrum(args):
     report = spectrum_report(parse_graph_spec(args.graph), args.matrix)
-    if args.csv:
-        print("spectrum," + ",".join(_fmt15(v) for v in report["spectrum"]))
-        for key in ("energy", "trace_sq", "harmonic_check"):
-            print(f"{key},{_fmt15(report[key])}")
-    else:
-        print(_JsonText().text(report))
-    return 0
+    return _emit(args, report, report.items())
 
 
 def _cmd_indices(args):
     values = all_indices(parse_graph_spec(args.graph))
-    if args.csv:
-        for kind, value in values.items():
-            print(f"{kind},{_fmt15(value)}")
-    else:
-        print(_JsonText().text(values))
-    return 0
+    return _emit(args, values, values.items())
 
 
 def _cmd_charpoly(args):
@@ -190,11 +184,8 @@ def _cmd_charpoly(args):
         if "path" not in families(graph):
             raise ValueError("--via recurrence needs a path graph")
         coeffs = path_abs_charpoly(graph.n)
-    if args.csv:
-        print("coeffs," + ",".join(_fmt15(v) for v in coeffs))
-    else:
-        print(_JsonText().text({"order": len(coeffs) - 1, "coeffs": coeffs.tolist()}))
-    return 0
+    coeffs = coeffs.tolist()
+    return _emit(args, {"order": len(coeffs) - 1, "coeffs": coeffs}, [("coeffs", coeffs)])
 
 
 def _cmd_verify(args):

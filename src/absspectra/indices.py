@@ -9,8 +9,6 @@ import math
 
 from .graphs import degree_sequence
 
-INDEX_KINDS = ("M1", "M2", "randic", "harmonic", "modified_second_zagreb", "abc", "abs")
-
 _EDGE_TERMS = {
     "M1": lambda di, dj: float(di + dj),
     "M2": lambda di, dj: float(di * dj),
@@ -20,6 +18,7 @@ _EDGE_TERMS = {
     "abc": lambda di, dj: math.sqrt((di + dj - 2.0) / (di * dj)),
     "abs": lambda di, dj: math.sqrt((di + dj - 2.0) / (di + dj)),
 }
+INDEX_KINDS = tuple(_EDGE_TERMS)
 
 
 def degree_index(graph, kind):

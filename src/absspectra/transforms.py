@@ -13,6 +13,8 @@ Each transform checks the edge and vertex counts of its result against the
 graph budgets before it builds anything.
 """
 
+from itertools import chain
+
 from .graphs import Graph, check_budget, line_graph_edge_count, line_pairs
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
@@ -20,15 +22,17 @@ TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splittin
 K_KINDS = ("splitting", "shadow")
 
 
+def _edge_vertex_pairs(graph):
+    """``(u, n + j)`` and ``(v, n + j)`` for each edge j = uv, joining edge-vertex n + j to both endpoints."""
+    for j, (u, v) in enumerate(graph.edges, graph.n):
+        yield u, j
+        yield v, j
+
+
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
     check_budget(2 * graph.m, graph.n + graph.m, "subdivision")
-    n = graph.n
-    pairs = []
-    for j, (u, v) in enumerate(graph.edges):
-        pairs.append((u, n + j))
-        pairs.append((v, n + j))
-    return Graph(n + graph.m, pairs)
+    return Graph(graph.n + graph.m, _edge_vertex_pairs(graph))
 
 
 def semitotal_point(graph):
@@ -38,12 +42,7 @@ def semitotal_point(graph):
     has n + m vertices and 3m edges.
     """
     check_budget(3 * graph.m, graph.n + graph.m, "semitotal_point")
-    n = graph.n
-    pairs = list(graph.edges)
-    for j, (u, v) in enumerate(graph.edges):
-        pairs.append((u, n + j))
-        pairs.append((v, n + j))
-    return Graph(n + graph.m, pairs)
+    return Graph(graph.n + graph.m, chain(graph.edges, _edge_vertex_pairs(graph)))
 
 
 def semitotal_line(graph):
@@ -53,12 +52,7 @@ def semitotal_line(graph):
     d(u) + d(v).
     """
     check_budget(line_graph_edge_count(graph) + 2 * graph.m, graph.n + graph.m, "semitotal_line")
-    n = graph.n
-    pairs = list(line_pairs(graph, n))
-    for j, (u, v) in enumerate(graph.edges):
-        pairs.append((u, n + j))
-        pairs.append((v, n + j))
-    return Graph(n + graph.m, pairs)
+    return Graph(graph.n + graph.m, chain(line_pairs(graph, graph.n), _edge_vertex_pairs(graph)))
 
 
 def splitting(graph, k):

@@ -15,13 +15,12 @@ two runs over the same inputs produce identical reports.
 """
 
 import csv
+import dataclasses
 import enum
 import functools
 import io
 import json
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -67,26 +66,7 @@ _SAMPLE_POINTS = (
 )
 
 
-class CheckId(enum.Enum):
-    LEM_INCIDENCE_REG = "LEM_INCIDENCE_REG"
-    LEM_INCIDENCE_LINE = "LEM_INCIDENCE_LINE"
-    LEM_SCHUR = "LEM_SCHUR"
-    THM_REG_SCALING = "THM_REG_SCALING"
-    THM_SUBDIVISION = "THM_SUBDIVISION"
-    THM_SEMITOTAL_POINT = "THM_SEMITOTAL_POINT"
-    THM_SEMITOTAL_LINE = "THM_SEMITOTAL_LINE"
-    THM_PATH_RECURRENCE = "THM_PATH_RECURRENCE"
-    THM_COMPLETE = "THM_COMPLETE"
-    THM_CYCLE = "THM_CYCLE"
-    THM_KMN = "THM_KMN"
-    THM_STAR = "THM_STAR"
-    THM_TRACE_HARMONIC = "THM_TRACE_HARMONIC"
-    THM_R1_BOUND = "THM_R1_BOUND"
-    THM_SPLIT_ENERGY = "THM_SPLIT_ENERGY"
-    THM_SHADOW_ENERGY = "THM_SHADOW_ENERGY"
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckReport:
     """Verdict record for one check variant on one graph."""
 
@@ -411,27 +391,30 @@ def _energy_check(kind):
 _SINGLE = ("single",)
 _BOTH = ("corrected", "as_printed")
 
+# name -> (variants, check function), in report order; CheckId is built from it.
+_CHECKS = {
+    "LEM_INCIDENCE_REG": (_SINGLE, _chk_incidence_reg),
+    "LEM_INCIDENCE_LINE": (_SINGLE, _chk_incidence_line),
+    "LEM_SCHUR": (_SINGLE, _chk_schur),
+    "THM_REG_SCALING": (_BOTH, _chk_reg_scaling),
+    "THM_SUBDIVISION": (_BOTH, _lift_check("subdivision")),
+    "THM_SEMITOTAL_POINT": (_BOTH, _lift_check("semitotal_point")),
+    "THM_SEMITOTAL_LINE": (_BOTH, _lift_check("semitotal_line")),
+    "THM_PATH_RECURRENCE": (_SINGLE, _chk_path_recurrence),
+    "THM_COMPLETE": (_SINGLE, _closed_form_check("complete")),
+    "THM_CYCLE": (_SINGLE, _closed_form_check("cycle")),
+    "THM_KMN": (_SINGLE, _closed_form_check("complete_bipartite")),
+    "THM_STAR": (_SINGLE, _closed_form_check("star")),
+    "THM_TRACE_HARMONIC": (_SINGLE, _chk_trace_harmonic),
+    "THM_R1_BOUND": (_BOTH, _chk_r1_bound),
+    "THM_SPLIT_ENERGY": (_BOTH, _energy_check("splitting")),
+    "THM_SHADOW_ENERGY": (_BOTH, _energy_check("shadow")),
+}
+
+CheckId = enum.Enum("CheckId", [(name, name) for name in _CHECKS], module=__name__)
+
 # The checks that read ``params["k"]``; the copy count means nothing to the others.
 K_CHECKS = (CheckId.THM_SPLIT_ENERGY, CheckId.THM_SHADOW_ENERGY)
-
-_CHECKS = {
-    CheckId.LEM_INCIDENCE_REG: (_SINGLE, _chk_incidence_reg),
-    CheckId.LEM_INCIDENCE_LINE: (_SINGLE, _chk_incidence_line),
-    CheckId.LEM_SCHUR: (_SINGLE, _chk_schur),
-    CheckId.THM_REG_SCALING: (_BOTH, _chk_reg_scaling),
-    CheckId.THM_SUBDIVISION: (_BOTH, _lift_check("subdivision")),
-    CheckId.THM_SEMITOTAL_POINT: (_BOTH, _lift_check("semitotal_point")),
-    CheckId.THM_SEMITOTAL_LINE: (_BOTH, _lift_check("semitotal_line")),
-    CheckId.THM_PATH_RECURRENCE: (_SINGLE, _chk_path_recurrence),
-    CheckId.THM_COMPLETE: (_SINGLE, _closed_form_check("complete")),
-    CheckId.THM_CYCLE: (_SINGLE, _closed_form_check("cycle")),
-    CheckId.THM_KMN: (_SINGLE, _closed_form_check("complete_bipartite")),
-    CheckId.THM_STAR: (_SINGLE, _closed_form_check("star")),
-    CheckId.THM_TRACE_HARMONIC: (_SINGLE, _chk_trace_harmonic),
-    CheckId.THM_R1_BOUND: (_BOTH, _chk_r1_bound),
-    CheckId.THM_SPLIT_ENERGY: (_BOTH, _energy_check("splitting")),
-    CheckId.THM_SHADOW_ENERGY: (_BOTH, _energy_check("shadow")),
-}
 
 
 def _error(exc, tol):
@@ -470,7 +453,7 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     params = dict(params or {})
     descriptor = params.get("descriptor") or describe_graph(graph)
-    variants, func = _CHECKS[check]
+    variants, func = _CHECKS[check.value]
     try:
         outcomes = func(graph, params, tol, _Spectra() if _memo is None else _memo)
     except Exception as exc:  # shared work failed -> every variant records it
@@ -542,16 +525,8 @@ def _fmt15(x):
 
 def report_to_dict(report):
     """JSON-ready dict with floats rounded to 15 significant digits."""
-    return {
-        "check": report.check,
-        "variant": report.variant,
-        "graph_descriptor": report.graph_descriptor,
-        "applicable": report.applicable,
-        "verdict": report.verdict,
-        "max_deviation": _round15(report.max_deviation),
-        "tolerance": _round15(report.tolerance),
-        "details": report.details,
-    }
+    rounded = {"max_deviation": _round15(report.max_deviation), "tolerance": _round15(report.tolerance)}
+    return {**vars(report), **rounded}
 
 
 def reports_to_json(reports):
@@ -559,26 +534,22 @@ def reports_to_json(reports):
     return json.dumps([report_to_dict(r) for r in reports], indent=2)
 
 
+def _csv_cell(value):
+    """CSV text of a cell: a bool as true/false, a float by ``_fmt15``, a list as its floats joined by commas."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(_fmt15, value))
+    return _fmt15(value) if isinstance(value, float) else value
+
+
 def reports_to_csv(reports):
     """CSV mirror: header plus one row per report."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["check", "variant", "graph_descriptor", "applicable", "verdict", "max_deviation", "tolerance", "details"]
-    )
-    for r in reports:
-        writer.writerow(
-            [
-                r.check,
-                r.variant,
-                r.graph_descriptor,
-                str(r.applicable).lower(),
-                r.verdict,
-                _fmt15(r.max_deviation),
-                _fmt15(r.tolerance),
-                r.details,
-            ]
-        )
+    names = [field.name for field in dataclasses.fields(CheckReport)]
+    writer.writerow(names)
+    writer.writerows([_csv_cell(getattr(r, name)) for name in names] for r in reports)
     return buf.getvalue()
 
 
