@@ -334,6 +334,9 @@ def to_json_text(graph):
 
 def from_json_dict(data):
     """Inverse of :func:`to_json_dict`."""
+    for key in ("n", "edges"):
+        if key not in data:
+            raise ValueError(f"graph JSON is missing the key {key!r}")
     return Graph(data["n"], data["edges"])
 
 

@@ -195,22 +195,53 @@ def char_poly(matrix):
     return coeffs
 
 
-def det_lu(matrix):
-    """Determinant via partial-pivot LU elimination."""
-    a = _as_square_matrix(matrix).copy()
-    n = a.shape[0]
-    det = 1.0
-    for col in range(n):
+def _eliminate(a):
+    """Partial-pivot elimination of the n-row array ``a`` in place, to upper triangular first n columns.
+
+    Columns past the n-th, such as right-hand sides, take the same row
+    operations. Returns the sign of the row permutation, or 0.0 at the first
+    exactly zero pivot, where elimination stops.
+    """
+    sign = 1.0
+    for col in range(a.shape[0]):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         if a[piv, col] == 0.0:
             return 0.0
         if piv != col:
             a[[col, piv], :] = a[[piv, col], :]
-            det = -det
-        det *= a[col, col]
+            sign = -sign
         factors = a[col + 1 :, col] / a[col, col]
         a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-    return det
+    return sign
+
+
+def det_lu(matrix):
+    """Determinant via partial-pivot LU elimination."""
+    a = _as_square_matrix(matrix).copy()
+    sign = _eliminate(a)
+    # the pivots multiply in elimination order; a row swap only flips the sign
+    return math.prod(a.diagonal(), start=sign) if sign else 0.0
+
+
+def solve_lu(matrix, rhs):
+    """Solution x of ``matrix @ x = rhs`` by partial-pivot elimination and back substitution.
+
+    ``rhs`` is a vector or a matrix of right-hand-side columns. Raises
+    ``ValueError`` when elimination meets an exactly zero pivot.
+    """
+    a = _as_square_matrix(matrix)
+    n = a.shape[0]
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {b.shape} does not match a matrix of order {n}")
+    aug = np.column_stack([a, b])  # a vector becomes one column
+    if not _eliminate(aug):
+        raise ValueError("matrix is singular")
+    x = aug[:, n:]
+    for row in range(n - 1, -1, -1):
+        x[row] -= aug[row, row + 1 : n] @ x[row + 1 :]
+        x[row] /= aug[row, row]
+    return x.reshape(b.shape)
 
 
 def poly_trim(coeffs):

@@ -233,7 +233,7 @@ def _chk_schur(graph, params, tol, memo):
     n_blk = abs_matrix(graph)
     block = np.block([[m_blk, n_blk], [n_blk, m_blk]])
     lhs = linalg.det_lu(block)
-    rhs = linalg.det_lu(m_blk) * linalg.det_lu(m_blk - n_blk @ np.linalg.solve(m_blk, n_blk))
+    rhs = linalg.det_lu(m_blk) * linalg.det_lu(m_blk - n_blk @ linalg.solve_lu(m_blk, n_blk))
     dev = _scalar_deviation(lhs, rhs)
     return True, dev, tol, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
 

@@ -60,6 +60,15 @@ def test_load_missing_file_exit2(tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text,key", [('{"edges": []}', "n"), ('{"n": 3}', "edges")])
+def test_graph_json_missing_key_names_it(tmp_path, text, key):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    message = f"error: graph JSON is missing the key '{key}'\n"
+    assert run_cli("load", str(path)) == (2, "", message)
+    assert run_cli("indices", "--graph", f"file:{path}") == (2, "", message)
+
+
 def test_transform_subcommand():
     code, out, _ = run_cli("transform", "shadow", "--k", "2", "--graph", "complete:2")
     assert code == 0
@@ -368,6 +377,38 @@ def test_spectrum_and_indices_csv():
     assert code == 0
     values = dict(line.split(",") for line in out.strip().splitlines())
     assert values["M1"] == "6"
+
+
+# --csv text of the numeric commands on K3, written by the per-command branches they replace
+_K3_CSV = {
+    ("matrix", "--abs"): (
+        "0,0.707106781186548,0.707106781186548\n"
+        "0.707106781186548,0,0.707106781186548\n"
+        "0.707106781186548,0.707106781186548,0\n"
+    ),
+    ("spectrum", "--abs"): (
+        "spectrum,-0.707106781186547,-0.707106781186547,1.41421356237309\n"
+        "energy,2.82842712474619\ntrace_sq,3\nharmonic_check,3\n"
+    ),
+    ("indices",): (
+        "M1,12\nM2,12\nrandic,1.5\nharmonic,1.5\nmodified_second_zagreb,0.75\n"
+        "abc,2.12132034355964\nabs,2.12132034355964\n"
+    ),
+    ("charpoly", "--abs"): "coeffs,-0.707106781186548,-1.5,0,1\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_K3_CSV))
+def test_numeric_csv_text_pinned(command):
+    assert run_cli(*command, "--graph", "complete:3", "--csv") == (0, _K3_CSV[command], "")
+
+
+def test_edgeless_spectrum_csv_keeps_its_label_comma(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    code, out, _ = run_cli("spectrum", "--abs", "--graph", f"file:{path}", "--csv")
+    assert (code, out) == (0, "spectrum,\nenergy,0\ntrace_sq,0\nharmonic_check,0\n")
+    assert run_cli("matrix", "--abs", "--graph", f"file:{path}", "--csv") == (0, "", "")
 
 
 def test_charpoly_routes_agree():

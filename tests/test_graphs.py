@@ -107,6 +107,13 @@ def test_from_json_dict_rejects_non_integral_values():
         from_json_dict({"n": 2, "edges": [[0, 1.5]]})
 
 
+def test_from_json_dict_names_a_missing_key():
+    with pytest.raises(ValueError, match="graph JSON is missing the key 'n'"):
+        from_json_dict({"edges": []})
+    with pytest.raises(ValueError, match="graph JSON is missing the key 'edges'"):
+        from_json_dict({"n": 3})
+
+
 def test_graph_accepts_numpy_integer_ids():
     g = Graph(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
     assert g.edges == ((0, 2), (1, 2))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from absspectra import Graph, all_indices, degree_index, generate
+from absspectra.indices import INDEX_KINDS
 from absspectra.spectra import abs_matrix
 
 from conftest import random_graph
@@ -70,3 +71,8 @@ def test_indices_invariant_under_relabeling():
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
         for kind, value in all_indices(g).items():
             assert degree_index(h, kind) == pytest.approx(value, abs=1e-12)
+
+
+def test_index_kinds_in_order():
+    assert INDEX_KINDS == ("M1", "M2", "randic", "harmonic", "modified_second_zagreb", "abc", "abs")
+    assert tuple(all_indices(generate("cycle", 4))) == INDEX_KINDS

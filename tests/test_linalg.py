@@ -397,6 +397,49 @@ def test_schur_complement_determinant_identity():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _det_by_rows(matrix):
+    """det_lu as it was written before its elimination loop was shared with solve_lu."""
+    a = np.array(matrix, dtype=float)
+    det = 1.0
+    for col in range(a.shape[0]):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return 0.0
+        if piv != col:
+            a[[col, piv], :] = a[[piv, col], :]
+            det = -det
+        det *= a[col, col]
+        factors = a[col + 1 :, col] / a[col, col]
+        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
+    return det
+
+
+def test_det_lu_bit_identical_to_row_elimination():
+    rng = np.random.default_rng(58)
+    for trial in range(400):
+        n = int(rng.integers(0, 10))
+        m = rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-30, 30))
+        if trial % 3 == 0:
+            m = rng.integers(-2, 3, (n, n)).astype(float)  # often singular, with swaps and exact zeros
+        got, want = det_lu(m), _det_by_rows(m)
+        assert type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_solve_lu_against_numpy():
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 5, 12):
+        m = rng.standard_normal((n, n)) + n * np.eye(n)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = linalg.solve_lu(m, rhs)
+            assert x.shape == rhs.shape
+            assert np.allclose(x, np.linalg.solve(m, rhs), rtol=1e-12, atol=1e-12)
+    assert linalg.solve_lu(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+    with pytest.raises(ValueError, match="singular"):
+        linalg.solve_lu(np.ones((3, 3)), np.ones(3))
+    with pytest.raises(ValueError, match="does not match"):
+        linalg.solve_lu(np.eye(3), np.ones(2))
+
+
 def test_kron_examples():
     b = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(np.kron(np.eye(2), b), np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]]))

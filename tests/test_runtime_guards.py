@@ -1,0 +1,74 @@
+"""Guards on the runtime routes: no runtime path calls numpy.linalg, and the tracer's hooks resolve."""
+
+import ast
+import importlib
+import io
+import pathlib
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from absspectra import CheckId, cli, default_suite, reports_to_json, run_suite
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# one graph per check on which the check applies
+_CHECK_GRAPHS = {
+    "LEM_INCIDENCE_REG": "cycle:5",
+    "LEM_INCIDENCE_LINE": "cycle:5",
+    "LEM_SCHUR": "cycle:5",
+    "THM_REG_SCALING": "complete:4",
+    "THM_SUBDIVISION": "cycle:5",
+    "THM_SEMITOTAL_POINT": "cycle:5",
+    "THM_SEMITOTAL_LINE": "cycle:5",
+    "THM_PATH_RECURRENCE": "path:6",
+    "THM_COMPLETE": "complete:4",
+    "THM_CYCLE": "cycle:5",
+    "THM_KMN": "complete_bipartite:2:3",
+    "THM_STAR": "star:5",
+    "THM_TRACE_HARMONIC": "path:5",
+    "THM_R1_BOUND": "complete:4",
+    "THM_SPLIT_ENERGY": "cycle:5",
+    "THM_SHADOW_ENERGY": "cycle:5",
+}
+
+
+def _outputs():
+    texts = [reports_to_json(run_suite(default_suite()))]
+    for check, spec in _CHECK_GRAPHS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify", "--check", check, "--graph", spec])
+        texts.append((code, out.getvalue(), err.getvalue()))
+    return texts
+
+
+def test_no_runtime_path_calls_numpy_linalg(monkeypatch):
+    assert list(_CHECK_GRAPHS) == [c.value for c in CheckId]
+    expected = _outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on a runtime path")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError):
+        np.linalg.solve(np.eye(2), np.ones(2))
+    # the checks record an oracle failure as verdict "error", so compare whole outputs
+    assert _outputs() == expected
+    assert '"verdict": "error"' not in expected[0] + "".join(out for _, out, _ in expected[1:])
+
+
+def test_tracer_targets_resolve():
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for module, attribute in targets:
+        owner = importlib.import_module(f"absspectra.{module}")
+        assert callable(getattr(owner, attribute, None)), f"{module}.{attribute}"

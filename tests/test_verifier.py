@@ -1,11 +1,13 @@
 """Check registry behavior: applicability, variants, determinism, serialization."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
 import math
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -225,6 +227,30 @@ def test_csv_floats_print_at_15_digits():
     report = CheckReport("THM_CYCLE", "single", "C5", True, "pass", -0.0, 1.0 / 3.0, "d")
     row = list(csv.reader(io.StringIO(reports_to_csv([report]))))[1]
     assert row[5:7] == ["0", "0.333333333333333"]
+
+
+def test_csv_header_is_the_report_fields():
+    header = reports_to_csv([]).rstrip("\n").split(",")
+    assert header == [field.name for field in dataclasses.fields(CheckReport)]
+    assert header == list(report_to_dict(run_check(CheckId.THM_CYCLE, generate("cycle", 5))[0]))
+
+
+_CHECK_NAMES = (
+    "LEM_INCIDENCE_REG", "LEM_INCIDENCE_LINE", "LEM_SCHUR", "THM_REG_SCALING", "THM_SUBDIVISION",
+    "THM_SEMITOTAL_POINT", "THM_SEMITOTAL_LINE", "THM_PATH_RECURRENCE", "THM_COMPLETE", "THM_CYCLE",
+    "THM_KMN", "THM_STAR", "THM_TRACE_HARMONIC", "THM_R1_BOUND", "THM_SPLIT_ENERGY", "THM_SHADOW_ENERGY",
+)
+
+
+def test_check_ids_members_values_order_and_pickling():
+    assert [c.name for c in CheckId] == list(_CHECK_NAMES)
+    assert [c.value for c in CheckId] == list(_CHECK_NAMES)
+    assert CheckId.__module__ == "absspectra.verifier" and CheckId.__qualname__ == "CheckId"
+    for name in _CHECK_NAMES:
+        check = CheckId[name]
+        assert CheckId(name) is check and getattr(CheckId, name) is check
+        assert pickle.loads(pickle.dumps(check)) is check
+    assert pickle.loads(pickle.dumps(list(CheckId))) == list(CheckId)
 
 
 @pytest.mark.parametrize(
