@@ -196,11 +196,10 @@ def char_poly(matrix):
 
 
 def _eliminate(a):
-    """Partial-pivot elimination of the n-row array ``a`` in place, to upper triangular first n columns.
+    """Partial-pivot elimination of the n-row ``a`` in place, to upper triangular first n columns.
 
-    Columns past the n-th, such as right-hand sides, take the same row
-    operations. Returns the sign of the row permutation, or 0.0 at the first
-    exactly zero pivot, where elimination stops.
+    Later columns (right-hand sides) take the same row operations. Returns the
+    permutation's sign, or 0.0 at the first exactly zero pivot, where it stops.
     """
     sign = 1.0
     for col in range(a.shape[0]):
@@ -224,24 +223,20 @@ def det_lu(matrix):
 
 
 def solve_lu(matrix, rhs):
-    """Solution x of ``matrix @ x = rhs`` by partial-pivot elimination and back substitution.
+    """Solution x of ``matrix @ x = rhs``, for a vector or matrix ``rhs``, by partial-pivot elimination.
 
-    ``rhs`` is a vector or a matrix of right-hand-side columns. Raises
-    ``ValueError`` when elimination meets an exactly zero pivot.
+    Raises ``ValueError`` when elimination meets an exactly zero pivot.
     """
     a = _as_square_matrix(matrix)
-    n = a.shape[0]
-    b = np.asarray(rhs, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(f"right-hand side of shape {b.shape} does not match a matrix of order {n}")
-    aug = np.column_stack([a, b])  # a vector becomes one column
+    aug = np.column_stack([a, rhs])  # a vector becomes one column
     if not _eliminate(aug):
         raise ValueError("matrix is singular")
+    n = a.shape[0]
     x = aug[:, n:]
-    for row in range(n - 1, -1, -1):
+    for row in reversed(range(n)):  # back substitution
         x[row] -= aug[row, row + 1 : n] @ x[row + 1 :]
         x[row] /= aug[row, row]
-    return x.reshape(b.shape)
+    return x.reshape(np.shape(rhs))
 
 
 def poly_trim(coeffs):

@@ -444,16 +444,14 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     Each spectrum and characteristic polynomial is computed once per call;
     ``run_suite`` passes ``_memo`` to share them across its checks.
     """
-    if not isinstance(check, CheckId):
-        try:
-            check = CheckId[str(check)]
-        except KeyError:
-            raise ValueError(f"unknown check id {check!r}") from None
+    name = check.value if isinstance(check, CheckId) else str(check)
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check id {check!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     params = dict(params or {})
     descriptor = params.get("descriptor") or describe_graph(graph)
-    variants, func = _CHECKS[check.value]
+    variants, func = _CHECKS[name]
     try:
         outcomes = func(graph, params, tol, _Spectra() if _memo is None else _memo)
     except Exception as exc:  # shared work failed -> every variant records it
@@ -464,7 +462,7 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
         rows = [_settle(outcome, tol) for outcome in outcomes]
     return [
         CheckReport(
-            check=check.value,
+            check=name,
             variant=variant,
             graph_descriptor=descriptor,
             applicable=applicable,
@@ -502,16 +500,12 @@ def run_suite(entries, tol=DEFAULT_TOL):
 
 def default_suite():
     """The standard corpus: C3..C8, K3..K6, P5..P8, K_{2,3} and S5, with k = 2."""
-    entries = []
-    for n in range(3, 9):
-        entries.append((generate("cycle", n), {"descriptor": f"C{n}", "k": 2}))
-    for n in range(3, 7):
-        entries.append((generate("complete", n), {"descriptor": f"K{n}", "k": 2}))
-    for n in range(5, 9):
-        entries.append((generate("path", n), {"descriptor": f"P{n}", "k": 2}))
-    entries.append((generate("complete_bipartite", 2, 3), {"descriptor": "K_{2,3}", "k": 2}))
-    entries.append((generate("star", 5), {"descriptor": "S5", "k": 2}))
-    return entries
+    members = [("cycle", n) for n in range(3, 9)] + [("complete", n) for n in range(3, 7)]
+    members += [("path", n) for n in range(5, 9)] + [("complete_bipartite", 2, 3), ("star", 5)]
+    return [
+        (generate(kind, *sizes), {"descriptor": _FAMILY_NAMES[kind].format(*sizes), "k": 2})
+        for kind, *sizes in members
+    ]
 
 
 def _round15(x):

@@ -436,7 +436,7 @@ def test_solve_lu_against_numpy():
     assert linalg.solve_lu(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
     with pytest.raises(ValueError, match="singular"):
         linalg.solve_lu(np.ones((3, 3)), np.ones(3))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError):
         linalg.solve_lu(np.eye(3), np.ones(2))
 
 
