@@ -223,12 +223,12 @@ def det_lu(matrix):
 
 
 def solve_lu(matrix, rhs):
-    """Solution x of ``matrix @ x = rhs``, for a vector or matrix ``rhs``, by partial-pivot elimination.
+    """Solution x of ``matrix @ x = rhs``, ``rhs`` a matrix of columns, by partial-pivot elimination.
 
     Raises ``ValueError`` when elimination meets an exactly zero pivot.
     """
     a = _as_square_matrix(matrix)
-    aug = np.column_stack([a, rhs])  # a vector becomes one column
+    aug = np.hstack([a, rhs])
     if not _eliminate(aug):
         raise ValueError("matrix is singular")
     n = a.shape[0]
@@ -236,7 +236,7 @@ def solve_lu(matrix, rhs):
     for row in reversed(range(n)):  # back substitution
         x[row] -= aug[row, row + 1 : n] @ x[row + 1 :]
         x[row] /= aug[row, row]
-    return x.reshape(np.shape(rhs))
+    return x
 
 
 def poly_trim(coeffs):
