@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+
 import numpy as np
 
 from . import linalg
