@@ -288,9 +288,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # LookupError covers KeyError and the IndexError of an edge outside 0..n-1
     try:
         return args.handler(args)
-    except (GraphSpecError, ValueError, KeyError, OSError) as exc:
+    except (GraphSpecError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,11 +43,18 @@ def check_dense_budget(rows, cols, what):
 class Graph:
     """Simple undirected graph with canonical vertex and edge ordering.
 
-    Construction collapses duplicate pairs, normalizes every pair to
-    ``(min, max)`` and rejects self-loops, out-of-range or non-integral
-    vertex ids, items that are not pairs, ``pairs`` that is not iterable, and
-    a vertex count that is a bool, not a non-negative int or over
-    VERTEX_BUDGET. Instances are immutable; all operations return new graphs.
+    ``Graph(n, pairs)`` validates its input: it collapses duplicate pairs,
+    normalizes every pair to ``(min, max)`` and rejects self-loops,
+    out-of-range (``IndexError``) or non-integral vertex ids, items that are
+    not pairs, ``pairs`` that is not iterable, and a vertex count that is a
+    bool, not a non-negative int or over VERTEX_BUDGET. Every graph read from
+    outside the package goes through it: :func:`load_graph`,
+    :func:`parse_edge_list_text`, :func:`from_json_dict`, unpickling and any
+    direct call. The graphs the package derives from a valid graph, those of
+    :func:`generate`, :func:`line_graph` and the five transforms, skip the
+    checks: their producers emit distinct in-range ``(min, max)`` pairs by
+    construction and pass them to the private core, :meth:`_canonical`.
+    Instances are immutable; all operations return new graphs.
     """
 
     __slots__ = ("n", "edges", "adjacency")
@@ -60,9 +67,9 @@ class Graph:
             pairs = iter(pairs)
         except TypeError:
             raise ValueError(f"edges must be an iterable of vertex pairs, got {pairs!r}") from None
-        # a list, sorted before repeats are dropped, keeps the ascending runs that
-        # generators and transforms emit, which the sort merges in near-linear
-        # time; a set would scramble them
+        # a list, with repeats dropped in first-seen order, keeps the ascending
+        # runs of the input, which the sort merges in near-linear time; a set
+        # would scramble them
         norm = []
         for pair in pairs:
             try:
@@ -78,13 +85,28 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
             norm.append((u, v) if u < v else (v, u))
-        norm.sort()
+        self._fill(n, dict.fromkeys(norm))
+
+    @classmethod
+    def _canonical(cls, n, pairs):
+        """The graph on ``n`` vertices with edges ``pairs``, taken without checks.
+
+        ``pairs`` must already be in range, in ``(min, max)`` form and
+        distinct; the package's own producers guarantee that.
+        """
+        graph = object.__new__(cls)
+        graph._fill(n, pairs)
+        return graph
+
+    def _fill(self, n, pairs):
+        """Set ``n``, the sorted ``edges`` and ``adjacency`` from canonical ``pairs``."""
+        edges = tuple(sorted(pairs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(dict.fromkeys(norm)))
+        object.__setattr__(self, "edges", edges)
         # in sorted (min, max) order each list is already ascending: lower
         # neighbours arrive first, then higher ones
         adj = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
@@ -144,7 +166,7 @@ def generate(kind, *params):
         if a < 1 or b < 1:
             raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
         check_budget(a * b, a + b, f"complete_bipartite({a}, {b})")
-        return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        return Graph._canonical(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
     n = _size(params[0], kind)
@@ -152,14 +174,14 @@ def generate(kind, *params):
         raise ValueError(f"{kind} needs n >= 1, got {n}")
     check_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), n, f"{kind}({n})")
     if kind == "complete":
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph._canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "cycle":
         if n < 3:
             raise ValueError(f"cycle needs n >= 3, got {n}")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
     if kind == "path":
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    return Graph(n, [(0, i) for i in range(1, n)])  # star
+        return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._canonical(n, [(0, i) for i in range(1, n)])  # star
 
 
 def degree_sequence(graph):
@@ -261,7 +283,7 @@ def line_pairs(graph, offset=0):
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
     check_budget(line_graph_edge_count(graph), graph.m, "line graph")
-    return Graph(graph.m, line_pairs(graph))
+    return Graph._canonical(graph.m, line_pairs(graph))
 
 
 def incidence_matrix(graph):

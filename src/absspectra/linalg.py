@@ -198,45 +198,49 @@ def char_poly(matrix):
 def _eliminate(a):
     """Partial-pivot elimination of the n-row ``a`` in place, to upper triangular first n columns.
 
-    Later columns (right-hand sides) take the same row operations. Returns the
-    permutation's sign, or 0.0 at the first exactly zero pivot, where it stops.
+    Later columns (right-hand sides) take the same row operations, and each
+    entry is updated on its own, so the first n columns end bit for bit as
+    they would without them. Returns the determinant of the first n columns,
+    or None at the first exactly zero pivot, where it stops.
     """
     sign = 1.0
     for col in range(a.shape[0]):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         if a[piv, col] == 0.0:
-            return 0.0
+            return None
         if piv != col:
             a[[col, piv], :] = a[[piv, col], :]
             sign = -sign
         factors = a[col + 1 :, col] / a[col, col]
         a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-    return sign
+    # the pivots multiply in elimination order; a row swap only flips the sign
+    return math.prod(a.diagonal(), start=sign)
 
 
 def det_lu(matrix):
     """Determinant via partial-pivot LU elimination."""
-    a = _as_square_matrix(matrix).copy()
-    sign = _eliminate(a)
-    # the pivots multiply in elimination order; a row swap only flips the sign
-    return math.prod(a.diagonal(), start=sign) if sign else 0.0
+    det = _eliminate(_as_square_matrix(matrix).copy())
+    return 0.0 if det is None else det
 
 
 def solve_lu(matrix, rhs):
-    """Solution x of ``matrix @ x = rhs``, ``rhs`` a matrix of columns, by partial-pivot elimination.
+    """``(det, x)``: the determinant of ``matrix`` and the solution x of ``matrix @ x = rhs``.
 
-    Raises ``ValueError`` when elimination meets an exactly zero pivot.
+    ``rhs`` is a matrix of columns. One partial-pivot elimination of
+    ``[matrix | rhs]`` gives both, and ``det`` equals ``det_lu(matrix)`` bit
+    for bit. Raises ``ValueError`` when elimination meets an exactly zero pivot.
     """
     a = _as_square_matrix(matrix)
     aug = np.hstack([a, rhs])
-    if not _eliminate(aug):
+    det = _eliminate(aug)
+    if det is None:
         raise ValueError("matrix is singular")
     n = a.shape[0]
     x = aug[:, n:]
     for row in reversed(range(n)):  # back substitution
         x[row] -= aug[row, row + 1 : n] @ x[row + 1 :]
         x[row] /= aug[row, row]
-    return x
+    return det, x
 
 
 def poly_trim(coeffs):

@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .graphs import adjacency_matrix, check_dense_budget, connected_regular_degree, degree_sequence, line_graph
 from .indices import degree_index
-from .transforms import K_KINDS, shadow, splitting
+from .transforms import K_KINDS, apply_transform
 
 CLOSED_FORM_KINDS = ("regular_scaled", "complete", "cycle", "star", "complete_bipartite")
 LIFT_KINDS = ("subdivision", "semitotal_point", "semitotal_line")
@@ -263,15 +263,15 @@ def splitting_energy_radicands(r, k):
     return corrected, printed
 
 
-def predicted_energy(kind, graph, k, spectrum_of=adjacency_spectrum):
+def predicted_energy(kind, graph, k, spectrum_of=adjacency_spectrum, transform_of=apply_transform):
     """Predicted ABS energy of the k-splitting or k-shadow of a connected regular graph.
 
     Returns both the corrected and the as-printed reading; see
     :class:`PredictedEnergy`. The shadow factor is ``k*sqrt(1 - 1/(kr))`` in
     both readings, but the as-printed right-hand side multiplies the shadow
     graph's own adjacency energy (k times the base energy). ``spectrum_of``
-    maps a graph to its adjacency spectrum; the verifier passes its per-run
-    memo.
+    maps a graph to its adjacency spectrum and ``transform_of`` (kind, graph,
+    k) to the transformed graph; the verifier passes its per-run memo for both.
     """
     if kind not in K_KINDS:
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
@@ -279,14 +279,15 @@ def predicted_energy(kind, graph, k, spectrum_of=adjacency_spectrum):
         raise ValueError(f"energy prediction needs k >= 1, got {k}")
     r = _require_connected_regular(graph, f"{kind} energy prediction")
     base_energy = _energy(spectrum_of(graph))
+    transformed_energy = _energy(spectrum_of(transform_of(kind, graph, k)))
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
         corrected = factor * base_energy
-        as_printed = factor * _energy(spectrum_of(shadow(graph, k)))
+        as_printed = factor * transformed_energy
     else:
         radicand, printed_radicand = splitting_energy_radicands(r, k)
         corrected = math.sqrt(radicand) * base_energy
-        as_printed = math.sqrt(printed_radicand) * _energy(spectrum_of(splitting(graph, k)))
+        as_printed = math.sqrt(printed_radicand) * transformed_energy
     return PredictedEnergy(corrected=corrected, as_printed=as_printed)
 
 

@@ -10,7 +10,9 @@ the resulting matrices is literal:
 * ``shadow(G, k)`` puts copy ``c in 0..k-1`` at ``c*n .. c*n + n - 1``.
 
 Each transform checks the edge and vertex counts of its result against the
-graph budgets before it builds anything.
+graph budgets before it builds anything. Each emits distinct in-range
+``(min, max)`` pairs and builds its result through ``Graph._canonical``,
+without the checks ``Graph`` runs on outside input.
 """
 
 from itertools import chain
@@ -32,7 +34,7 @@ def _edge_vertex_pairs(graph):
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
     check_budget(2 * graph.m, graph.n + graph.m, "subdivision")
-    return Graph(graph.n + graph.m, _edge_vertex_pairs(graph))
+    return Graph._canonical(graph.n + graph.m, _edge_vertex_pairs(graph))
 
 
 def semitotal_point(graph):
@@ -42,7 +44,7 @@ def semitotal_point(graph):
     has n + m vertices and 3m edges.
     """
     check_budget(3 * graph.m, graph.n + graph.m, "semitotal_point")
-    return Graph(graph.n + graph.m, chain(graph.edges, _edge_vertex_pairs(graph)))
+    return Graph._canonical(graph.n + graph.m, chain(graph.edges, _edge_vertex_pairs(graph)))
 
 
 def semitotal_line(graph):
@@ -52,7 +54,7 @@ def semitotal_line(graph):
     d(u) + d(v).
     """
     check_budget(line_graph_edge_count(graph) + 2 * graph.m, graph.n + graph.m, "semitotal_line")
-    return Graph(graph.n + graph.m, chain(line_pairs(graph, graph.n), _edge_vertex_pairs(graph)))
+    return Graph._canonical(graph.n + graph.m, chain(line_pairs(graph, graph.n), _edge_vertex_pairs(graph)))
 
 
 def splitting(graph, k):
@@ -69,9 +71,9 @@ def splitting(graph, k):
     for c in range(1, k + 1):
         off = c * n
         for u, v in graph.edges:
-            pairs.append((off + u, v))
-            pairs.append((off + v, u))
-    return Graph((k + 1) * n, pairs)
+            pairs.append((v, off + u))
+            pairs.append((u, off + v))
+    return Graph._canonical((k + 1) * n, pairs)
 
 
 def shadow(graph, k):
@@ -90,9 +92,13 @@ def shadow(graph, k):
     # an edgeless graph gets no pairs, so skip its k^2 empty copy pairs
     for c in range(k if graph.m else 0):
         for cp in range(k):
-            for u, v in graph.edges:
-                pairs.append((c * n + u, cp * n + v))
-    return Graph(k * n, pairs)
+            a, b = c * n, cp * n
+            # copy c's vertices all precede copy cp's when c < cp; within one copy u < v
+            if c <= cp:
+                pairs.extend((a + u, b + v) for u, v in graph.edges)
+            else:
+                pairs.extend((b + v, a + u) for u, v in graph.edges)
+    return Graph._canonical(k * n, pairs)
 
 
 def apply_transform(kind, graph, k=None):

@@ -42,7 +42,6 @@ from .spectra import (
     abs_matrix,
     closed_form_abs_spectrum,
     graph_matrix,
-    lift_base_graph,
     lift_coefficients,
     lift_quadratic,
     path_abs_charpoly,
@@ -50,7 +49,7 @@ from .spectra import (
     predicted_transform_spectrum,
     regular_abs_factor,
 )
-from .transforms import apply_transform, semitotal_point, shadow, splitting, subdivision
+from .transforms import K_KINDS, apply_transform
 
 DEFAULT_TOL = 1e-8
 # Eigensolver-limited checks relax to this on graphs with n + m > 100.
@@ -117,21 +116,32 @@ def describe_graph(graph):
 
 
 class _Spectra:
-    """Spectra and characteristic polynomials of one run, each computed once.
+    """Transformed graphs, spectra and characteristic polynomials of one run, each computed once.
 
     ``run_check`` makes one and ``run_suite`` shares one across its entries;
-    it is dropped when that call returns, so nothing outlives a run. Entries
-    are keyed by (graph, matrix kind), kind ``"abs"`` or ``"adjacency"``, and
-    ``Graph`` hashes by content. Stored arrays are read-only, since every
-    check that asks gets the same array. A computation that raises is not
-    stored, so it raises again for each caller: an oracle error private to one
-    variant stays private. :meth:`prefetch` solves spectra ahead of the
-    checks, stacked by order; what it leaves out is solved on first request.
+    it is dropped when that call returns, so nothing outlives a run.
+    Transformed graphs are keyed by (kind, graph, k), so the spectral plan and
+    the checks read one object; spectra and polynomials by (graph, matrix
+    kind), kind ``"abs"`` or ``"adjacency"``. ``Graph`` hashes by content.
+    Stored arrays are read-only, since every check that asks gets the same
+    array. A computation that raises is not stored, so it raises again for
+    each caller: an oracle error private to one variant stays private.
+    :meth:`prefetch` solves spectra ahead of the checks, stacked by order;
+    what it leaves out is solved on first request.
     """
 
     def __init__(self):
+        self._graphs = {}
         self._spectra = {}
         self._charpolys = {}
+
+    def transform(self, kind, graph, k=None):
+        """The ``kind`` transform of ``graph``, or its line graph for kind ``"line_graph"``."""
+        key = (kind, graph, k)
+        built = self._graphs.get(key)
+        if built is None:
+            built = self._graphs[key] = line_graph(graph) if kind == "line_graph" else apply_transform(kind, graph, k)
+        return built
 
     def _lookup(self, table, graph, kind, solve):
         key = (graph, kind)
@@ -171,7 +181,7 @@ class _Spectra:
             self._spectra.update(zip(group, rows))
 
 
-def _spectral_plan(graph, params):
+def _spectral_plan(graph, params, memo):
     """The (graph, kind) spectra the checks ask of one suite entry, in a fixed order.
 
     It follows the checks: the ABS spectrum of every graph (trace, bound and
@@ -180,7 +190,8 @@ def _spectral_plan(graph, params):
     spectrum of L(G) (semitotal line), the ABS spectra of the subdivision and
     the semitotal point graph (their lifts), and both spectra of the
     k-splitting and the k-shadow (energy checks). A key may repeat: L(C3) is
-    C3, and the 1-shadow is the graph itself.
+    C3, and the 1-shadow is the graph itself. The transformed graphs come
+    from ``memo``, the run's _Spectra, where the checks find them again.
     """
     keys = [(graph, "abs")]
     if not is_regular(graph):
@@ -188,10 +199,12 @@ def _spectral_plan(graph, params):
     keys.append((graph, "adjacency"))
     if not is_connected(graph):
         return keys
-    keys += [(line_graph(graph), "adjacency"), (subdivision(graph), "abs"), (semitotal_point(graph), "abs")]
+    keys.append((memo.transform("line_graph", graph), "adjacency"))
+    keys += [(memo.transform(kind, graph), "abs") for kind in ("subdivision", "semitotal_point")]
     k = int((params or {}).get("k", 2))
     if k >= 1:
-        for transformed in (splitting(graph, k), shadow(graph, k)):
+        for kind in K_KINDS:
+            transformed = memo.transform(kind, graph, k)
             keys += [(transformed, "abs"), (transformed, "adjacency")]
     return keys
 
@@ -220,7 +233,7 @@ def _chk_incidence_reg(graph, params, tol, memo):
 def _chk_incidence_line(graph, params, tol, memo):
     f = incidence_matrix(graph)
     lhs = f.T @ f
-    rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(line_graph(graph)).astype(np.int64)
+    rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(memo.transform("line_graph", graph)).astype(np.int64)
     dev = float(np.max(np.abs(lhs - rhs))) if graph.m else 0.0
     return True, dev, 0.0, "F^t F vs 2I + A(L(G)), integer arithmetic"
 
@@ -234,7 +247,8 @@ def _chk_schur(graph, params, tol, memo):
     n_blk = abs_matrix(graph)
     block = np.block([[m_blk, n_blk], [n_blk, m_blk]])
     lhs = linalg.det_lu(block)
-    rhs = linalg.det_lu(m_blk) * linalg.det_lu(m_blk - n_blk @ linalg.solve_lu(m_blk, n_blk))
+    det_m, m_inv_n = linalg.solve_lu(m_blk, n_blk)
+    rhs = det_m * linalg.det_lu(m_blk - n_blk @ m_inv_n)
     dev = _scalar_deviation(lhs, rhs)
     return True, dev, tol, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
 
@@ -278,10 +292,11 @@ def _lift_check(kind):
         if r is None:
             skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
             return skip, skip
-        transformed = apply_transform(kind, graph)
+        transformed = memo.transform(kind, graph)
         vtol, note = _etol(transformed, tol)
         u, v, w = lift_coefficients(kind, r)
-        base = lift_base_graph(kind, graph)
+        # spectra.lift_base_graph, with L(G) taken from the memo
+        base = memo.transform("line_graph", graph) if kind == "semitotal_line" else graph
         surplus = transformed.n - 2 * base.n  # zero roots beyond the lifted pairs
 
         def corrected():
@@ -372,10 +387,10 @@ def _energy_check(kind):
         k = int(params.get("k", 2))
         if k < 1:
             raise ValueError(f"{kind} energy check needs k >= 1, got {k}")
-        transformed = apply_transform(kind, graph, k)
+        transformed = memo.transform(kind, graph, k)
         vtol, note = _etol(transformed, tol)
         lhs = _energy(memo.spectrum(transformed, "abs"))
-        predicted = predicted_energy(kind, graph, k, functools.partial(memo.spectrum, kind="adjacency"))
+        predicted = predicted_energy(kind, graph, k, functools.partial(memo.spectrum, kind="adjacency"), memo.transform)
 
         def outcome(rhs, side):
             details = f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}{note}"
@@ -490,7 +505,7 @@ def run_suite(entries, tol=DEFAULT_TOL):
     for entry in entries:
         graph, params = entry if isinstance(entry, tuple) else (entry, None)
         try:
-            plan = _spectral_plan(graph, params)
+            plan = _spectral_plan(graph, params, memo)
         except Exception:  # a transform failed; the checks that build it report that
             plan = ()
         memo.prefetch(plan)

@@ -1,5 +1,6 @@
 """Shared deterministic graph corpora for the test suite."""
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,19 @@ def json_ready_reference(obj):
     if isinstance(obj, (list, tuple)):
         return [json_ready_reference(v) for v in obj]
     return obj
+
+
+def small_graphs(st):
+    """Strategy for any graph on 0-7 vertices, or a small cycle or complete graph; ``st`` is ``hypothesis.strategies``."""
+    graphs = st.integers(0, 7).flatmap(
+        lambda n: st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))) if n > 1 else st.nothing()).map(
+            lambda pairs: Graph(n, pairs)
+        )
+    )
+    regular = st.sampled_from(
+        [generate("cycle", n) for n in range(3, 8)] + [generate("complete", n) for n in range(2, 6)]
+    )
+    return st.one_of(graphs, regular)
 
 
 def random_connected_graph(rng, n):

@@ -581,6 +581,15 @@ def test_malformed_json_edges_exit_2(tmp_path, text):
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name,text", [("bad.json", '{"n": 3, "edges": [[0, 9]]}'), ("bad.txt", "3 1\n0 7\n")])
+def test_out_of_range_edge_exits_2(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    for argv in (("load", str(path)), ("spectrum", "--abs", "--graph", f"file:{path}")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "") and err.startswith("error: edge (0, ") and err.count("\n") == 1
+
+
 def test_verify_refuses_k_below_1():
     code, out, err = run_cli("verify", "--check", "THM_SPLIT_ENERGY", "--graph", "cycle:4", "--k", "0")
     assert code == 2 and out == "" and "k >= 1" in err

@@ -430,10 +430,12 @@ def test_solve_lu_against_numpy():
     for n in (1, 2, 5, 12):
         m = rng.standard_normal((n, n)) + n * np.eye(n)
         rhs = rng.standard_normal((n, 3))
-        x = linalg.solve_lu(m, rhs)
+        det, x = linalg.solve_lu(m, rhs)
         assert x.shape == rhs.shape
         assert np.allclose(x, np.linalg.solve(m, rhs), rtol=1e-12, atol=1e-12)
-    assert linalg.solve_lu(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+        assert np.float64(det).tobytes() == np.float64(det_lu(m)).tobytes()
+    det, x = linalg.solve_lu(np.zeros((0, 0)), np.zeros((0, 2)))
+    assert det == 1.0 and x.shape == (0, 2)
     with pytest.raises(ValueError, match="singular"):
         linalg.solve_lu(np.ones((3, 3)), np.ones((3, 1)))
     with pytest.raises(ValueError):

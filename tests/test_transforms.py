@@ -11,11 +11,13 @@ from absspectra import (
     abs_matrix,
     adjacency_matrix,
     apply_transform,
+    default_suite,
     degree_sequence,
     generate,
     incidence_matrix,
     is_connected,
     is_regular,
+    line_graph,
     semitotal_line,
     semitotal_point,
     shadow,
@@ -25,7 +27,7 @@ from absspectra import (
 
 from absspectra import graphs, transforms
 
-from conftest import adjacency_reference, line_graph_pairs_reference, random_graph
+from conftest import adjacency_reference, line_graph_pairs_reference, random_graph, small_graphs
 
 
 def test_subdivision_of_triangle_is_hexagon():
@@ -287,3 +289,59 @@ def test_transform_adjacency_lists_ascending():
             for k in (1, 2, 3) if kind in ("splitting", "shadow") else (None,):
                 t = apply_transform(kind, g, k)
                 assert t.adjacency == adjacency_reference(t)
+
+
+def _core_builds(monkeypatch):
+    """(n, pairs, graph) of each later ``Graph._canonical`` build, with pairs as the producer emitted them."""
+    builds = []
+    real = graphs.Graph._canonical.__func__
+
+    def canonical(cls, n, pairs):
+        pairs = list(pairs)
+        graph = real(cls, n, pairs)
+        builds.append((n, pairs, graph))
+        return graph
+
+    monkeypatch.setattr(graphs.Graph, "_canonical", classmethod(canonical))
+    return builds
+
+
+def _derive_all(graph):
+    line_graph(graph)
+    for kind in transforms.TRANSFORM_KINDS:
+        for k in (1, 2, 3) if kind in transforms.K_KINDS else (None,):
+            apply_transform(kind, graph, k)
+
+
+def _assert_core_invariant(builds):
+    # what Graph._canonical takes on trust: strictly increasing edges, u < v < n,
+    # and the graph that validating the producer's own pairs gives
+    for n, pairs, graph in builds:
+        assert all(a < b for a, b in zip(graph.edges, graph.edges[1:]))
+        assert all(0 <= u < v < n for u, v in graph.edges)
+        assert graph == Graph(n, pairs)
+
+
+def test_producers_emit_canonical_pairs_on_the_default_corpus(monkeypatch):
+    builds = _core_builds(monkeypatch)
+    corpus = [graph for graph, _ in default_suite()]  # all five generators
+    for graph in corpus:
+        _derive_all(graph)
+    # 16 generated graphs, then for each its line graph, three lifts, three
+    # splittings and two shadows (the 1-shadow is the graph itself)
+    assert len(builds) == 16 + 16 * 9
+    _assert_core_invariant(builds)
+
+
+def test_producers_emit_canonical_pairs_on_random_graphs(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    builds = _core_builds(monkeypatch)
+
+    @hyp.settings(derandomize=True, deadline=None, max_examples=60)
+    @hyp.given(small_graphs(hyp.strategies))
+    def check(graph):
+        builds.clear()
+        _derive_all(graph)
+        _assert_core_invariant(builds)
+
+    check()

@@ -1,9 +1,9 @@
 """Check registry behavior: applicability, variants, determinism, serialization."""
 
+import collections
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import pathlib
@@ -24,8 +24,10 @@ from absspectra import (
     run_check,
     run_suite,
 )
-from absspectra import NoConvergenceError, linalg, verifier
+from absspectra import NoConvergenceError, graphs, linalg, verifier
 from absspectra.verifier import has_key_failure, report_to_dict
+
+from conftest import small_graphs
 
 GOLDEN_SUITE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden_suite.json"
 
@@ -308,6 +310,45 @@ def test_each_spectrum_is_computed_once_per_run(monkeypatch):
     assert len(eigensolves) == 40
 
 
+def test_each_transformed_graph_is_built_once_per_run(monkeypatch):
+    keys = collections.Counter()
+    real_transform, real_line_graph = verifier.apply_transform, verifier.line_graph
+
+    def transform(kind, graph, k=None):
+        keys[kind, graph, k] += 1
+        return real_transform(kind, graph, k)
+
+    def line_graph(graph):
+        keys["line_graph", graph, None] += 1
+        return real_line_graph(graph)
+
+    builds = []
+    real_canonical = graphs.Graph._canonical.__func__
+
+    def canonical(cls, n, pairs):
+        builds.append(n)
+        return real_canonical(cls, n, pairs)
+
+    suite = default_suite()
+    monkeypatch.setattr(verifier, "apply_transform", transform)
+    monkeypatch.setattr(verifier, "line_graph", line_graph)
+    monkeypatch.setattr(graphs.Graph, "_canonical", classmethod(canonical))
+    # The plan and the checks share one build per (kind, graph, k): six for each
+    # of the ten connected regular entries, and L(G) for the other six.
+    per_entry = []
+    for entry in suite:
+        keys.clear()
+        run_suite([entry])
+        assert set(keys.values()) == {1}
+        per_entry.append(len(keys))
+    assert len(builds) == sum(per_entry) == 66
+    # K3 and C3 are one graph, so one run over the corpus builds its six once.
+    keys.clear()
+    builds.clear()
+    run_suite(suite)
+    assert set(keys.values()) == {1} and len(builds) == sum(keys.values()) == 60
+
+
 def test_nothing_outlives_a_run(monkeypatch):
     eigensolves = _count_calls(monkeypatch, linalg, "eigenvalues_symmetric")
     suite = default_suite()
@@ -343,7 +384,7 @@ def _requested_spectra(monkeypatch, graph, params):
 
 
 def _assert_plan_is_exact(monkeypatch, graph, params):
-    plan = set(verifier._spectral_plan(graph, params))
+    plan = set(verifier._spectral_plan(graph, params, verifier._Spectra()))
     assert plan == _requested_spectra(monkeypatch, graph, params)  # no miss, no waste
 
 
@@ -359,17 +400,9 @@ def test_spectral_plan_is_what_the_checks_ask_for(monkeypatch):
 def test_spectral_plan_on_random_graphs(monkeypatch):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    graphs = st.integers(0, 7).flatmap(
-        lambda n: st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))) if n > 1 else st.nothing()).map(
-            lambda pairs: Graph(n, pairs)
-        )
-    )
-    regular = st.sampled_from(
-        [generate("cycle", n) for n in range(3, 8)] + [generate("complete", n) for n in range(2, 6)]
-    )
 
     @hyp.settings(derandomize=True, deadline=None, max_examples=60)
-    @hyp.given(st.one_of(graphs, regular), st.integers(1, 3))
+    @hyp.given(small_graphs(st), st.integers(1, 3))
     def check(graph, k):
         _assert_plan_is_exact(monkeypatch, graph, {"k": k})
 
