@@ -286,11 +286,6 @@ def multiset_deviation(a, b):
     return float(np.max(np.abs(av - bv)))
 
 
-def multiset_close(a, b, tol):
-    """True when both sorted multisets agree elementwise within ``tol`` (absolute)."""
-    return multiset_deviation(a, b) <= tol
-
-
 def poly_deviation(p, q):
     """Max coefficient gap scaled by max(1, largest |coefficient| on either side)."""
     pv = np.asarray(p, dtype=float)
@@ -302,8 +297,3 @@ def poly_deviation(p, q):
     qq[: qv.size] = qv
     scale = max(1.0, float(np.max(np.abs(pp))), float(np.max(np.abs(qq))))
     return float(np.max(np.abs(pp - qq))) / scale
-
-
-def poly_close(p, q, tol):
-    """True when zero-padded coefficients agree within ``tol`` relative to the larger scale."""
-    return poly_deviation(p, q) <= tol

@@ -8,10 +8,12 @@ right-hand sides reference the transformed instead of the base graph, emit two
 variants: ``corrected`` (the reading consistent with the block/Kronecker
 derivation; the one acceptance keys on) and ``as_printed`` (informational).
 Each check is one function: the work both variants need (precondition,
-transformed graph, tolerance, shared oracles) runs once, and a failure there
-marks both variants ``error``; oracle work only one variant needs runs apart,
-so its failure marks only that variant ``error``. Everything is deterministic:
-two runs over the same inputs produce identical reports.
+transformed graph, shared oracles) runs once, and a failure there marks both
+variants ``error``; oracle work only one variant needs runs apart, so its
+failure marks only that variant ``error``. A check measures deviations;
+``run_check`` judges them against the tolerance its rule in ``_CHECKS`` gives.
+Everything is deterministic: two runs over the same inputs produce identical
+reports.
 """
 
 import csv
@@ -52,7 +54,7 @@ from .spectra import (
 from .transforms import K_KINDS, apply_transform
 
 DEFAULT_TOL = 1e-8
-# Eigensolver-limited checks relax to this on graphs with n + m > 100.
+# The tolerance eigensolver checks relax to on large graphs (see _tolerance).
 RELAXED_TOL = 1e-6
 
 # Fixed evaluation points for pointwise identity checks (all nonzero, so
@@ -88,11 +90,8 @@ def _scalar_deviation(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def _etol(graph, tol):
-    """Effective tolerance for eigensolver-limited checks, with a note when relaxed."""
-    if graph.n + graph.m > 100 and tol < RELAXED_TOL:
-        return RELAXED_TOL, f"; tolerance relaxed to {RELAXED_TOL:g} (n+m > 100)"
-    return tol, ""
+def _copies(params):
+    return int((params or {}).get("k", 2))
 
 
 _FAMILY_NAMES = {
@@ -201,7 +200,7 @@ def _spectral_plan(graph, params, memo):
         return keys
     keys.append((memo.transform("line_graph", graph), "adjacency"))
     keys += [(memo.transform(kind, graph), "abs") for kind in ("subdivision", "semitotal_point")]
-    k = int((params or {}).get("k", 2))
+    k = _copies(params)
     if k >= 1:
         for kind in K_KINDS:
             transformed = memo.transform(kind, graph, k)
@@ -211,38 +210,38 @@ def _spectral_plan(graph, params, memo):
 
 # --- check implementations ---------------------------------------------------
 #
-# A check takes (graph, params, tol, memo), memo being the run's _Spectra. A
+# A check takes (graph, params, memo), memo being the run's _Spectra. A
 # single-variant check returns its result (applicable, max_deviation,
-# tolerance, details). A two-variant check first does the work both variants
-# need, then returns one outcome per variant, in the order _CHECKS names them:
-# the result itself, or a zero-argument function computing it when that
-# variant has oracle work of its own (see run_check).
+# details). A two-variant check first does the work both variants need, then
+# returns one outcome per variant, in the order _CHECKS names them: the result
+# itself, or a zero-argument function computing it when that variant has
+# oracle work of its own (see run_check).
 
 
-def _chk_incidence_reg(graph, params, tol, memo):
+def _chk_incidence_reg(graph, params, memo):
     r = is_regular(graph)
     if r is None:
-        return False, 0.0, 0.0, "not regular"
+        return False, 0.0, "not regular"
     f = incidence_matrix(graph)
     lhs = f @ f.T
     rhs = adjacency_matrix(graph).astype(np.int64) + r * np.eye(graph.n, dtype=np.int64)
     dev = float(np.max(np.abs(lhs - rhs))) if graph.n else 0.0
-    return True, dev, 0.0, f"F F^t vs A + {r}I, integer arithmetic"
+    return True, dev, f"F F^t vs A + {r}I, integer arithmetic"
 
 
-def _chk_incidence_line(graph, params, tol, memo):
+def _chk_incidence_line(graph, params, memo):
     f = incidence_matrix(graph)
     lhs = f.T @ f
     rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(memo.transform("line_graph", graph)).astype(np.int64)
     dev = float(np.max(np.abs(lhs - rhs))) if graph.m else 0.0
-    return True, dev, 0.0, "F^t F vs 2I + A(L(G)), integer arithmetic"
+    return True, dev, "F^t F vs 2I + A(L(G)), integer arithmetic"
 
 
-def _chk_schur(graph, params, tol, memo):
+def _chk_schur(graph, params, memo):
     if graph.n == 0:
-        return False, 0.0, tol, "empty graph"
+        return False, 0.0, "empty graph"
     a = adjacency_matrix(graph)
-    shift = (max(degree_sequence(graph)) if graph.n else 0) + 1
+    shift = max(degree_sequence(graph)) + 1
     m_blk = a + shift * np.eye(graph.n)  # diagonally dominant, invertible
     n_blk = abs_matrix(graph)
     block = np.block([[m_blk, n_blk], [n_blk, m_blk]])
@@ -250,23 +249,22 @@ def _chk_schur(graph, params, tol, memo):
     det_m, m_inv_n = linalg.solve_lu(m_blk, n_blk)
     rhs = det_m * linalg.det_lu(m_blk - n_blk @ m_inv_n)
     dev = _scalar_deviation(lhs, rhs)
-    return True, dev, tol, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
+    return True, dev, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
 
 
-def _chk_reg_scaling(graph, params, tol, memo):
+def _chk_reg_scaling(graph, params, memo):
     r = is_regular(graph)
-    vtol, note = _etol(graph, tol)
 
     def corrected():
         if r is None or r < 1:
-            return False, 0.0, tol, "not regular with r >= 1"
+            return False, 0.0, "not regular with r >= 1"
         predicted = closed_form_abs_spectrum("regular_scaled", memo.spectrum(graph, "adjacency"), r)
         dev = linalg.multiset_deviation(predicted, memo.spectrum(graph, "abs"))
-        return True, dev, vtol, f"ABS spectrum vs sqrt(r^2-r)/r scaled adjacency spectrum, r={r}{note}"
+        return True, dev, f"ABS spectrum vs sqrt(r^2-r)/r scaled adjacency spectrum, r={r}"
 
     def as_printed():
         if r is None or r < 2:
-            return False, 0.0, tol, "needs regular r >= 2 (scale factor positive)"
+            return False, 0.0, "needs regular r >= 2 (scale factor positive)"
         c = regular_abs_factor(r)
         psi = memo.charpoly(graph, "adjacency")
         # printed identity: phi(x) = c * psi(x / c); as a coefficient array the
@@ -275,7 +273,7 @@ def _chk_reg_scaling(graph, params, tol, memo):
         printed = np.array([psi[i] * c ** (1 - i) for i in range(psi.size)])
         phi = memo.charpoly(graph, "abs")
         dev = linalg.poly_deviation(phi, printed)
-        return True, dev, vtol, f"char poly vs printed single-power prefactor, r={r}{note}"
+        return True, dev, f"char poly vs printed single-power prefactor, r={r}"
 
     return corrected, as_printed
 
@@ -287,13 +285,12 @@ def _monomial(k):
 
 
 def _lift_check(kind):
-    def check(graph, params, tol, memo):
+    def check(graph, params, memo):
         r = connected_regular_degree(graph)
         if r is None:
-            skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
+            skip = (False, 0.0, "needs a connected regular graph with r >= 1")
             return skip, skip
         transformed = memo.transform(kind, graph)
-        vtol, note = _etol(transformed, tol)
         u, v, w = lift_coefficients(kind, r)
         # spectra.lift_base_graph, with L(G) taken from the memo
         base = memo.transform("line_graph", graph) if kind == "semitotal_line" else graph
@@ -307,11 +304,11 @@ def _lift_check(kind):
                 for theta in memo.spectrum(base, "adjacency"):
                     rhs = linalg.poly_mul(rhs, lift_quadratic(kind, r, theta))
                 dev = linalg.poly_deviation(lhs, rhs)
-                return True, dev, vtol, f"zero-padded char poly vs product of lift quadratics, r={r}{note}"
+                return True, dev, f"zero-padded char poly vs product of lift quadratics, r={r}"
             predicted = predicted_transform_spectrum(kind, graph, functools.partial(memo.spectrum, kind="adjacency"))
             actual = memo.spectrum(transformed, "abs")
             dev = linalg.multiset_deviation(predicted, actual)
-            return True, dev, vtol, f"predicted lift spectrum vs eigensolver, r={r}{note}"
+            return True, dev, f"predicted lift spectrum vs eigensolver, r={r}"
 
         def as_printed():
             lhs_poly = memo.charpoly(transformed, "abs")
@@ -327,74 +324,65 @@ def _lift_check(kind):
                     continue
                 devs.append(_scalar_deviation(lhs, rhs))
             dev = max(devs)
-            return True, dev, vtol, f"pointwise char poly vs printed prefactor identity, r={r}{note}"
+            return True, dev, f"pointwise char poly vs printed prefactor identity, r={r}"
 
         return corrected, as_printed
 
     return check
 
 
-def _chk_path_recurrence(graph, params, tol, memo):
+def _chk_path_recurrence(graph, params, memo):
     if not ("path" in families(graph) and graph.n >= 5):
-        return False, 0.0, tol, "needs a path on n >= 5 vertices"
+        return False, 0.0, "needs a path on n >= 5 vertices"
     dev = linalg.poly_deviation(path_abs_charpoly(graph.n), memo.charpoly(graph, "abs"))
-    return True, dev, tol, f"recurrence coefficients vs Faddeev-LeVerrier, n={graph.n}"
+    return True, dev, f"recurrence coefficients vs Faddeev-LeVerrier, n={graph.n}"
 
 
 def _closed_form_check(kind):
-    def check(graph, params, tol, memo):
+    def check(graph, params, memo):
         sizes = families(graph).get(kind)
         if sizes is None:
-            return False, 0.0, tol, "graph is not in this family"
-        vtol, note = _etol(graph, tol)
+            return False, 0.0, "graph is not in this family"
         dev = linalg.multiset_deviation(closed_form_abs_spectrum(kind, *sizes), memo.spectrum(graph, "abs"))
-        return True, dev, vtol, f"closed-form spectrum vs eigensolver{note}"
+        return True, dev, "closed-form spectrum vs eigensolver"
 
     return check
 
 
-def _chk_trace_harmonic(graph, params, tol, memo):
-    vtol, note = _etol(graph, tol)
+def _chk_trace_harmonic(graph, params, memo):
     lhs = math.fsum(x * x for x in memo.spectrum(graph, "abs").tolist())
     rhs = 2.0 * (graph.m - degree_index(graph, "harmonic"))
     dev = _scalar_deviation(lhs, rhs)
-    return True, dev, vtol, f"sum mu^2 = {_fmt(lhs)} vs 2(m - H) = {_fmt(rhs)}{note}"
+    return True, dev, f"sum mu^2 = {_fmt(lhs)} vs 2(m - H) = {_fmt(rhs)}"
 
 
-def _chk_r1_bound(graph, params, tol, memo):
-    equality_scope = (False, 0.0, tol, "equality clause scoped to connected regular graphs, n >= 4")
+def _chk_r1_bound(graph, params, memo):
+    equality_scope = (False, 0.0, "equality clause scoped to connected regular graphs, n >= 4")
     if graph.n < 4 or not is_connected(graph):
-        return (False, 0.0, tol, "needs a connected graph on n >= 4 vertices"), equality_scope
-    vtol, note = _etol(graph, tol)
+        return (False, 0.0, "needs a connected graph on n >= 4 vertices"), equality_scope
     lhs = math.fsum(x * x for x in memo.spectrum(graph, "abs").tolist())
     rhs = (graph.n - 1) * (graph.n - 2.0 * degree_index(graph, "modified_second_zagreb"))
-    bound = (True, max(0.0, lhs - rhs), vtol, f"sum mu^2 = {_fmt(lhs)} <= (n-1)(n - 2 R_-1) = {_fmt(rhs)}{note}")
+    bound = (True, max(0.0, lhs - rhs), f"sum mu^2 = {_fmt(lhs)} <= (n-1)(n - 2 R_-1) = {_fmt(rhs)}")
     if is_regular(graph) is None:
         return bound, equality_scope
-    details = (
-        f"equality-for-regular claim: sum mu^2 = {_fmt(lhs)} vs bound {_fmt(rhs)}"
-        f" (equality is observed exactly for complete graphs){note}"
-    )
-    return bound, (True, _scalar_deviation(lhs, rhs), vtol, details)
+    details = f"equality-for-regular claim: sum mu^2 = {_fmt(lhs)} vs bound {_fmt(rhs)}"
+    return bound, (True, _scalar_deviation(lhs, rhs), details + " (equality is observed exactly for complete graphs)")
 
 
 def _energy_check(kind):
-    def check(graph, params, tol, memo):
+    def check(graph, params, memo):
         r = connected_regular_degree(graph)
         if r is None:
-            skip = (False, 0.0, tol, "needs a connected regular graph with r >= 1")
+            skip = (False, 0.0, "needs a connected regular graph with r >= 1")
             return skip, skip
-        k = int(params.get("k", 2))
+        k = _copies(params)
         if k < 1:
             raise ValueError(f"{kind} energy check needs k >= 1, got {k}")
-        transformed = memo.transform(kind, graph, k)
-        vtol, note = _etol(transformed, tol)
-        lhs = _energy(memo.spectrum(transformed, "abs"))
+        lhs = _energy(memo.spectrum(memo.transform(kind, graph, k), "abs"))
         predicted = predicted_energy(kind, graph, k, functools.partial(memo.spectrum, kind="adjacency"), memo.transform)
 
         def outcome(rhs, side):
-            details = f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}{note}"
-            return True, _scalar_deviation(lhs, rhs), vtol, details
+            return True, _scalar_deviation(lhs, rhs), f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}"
 
         return (
             outcome(predicted.corrected, "base-graph energy"),
@@ -407,24 +395,25 @@ def _energy_check(kind):
 _SINGLE = ("single",)
 _BOTH = ("corrected", "as_printed")
 
-# name -> (variants, check function), in report order; CheckId is built from it.
+# name -> (variants, check function, tolerance rule; see _tolerance), in report
+# order; CheckId is built from it.
 _CHECKS = {
-    "LEM_INCIDENCE_REG": (_SINGLE, _chk_incidence_reg),
-    "LEM_INCIDENCE_LINE": (_SINGLE, _chk_incidence_line),
-    "LEM_SCHUR": (_SINGLE, _chk_schur),
-    "THM_REG_SCALING": (_BOTH, _chk_reg_scaling),
-    "THM_SUBDIVISION": (_BOTH, _lift_check("subdivision")),
-    "THM_SEMITOTAL_POINT": (_BOTH, _lift_check("semitotal_point")),
-    "THM_SEMITOTAL_LINE": (_BOTH, _lift_check("semitotal_line")),
-    "THM_PATH_RECURRENCE": (_SINGLE, _chk_path_recurrence),
-    "THM_COMPLETE": (_SINGLE, _closed_form_check("complete")),
-    "THM_CYCLE": (_SINGLE, _closed_form_check("cycle")),
-    "THM_KMN": (_SINGLE, _closed_form_check("complete_bipartite")),
-    "THM_STAR": (_SINGLE, _closed_form_check("star")),
-    "THM_TRACE_HARMONIC": (_SINGLE, _chk_trace_harmonic),
-    "THM_R1_BOUND": (_BOTH, _chk_r1_bound),
-    "THM_SPLIT_ENERGY": (_BOTH, _energy_check("splitting")),
-    "THM_SHADOW_ENERGY": (_BOTH, _energy_check("shadow")),
+    "LEM_INCIDENCE_REG": (_SINGLE, _chk_incidence_reg, "exact"),
+    "LEM_INCIDENCE_LINE": (_SINGLE, _chk_incidence_line, "exact"),
+    "LEM_SCHUR": (_SINGLE, _chk_schur, "fixed"),
+    "THM_REG_SCALING": (_BOTH, _chk_reg_scaling, "graph"),
+    "THM_SUBDIVISION": (_BOTH, _lift_check("subdivision"), "subdivision"),
+    "THM_SEMITOTAL_POINT": (_BOTH, _lift_check("semitotal_point"), "semitotal_point"),
+    "THM_SEMITOTAL_LINE": (_BOTH, _lift_check("semitotal_line"), "semitotal_line"),
+    "THM_PATH_RECURRENCE": (_SINGLE, _chk_path_recurrence, "fixed"),
+    "THM_COMPLETE": (_SINGLE, _closed_form_check("complete"), "graph"),
+    "THM_CYCLE": (_SINGLE, _closed_form_check("cycle"), "graph"),
+    "THM_KMN": (_SINGLE, _closed_form_check("complete_bipartite"), "graph"),
+    "THM_STAR": (_SINGLE, _closed_form_check("star"), "graph"),
+    "THM_TRACE_HARMONIC": (_SINGLE, _chk_trace_harmonic, "graph"),
+    "THM_R1_BOUND": (_BOTH, _chk_r1_bound, "graph"),
+    "THM_SPLIT_ENERGY": (_BOTH, _energy_check("splitting"), "splitting"),
+    "THM_SHADOW_ENERGY": (_BOTH, _energy_check("shadow"), "shadow"),
 }
 
 CheckId = enum.Enum("CheckId", [(name, name) for name in _CHECKS], module=__name__)
@@ -437,15 +426,33 @@ def _error(exc, tol):
     return True, "error", 0.0, tol, f"{type(exc).__name__}: {exc}"
 
 
-def _settle(outcome, tol):
-    """(applicable, verdict, deviation, tolerance, details) of one variant's outcome."""
+def _tolerance(rule, graph, params, tol, memo, applicable):
+    """(tolerance, details suffix) of one variant under its check's ``rule``.
+
+    ``"exact"`` allows 0.0 and ``"fixed"`` the run's ``tol``. Another rule
+    names the graph that limits an eigensolver check, ``"graph"`` itself or
+    its transform of that kind (already in ``memo``). An applicable outcome
+    relaxes to RELAXED_TOL when that graph has n + m > 100.
+    """
+    if rule == "exact":
+        return 0.0, ""
+    if applicable and rule != "fixed":
+        sized = graph if rule == "graph" else memo.transform(rule, graph, _copies(params) if rule in K_KINDS else None)
+        if sized.n + sized.m > 100 and tol < RELAXED_TOL:
+            return RELAXED_TOL, f"; tolerance relaxed to {RELAXED_TOL:g} (n+m > 100)"
+    return tol, ""
+
+
+def _settle(outcome, tolerance, tol):
+    """(applicable, verdict, deviation, tolerance, details) of one variant's outcome, judged by ``tolerance``."""
     try:
-        applicable, deviation, vtol, details = outcome() if callable(outcome) else outcome
+        applicable, deviation, details = outcome() if callable(outcome) else outcome
+        vtol, note = tolerance(applicable)
     except Exception as exc:  # oracle failure -> recorded, not raised
         return _error(exc, tol)
     if not applicable:
         return False, "inapplicable", 0.0, vtol, details
-    return True, "pass" if deviation <= vtol else "fail", deviation, vtol, details
+    return True, "pass" if deviation <= vtol else "fail", deviation, vtol, details + note
 
 
 def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
@@ -467,26 +474,19 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     params = dict(params or {})
     descriptor = params.get("descriptor") or describe_graph(graph)
-    variants, func = _CHECKS[name]
+    variants, func, rule = _CHECKS[name]
+    memo = _Spectra() if _memo is None else _memo
     try:
-        outcomes = func(graph, params, tol, _Spectra() if _memo is None else _memo)
+        outcomes = func(graph, params, memo)
     except Exception as exc:  # shared work failed -> every variant records it
         rows = [_error(exc, tol)] * len(variants)
     else:
         if variants == _SINGLE:
             outcomes = (outcomes,)
-        rows = [_settle(outcome, tol) for outcome in outcomes]
+        tolerance = functools.partial(_tolerance, rule, graph, params, tol, memo)
+        rows = [_settle(outcome, tolerance, tol) for outcome in outcomes]
     return [
-        CheckReport(
-            check=name,
-            variant=variant,
-            graph_descriptor=descriptor,
-            applicable=applicable,
-            verdict=verdict,
-            max_deviation=float(deviation),
-            tolerance=float(vtol),
-            details=details,
-        )
+        CheckReport(name, variant, descriptor, applicable, verdict, float(deviation), float(vtol), details)
         for variant, (applicable, verdict, deviation, vtol, details) in zip(variants, rows)
     ]
 

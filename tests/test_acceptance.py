@@ -27,9 +27,7 @@ from absspectra import (
     is_connected,
     is_regular,
     line_graph,
-    multiset_close,
     path_abs_charpoly,
-    poly_close,
     predicted_transform_spectrum,
     semitotal_line,
     semitotal_point,
@@ -38,6 +36,7 @@ from absspectra import (
     subdivision,
 )
 from absspectra.cli import main as cli_main
+from absspectra.linalg import multiset_deviation, poly_deviation
 from absspectra.spectra import splitting_energy_radicands
 
 from conftest import regular_corpus
@@ -66,7 +65,7 @@ def test_c02_closed_form_spectra():
         for b in range(a, 6)
     ]
     for kind, params, graph in cases:
-        assert multiset_close(closed_form_abs_spectrum(kind, *params), abs_spectrum(graph), 1e-8), (
+        assert multiset_deviation(closed_form_abs_spectrum(kind, *params), abs_spectrum(graph)) <= 1e-8, (
             f"closed form mismatch for {kind}{params}"
         )
     _announce("C2", f"closed-form spectra on {len(cases)} family members (tol 1e-8)")
@@ -77,7 +76,7 @@ def test_c03_path_recurrence():
     p5 = path_abs_charpoly(5)
     assert np.max(np.abs(p5 - frozen_p5)) <= 1e-12
     for n in range(5, 21):
-        assert poly_close(path_abs_charpoly(n), char_poly(abs_matrix(generate("path", n))), 1e-8), (
+        assert poly_deviation(path_abs_charpoly(n), char_poly(abs_matrix(generate("path", n)))) <= 1e-8, (
             f"path recurrence mismatch at n={n}"
         )
     _announce("C3", "path charpoly recurrence, n = 5..20 (tol 1e-8; n=5 frozen at 1e-12)")
@@ -97,7 +96,7 @@ def test_c04_transform_spectra_corrected():
         for kind, build in transforms:
             predicted = predicted_transform_spectrum(kind, g)
             actual = eigenvalues_symmetric(abs_matrix(build(g)))
-            assert multiset_close(predicted, actual, 1e-8), f"{kind} spectrum mismatch on {g!r}"
+            assert multiset_deviation(predicted, actual) <= 1e-8, f"{kind} spectrum mismatch on {g!r}"
             checked += 1
     _announce("C4", f"transform spectra (corrected) on {checked} graph/transform pairs (tol 1e-8)")
 

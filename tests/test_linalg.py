@@ -14,8 +14,6 @@ from absspectra import (
     det_lu,
     eigenvalues_symmetric,
     generate,
-    multiset_close,
-    poly_close,
     poly_from_roots,
 )
 from absspectra import linalg
@@ -352,18 +350,18 @@ def test_poly_trim_and_mul():
 
 
 def test_multiset_close():
-    assert multiset_close([0.0, 1.0], [1.0, 1e-13], 1e-9)
-    assert not multiset_close([0.0, 1.0], [1.0, 1e-3], 1e-9)
+    assert multiset_deviation([0.0, 1.0], [1.0, 1e-13]) <= 1e-9
+    assert multiset_deviation([0.0, 1.0], [1.0, 1e-3]) > 1e-9
     with pytest.raises(ValueError, match="mismatch"):
-        multiset_close([0.0], [0.0, 1.0], 1e-9)
+        multiset_deviation([0.0], [0.0, 1.0])
     assert multiset_deviation([], []) == 0.0
 
 
 def test_poly_close_padding_and_scale():
-    assert poly_close([1.0, 2.0], [1.0, 2.0, 1e-12], 1e-9)
+    assert poly_deviation([1.0, 2.0], [1.0, 2.0, 1e-12]) <= 1e-9
     # deviation is measured relative to the largest coefficient magnitude
-    assert poly_close([1e6, 0.0, 1.0], [1e6 + 0.5, 0.0, 1.0], 1e-6)
-    assert not poly_close([1.0], [2.0], 1e-9)
+    assert poly_deviation([1e6, 0.0, 1.0], [1e6 + 0.5, 0.0, 1.0]) <= 1e-6
+    assert poly_deviation([1.0], [2.0]) > 1e-9
 
 
 def test_two_charpoly_routes_agree():

@@ -454,3 +454,49 @@ def test_eigensolver_order_cap_is_an_error(monkeypatch):
     monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", 7)
     (r,) = run_check(CheckId.THM_CYCLE, generate("cycle", 8))
     assert r.verdict == "error" and "eigensolver cap" in r.details
+
+
+_RELAXED = "; tolerance relaxed to 1e-06 (n+m > 100)"
+_BOTH = ("corrected", "as_printed")
+_LIFT_ROWS = {("THM_SUBDIVISION", "corrected"), ("THM_SEMITOTAL_POINT", "corrected")}
+_ENERGY_ROWS = {(check, variant) for check in ("THM_SPLIT_ENERGY", "THM_SHADOW_ENERGY") for variant in _BOTH}
+_LIFT_ERRORS = {("THM_SUBDIVISION", "as_printed"), ("THM_SEMITOTAL_POINT", "as_printed")}
+_LIFT_ERRORS |= {("THM_SEMITOTAL_LINE", variant) for variant in _BOTH}  # char_poly cap
+_GRAPH_ROWS = {("THM_TRACE_HARMONIC", "single"), ("THM_R1_BOUND", "corrected")}
+# (graph, k) -> (rows relaxed at tol 1e-8, error rows). A lift or an energy
+# check is sized by its transformed graph, every other eigensolver check by the
+# graph itself, and n + m > 100 relaxes. The incidence lemmas allow 0.0;
+# LEM_SCHUR, THM_PATH_RECURRENCE and every error row the run's tolerance.
+_TOLERANCE_CASES = {
+    ("cycle", 34, 2): (_LIFT_ROWS | _ENERGY_ROWS, _LIFT_ERRORS),  # n + m = 68; its transforms exceed 100
+    ("cycle", 10, 3): (_ENERGY_ROWS, set()),  # the 3-splitting and 3-shadow have n + m = 120
+    ("cycle", 60, 2): (
+        _LIFT_ROWS | _ENERGY_ROWS | _GRAPH_ROWS | {("THM_CYCLE", "single"), ("THM_R1_BOUND", "as_printed")}
+        | {("THM_REG_SCALING", variant) for variant in _BOTH},
+        _LIFT_ERRORS,
+    ),
+    ("path", 60, 2): (_GRAPH_ROWS, set()),
+    ("star", 60, 2): (_GRAPH_ROWS | {("THM_KMN", "single"), ("THM_STAR", "single")}, set()),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOLERANCE_CASES), ids=lambda case: f"{case[0]}{case[1]}-k{case[2]}")
+def test_tolerance_policy_per_check_and_variant(case):
+    kind, n, k = case
+    relaxed, errors = _TOLERANCE_CASES[case]
+    memo = verifier._Spectra()
+    for tol in (1e-8, 1e-6):
+        reports = [r for check in CheckId for r in run_check(check, generate(kind, n), {"k": k}, tol, _memo=memo)]
+        assert {(r.check, r.variant) for r in reports if r.verdict == "error"} == errors
+        by_row = {(r.check, r.variant): r for r in reports}
+        for row, r in by_row.items():
+            if row[0].startswith("LEM_INCIDENCE"):
+                assert r.tolerance == 0.0 and "relaxed" not in r.details, row
+            elif row in relaxed and tol < 1e-6:  # at 1e-6 nothing relaxes
+                assert r.tolerance == 1e-6 and r.details.endswith(_RELAXED), row
+            else:
+                assert r.tolerance == tol and "relaxed" not in r.details, row
+        # P60 has n + m = 119: the recurrence keeps the run's tolerance, LEM_INCIDENCE_REG is inapplicable at 0.0
+        if kind == "path":
+            assert by_row["THM_PATH_RECURRENCE", "single"].applicable
+            assert by_row["LEM_INCIDENCE_REG", "single"].verdict == "inapplicable"
