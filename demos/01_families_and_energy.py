@@ -6,12 +6,12 @@ Run as: python demos/01_families_and_energy.py
 import numpy as np
 
 from absspectra import (
-    abs_energy,
     abs_matrix,
     abs_spectrum,
-    adjacency_energy,
+    adjacency_spectrum,
     all_indices,
     closed_form_abs_spectrum,
+    energy,
     generate,
 )
 
@@ -49,7 +49,7 @@ for kind, params in families:
     gap = np.max(np.abs(closed - solved))
     print(f"{kind}{params}: closed-form vs eigensolver gap = {gap:.2e}")
     print(f"  spectrum: {solved}")
-    print(f"  ABS energy: {abs_energy(graph).energy:.6f}   graph energy: {adjacency_energy(graph).energy:.6f}")
+    print(f"  ABS energy: {energy(solved):.6f}   graph energy: {energy(adjacency_spectrum(graph)):.6f}")
 print()
 
 # The ABS trace identity: sum of squared ABS eigenvalues equals 2*(m - H(G)).

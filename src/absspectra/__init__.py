@@ -40,14 +40,11 @@ from .linalg import (
 )
 from .indices import INDEX_KINDS, all_indices, degree_index
 from .spectra import (
-    EnergyReport,
-    PredictedEnergy,
-    abs_energy,
     abs_matrix,
     abs_spectrum,
-    adjacency_energy,
     adjacency_spectrum,
     closed_form_abs_spectrum,
+    energy,
     path_abs_charpoly,
     predicted_energy,
     predicted_transform_spectrum,

@@ -45,8 +45,8 @@ class Graph:
 
     ``Graph(n, pairs)`` validates its input: it collapses duplicate pairs,
     normalizes every pair to ``(min, max)`` and rejects self-loops,
-    out-of-range (``IndexError``) or non-integral vertex ids, items that are
-    not pairs, ``pairs`` that is not iterable, and a vertex count that is a
+    out-of-range (``IndexError``), bool or non-integral vertex ids, items that
+    are not pairs, ``pairs`` that is not iterable, and a vertex count that is a
     bool, not a non-negative int or over VERTEX_BUDGET. Every graph read from
     outside the package goes through it: :func:`load_graph`,
     :func:`parse_edge_list_text`, :func:`from_json_dict`, unpickling and any
@@ -76,10 +76,13 @@ class Graph:
                 u, v = pair
             except (TypeError, ValueError):
                 raise ValueError(f"an edge must be a pair of vertex ids, got {pair!r}") from None
-            try:
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(f"vertex ids must be integers, got ({u!r}, {v!r})") from None
+            if type(u) is not int or type(v) is not int:  # exact ints, the common case, need no conversion
+                if isinstance(u, bool) or isinstance(v, bool):
+                    raise ValueError(f"vertex ids must be integers, not bool, got ({u!r}, {v!r})")
+                try:
+                    u, v = operator.index(u), operator.index(v)
+                except TypeError:
+                    raise ValueError(f"vertex ids must be integers, got ({u!r}, {v!r})") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -122,9 +125,6 @@ class Graph:
     def m(self):
         """Edge count."""
         return len(self.edges)
-
-    def degree(self, v):
-        return len(self.adjacency[v])
 
     def has_edge(self, u, v):
         return 0 <= u < self.n and v in self.adjacency[u]

@@ -7,39 +7,16 @@ for the adjacency matrix.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .graphs import adjacency_matrix, check_dense_budget, connected_regular_degree, degree_sequence, line_graph
+from .graphs import adjacency_matrix, check_dense_budget, degree_sequence
 from .indices import degree_index
-from .transforms import K_KINDS, apply_transform
+from .transforms import K_KINDS
 
 CLOSED_FORM_KINDS = ("regular_scaled", "complete", "cycle", "star", "complete_bipartite")
 LIFT_KINDS = ("subdivision", "semitotal_point", "semitotal_line")
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Spectrum (sorted ascending) together with the sum of absolute eigenvalues."""
-
-    spectrum: np.ndarray
-    energy: float
-
-
-@dataclass(frozen=True)
-class PredictedEnergy:
-    """Both readings of an energy formula for a transformed regular graph.
-
-    ``corrected`` follows the block/Kronecker structure of the transform's
-    ABS matrix and multiplies the base graph's adjacency energy;
-    ``as_printed`` keeps the original scalar factor and multiplies the
-    transformed graph's adjacency energy.
-    """
-
-    corrected: float
-    as_printed: float
 
 
 def abs_matrix(graph):
@@ -74,26 +51,19 @@ def abs_spectrum(graph):
     return linalg.eigenvalues_symmetric(abs_matrix(graph))
 
 
-def _energy(spectrum):
-    return math.fsum(abs(x) for x in spectrum.tolist())
+def energy(spectrum):
+    """Sum of absolute eigenvalues: the ABS energy of an ABS spectrum, the graph energy of an adjacency one."""
+    return math.fsum(abs(x) for x in np.asarray(spectrum, dtype=float).tolist())
 
 
-def abs_energy(graph):
-    """ABS spectrum and energy."""
-    spec = abs_spectrum(graph)
-    return EnergyReport(spectrum=spec, energy=_energy(spec))
-
-
-def adjacency_energy(graph):
-    """Adjacency spectrum and graph energy."""
-    spec = adjacency_spectrum(graph)
-    return EnergyReport(spectrum=spec, energy=_energy(spec))
+def _require_degree(r, what):
+    if r < 1:
+        raise ValueError(f"{what} needs degree r >= 1, got {r}")
 
 
 def regular_abs_factor(r):
     """Scale factor sqrt(r^2 - r) / r turning adjacency into ABS data for r-regular graphs."""
-    if r < 1:
-        raise ValueError(f"regular scaling needs degree r >= 1, got {r}")
+    _require_degree(r, "regular scaling")
     return math.sqrt(r * r - r) / r
 
 
@@ -164,19 +134,12 @@ def path_abs_charpoly(n):
     return result
 
 
-def _require_connected_regular(graph, what):
-    r = connected_regular_degree(graph)
-    if r is None:
-        raise ValueError(f"{what} needs a connected regular graph with r >= 1")
-    return r
-
-
 def lift_coefficients(kind, r):
-    """Coefficients (u, v, w) lifting base eigenvalues of an r-regular graph.
+    """Coefficients (u, v, w) lifting base eigenvalues of a connected r-regular graph, r >= 1.
 
-    For a base eigenvalue lam (adjacency of :func:`lift_base_graph`), the two
-    ABS eigenvalues of the transformed graph are the roots of
-    ``x^2 - u*lam*x - (v*lam + w)``:
+    For a base eigenvalue lam (of the adjacency matrix of L(G) for semitotal
+    line, of G otherwise) the two ABS eigenvalues of the transformed graph are
+    the roots of ``x^2 - u*lam*x - (v*lam + w)``:
 
     * subdivision:      u = 0,                v = r/(r+2),      w = r^2/(r+2)
     * semitotal_point:  u = sqrt((2r-1)/(2r)), v = r/(r+1),      w = r^2/(r+1)
@@ -186,6 +149,7 @@ def lift_coefficients(kind, r):
     ``phi(x) = (u*x + v) * x^s * psi((x^2 - w) / (u*x + v))`` with psi the
     base characteristic polynomial and s the zero surplus.
     """
+    _require_degree(r, "lift")
     if kind == "subdivision":
         return 0.0, r / (r + 2.0), r * r / (r + 2.0)
     if kind == "semitotal_point":
@@ -195,39 +159,21 @@ def lift_coefficients(kind, r):
     raise ValueError(f"unknown lift kind {kind!r}; expected one of {LIFT_KINDS}")
 
 
-def lift_base_graph(kind, graph):
-    """Graph whose adjacency eigenvalues a lift maps: L(G) for semitotal line, G otherwise."""
-    return line_graph(graph) if kind == "semitotal_line" else graph
+def predicted_transform_spectrum(kind, r, base_spectrum, order):
+    """Predicted ABS spectrum, ascending, of the ``order`` = n + m vertex lift of a connected r-regular graph.
 
-
-def lift_quadratic(kind, r, base_eigenvalue):
-    """Quadratic x^2 - u*lam*x - (v*lam + w) (ascending coefficients) lifting one base eigenvalue.
-
-    (u, v, w) come from :func:`lift_coefficients`.
+    Each base eigenvalue (see :func:`lift_coefficients`) gives the two roots of
+    its lift quadratic, and ``order - 2 * |base|`` zeros are left over: m - n
+    for subdivision and semitotal point, n - m for semitotal line. A negative
+    surplus means that many structurally exact zero roots cancel instead, so
+    the near-zero values are dropped.
     """
     u, v, w = lift_coefficients(kind, r)
-    lam = float(base_eigenvalue)
-    return np.array([-(v * lam + w), -u * lam, 1.0])
-
-
-def predicted_transform_spectrum(kind, graph, spectrum_of=adjacency_spectrum):
-    """Predicted ABS spectrum of a transformed connected regular graph.
-
-    Each base eigenvalue contributes the two roots of its lift quadratic. The
-    transform has n + m vertices, so ``n + m - 2 * |base|`` zeros are left
-    over: ``m - n`` for subdivision and semitotal point, ``n - m`` for the
-    semitotal line graph. A negative surplus means that many structurally
-    exact zero roots cancel instead, so the near-zero values are dropped. The
-    result always has n + m values, sorted ascending, and matches the
-    eigensolver on the constructed transform. ``spectrum_of`` maps a graph to
-    its adjacency spectrum; the verifier passes its per-run memo.
-    """
-    r = _require_connected_regular(graph, "predicted transform spectrum")
-    base = lift_base_graph(kind, graph)
+    if order < 0:
+        raise ValueError(f"transform order must be >= 0, got {order}")
     values = []
-    for lam in spectrum_of(base):
-        c0, c1, _ = lift_quadratic(kind, r, lam)
-        b, c = -c1, -c0
+    for lam in np.asarray(base_spectrum, dtype=float).tolist():
+        b, c = u * lam, v * lam + w
         disc = b * b + 4.0 * c
         # A base eigenvalue at -r makes the subdivision quadratic a double
         # root at 0; snap the discriminant there so the square root does not
@@ -236,7 +182,7 @@ def predicted_transform_spectrum(kind, graph, spectrum_of=adjacency_spectrum):
         root = math.sqrt(disc)
         values.append((b + root) / 2.0)
         values.append((b - root) / 2.0)
-    surplus = graph.n + graph.m - 2 * base.n
+    surplus = order - len(values)
     if surplus >= 0:
         values.extend([0.0] * surplus)
         out = np.array(values)
@@ -256,6 +202,7 @@ def splitting_energy_radicands(r, k):
     ``(5rk^2 + 15rk - 9k + 10r - 10) / (r(k+1)(k+2))``; the two agree exactly
     at k = 1 and differ for k >= 2.
     """
+    _require_degree(r, "splitting radicands")
     a2 = 1.0 - 1.0 / (r * (k + 1.0))
     b2 = 1.0 - 2.0 / (r * (k + 2.0))
     corrected = a2 + 4.0 * k * b2
@@ -263,32 +210,25 @@ def splitting_energy_radicands(r, k):
     return corrected, printed
 
 
-def predicted_energy(kind, graph, k, spectrum_of=adjacency_spectrum, transform_of=apply_transform):
-    """Predicted ABS energy of the k-splitting or k-shadow of a connected regular graph.
+def predicted_energy(kind, r, k, base_energy, transformed_energy):
+    """(corrected, as printed) ABS energy of the k-splitting or k-shadow of a connected r-regular graph.
 
-    Returns both the corrected and the as-printed reading; see
-    :class:`PredictedEnergy`. The shadow factor is ``k*sqrt(1 - 1/(kr))`` in
-    both readings, but the as-printed right-hand side multiplies the shadow
-    graph's own adjacency energy (k times the base energy). ``spectrum_of``
-    maps a graph to its adjacency spectrum and ``transform_of`` (kind, graph,
-    k) to the transformed graph; the verifier passes its per-run memo for both.
+    The corrected reading follows the Kronecker structure of the transform's
+    ABS matrix and scales the graph's adjacency energy ``base_energy``; the
+    as-printed one scales the transform's own, ``transformed_energy``. The
+    shadow factor is ``k*sqrt(1 - 1/(kr))`` in both readings; the splitting
+    factors are the square roots of :func:`splitting_energy_radicands`.
     """
     if kind not in K_KINDS:
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
     if k < 1:
         raise ValueError(f"energy prediction needs k >= 1, got {k}")
-    r = _require_connected_regular(graph, f"{kind} energy prediction")
-    base_energy = _energy(spectrum_of(graph))
-    transformed_energy = _energy(spectrum_of(transform_of(kind, graph, k)))
+    _require_degree(r, f"{kind} energy prediction")
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
-        corrected = factor * base_energy
-        as_printed = factor * transformed_energy
-    else:
-        radicand, printed_radicand = splitting_energy_radicands(r, k)
-        corrected = math.sqrt(radicand) * base_energy
-        as_printed = math.sqrt(printed_radicand) * transformed_energy
-    return PredictedEnergy(corrected=corrected, as_printed=as_printed)
+        return factor * base_energy, factor * transformed_energy
+    radicand, printed_radicand = splitting_energy_radicands(r, k)
+    return math.sqrt(radicand) * base_energy, math.sqrt(printed_radicand) * transformed_energy
 
 
 def spectrum_report(graph, which="abs"):
@@ -303,7 +243,7 @@ def spectrum_report(graph, which="abs"):
     harmonic_check = 2.0 * (graph.m - degree_index(graph, "harmonic"))
     return {
         "spectrum": spectrum.tolist(),
-        "energy": _energy(spectrum),
+        "energy": energy(spectrum),
         "trace_sq": trace_sq,
         "harmonic_check": harmonic_check,
     }

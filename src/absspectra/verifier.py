@@ -40,12 +40,11 @@ from .graphs import (
 )
 from .indices import degree_index
 from .spectra import (
-    _energy,
     abs_matrix,
     closed_form_abs_spectrum,
+    energy,
     graph_matrix,
     lift_coefficients,
-    lift_quadratic,
     path_abs_charpoly,
     predicted_energy,
     predicted_transform_spectrum,
@@ -292,20 +291,19 @@ def _lift_check(kind):
             return skip, skip
         transformed = memo.transform(kind, graph)
         u, v, w = lift_coefficients(kind, r)
-        # spectra.lift_base_graph, with L(G) taken from the memo
         base = memo.transform("line_graph", graph) if kind == "semitotal_line" else graph
         surplus = transformed.n - 2 * base.n  # zero roots beyond the lifted pairs
 
         def corrected():
             if kind == "semitotal_line":
-                # polynomial route: x^max(0,-s) * phi(T2) == x^max(0,s) * prod(quadratics)
+                # polynomial route: x^max(0,-s) * phi(T2) == x^max(0,s) * prod(x^2 - u*lam*x - (v*lam + w))
                 lhs = linalg.poly_mul(_monomial(max(0, -surplus)), memo.charpoly(transformed, "abs"))
                 rhs = _monomial(max(0, surplus))
-                for theta in memo.spectrum(base, "adjacency"):
-                    rhs = linalg.poly_mul(rhs, lift_quadratic(kind, r, theta))
+                for lam in memo.spectrum(base, "adjacency").tolist():
+                    rhs = linalg.poly_mul(rhs, np.array([-(v * lam + w), -u * lam, 1.0]))
                 dev = linalg.poly_deviation(lhs, rhs)
                 return True, dev, f"zero-padded char poly vs product of lift quadratics, r={r}"
-            predicted = predicted_transform_spectrum(kind, graph, functools.partial(memo.spectrum, kind="adjacency"))
+            predicted = predicted_transform_spectrum(kind, r, memo.spectrum(base, "adjacency"), transformed.n)
             actual = memo.spectrum(transformed, "abs")
             dev = linalg.multiset_deviation(predicted, actual)
             return True, dev, f"predicted lift spectrum vs eigensolver, r={r}"
@@ -378,15 +376,17 @@ def _energy_check(kind):
         k = _copies(params)
         if k < 1:
             raise ValueError(f"{kind} energy check needs k >= 1, got {k}")
-        lhs = _energy(memo.spectrum(memo.transform(kind, graph, k), "abs"))
-        predicted = predicted_energy(kind, graph, k, functools.partial(memo.spectrum, kind="adjacency"), memo.transform)
+        transformed = memo.transform(kind, graph, k)
+        lhs = energy(memo.spectrum(transformed, "abs"))
+        base_energy, transformed_energy = (energy(memo.spectrum(g, "adjacency")) for g in (graph, transformed))
+        corrected, as_printed = predicted_energy(kind, r, k, base_energy, transformed_energy)
 
         def outcome(rhs, side):
             return True, _scalar_deviation(lhs, rhs), f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}"
 
         return (
-            outcome(predicted.corrected, "base-graph energy"),
-            outcome(predicted.as_printed, "transformed-graph energy, printed factor"),
+            outcome(corrected, "base-graph energy"),
+            outcome(as_printed, "transformed-graph energy, printed factor"),
         )
 
     return check

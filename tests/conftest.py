@@ -5,12 +5,26 @@ import random
 
 import pytest
 
-from absspectra import Graph, generate, is_connected, is_regular
+from absspectra import (
+    Graph,
+    adjacency_spectrum,
+    generate,
+    is_connected,
+    is_regular,
+    line_graph,
+    predicted_transform_spectrum,
+)
 
 
 def random_graph(rng, n, p=0.5):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, pairs)
+
+
+def predicted_lift(kind, graph):
+    """Predicted lift spectrum of a connected regular graph, from its degree and base adjacency spectrum."""
+    base = line_graph(graph) if kind == "semitotal_line" else graph
+    return predicted_transform_spectrum(kind, is_regular(graph), adjacency_spectrum(base), graph.n + graph.m)
 
 
 def adjacency_reference(graph):

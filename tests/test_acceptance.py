@@ -13,22 +13,21 @@ import numpy as np
 import pytest
 
 from absspectra import (
-    abs_energy,
     abs_matrix,
     abs_spectrum,
-    adjacency_energy,
     adjacency_matrix,
+    adjacency_spectrum,
     char_poly,
     closed_form_abs_spectrum,
     degree_index,
     eigenvalues_symmetric,
+    energy,
     generate,
     incidence_matrix,
     is_connected,
     is_regular,
     line_graph,
     path_abs_charpoly,
-    predicted_transform_spectrum,
     semitotal_line,
     semitotal_point,
     shadow,
@@ -39,7 +38,7 @@ from absspectra.cli import main as cli_main
 from absspectra.linalg import multiset_deviation, poly_deviation
 from absspectra.spectra import splitting_energy_radicands
 
-from conftest import regular_corpus
+from conftest import predicted_lift, regular_corpus
 
 
 def _announce(criterion, text):
@@ -94,7 +93,7 @@ def test_c04_transform_spectra_corrected():
     checked = 0
     for g in graphs:
         for kind, build in transforms:
-            predicted = predicted_transform_spectrum(kind, g)
+            predicted = predicted_lift(kind, g)
             actual = eigenvalues_symmetric(abs_matrix(build(g)))
             assert multiset_deviation(predicted, actual) <= 1e-8, f"{kind} spectrum mismatch on {g!r}"
             checked += 1
@@ -122,12 +121,12 @@ def test_c05_kronecker_structure():
 def test_c06_shadow_energy_corrected():
     for g in regular_corpus():
         r = is_regular(g)
-        base = adjacency_energy(g).energy
+        base = energy(adjacency_spectrum(g))
         for k in (1, 2, 3):
             expected = k * math.sqrt(1.0 - 1.0 / (k * r)) * base
-            actual = abs_energy(shadow(g, k)).energy
+            actual = energy(abs_spectrum(shadow(g, k)))
             assert abs(actual - expected) <= 1e-8, f"shadow energy mismatch on {g!r}, k={k}"
-    special = abs_energy(shadow(generate("cycle", 4), 2)).energy
+    special = energy(abs_spectrum(shadow(generate("cycle", 4), 2)))
     assert abs(special - 4.0 * math.sqrt(3)) <= 1e-8
     _announce("C6", "shadow energy k <= 3 on the regular corpus; shadow(C4,2) = 4*sqrt(3) (tol 1e-8)")
 
@@ -138,16 +137,16 @@ def test_c07_splitting_energy():
         r = is_regular(g)
         corrected, printed = splitting_energy_radicands(r, 1)
         assert abs(corrected - printed) <= 1e-12
-        expected = math.sqrt(corrected) * adjacency_energy(g).energy
-        assert abs(abs_energy(splitting(g, 1)).energy - expected) <= 1e-8
+        expected = math.sqrt(corrected) * energy(adjacency_spectrum(g))
+        assert abs(energy(abs_spectrum(splitting(g, 1))) - expected) <= 1e-8
     # at k = 2, 3 the brute-force oracle decides: the corrected radicand wins
     printed_survives = True
     for g in regular_corpus()[:6]:
         r = is_regular(g)
-        base = adjacency_energy(g).energy
+        base = energy(adjacency_spectrum(g))
         for k in (2, 3):
             corrected, printed = splitting_energy_radicands(r, k)
-            actual = abs_energy(splitting(g, k)).energy
+            actual = energy(abs_spectrum(splitting(g, k)))
             assert abs(actual - math.sqrt(corrected) * base) <= 1e-8, (
                 f"corrected splitting energy mismatch on {g!r}, k={k}"
             )

@@ -572,7 +572,10 @@ def test_shadow_of_edgeless_graph_is_fast():
     assert code == 0 and not err and set(json.loads(out).values()) == {0.0}
 
 
-@pytest.mark.parametrize("text", ['{"n": 3, "edges": [0, 1]}', '{"n": 3, "edges": null}', '{"n": 3, "edges": [[0, 1, 2]]}'])
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 3, "edges": [0, 1]}', '{"n": 3, "edges": null}', '{"n": 3, "edges": [[0, 1, 2]]}', '{"n": 2, "edges": [[0, true]]}'],
+)
 def test_malformed_json_edges_exit_2(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -15,3 +15,14 @@ def test_all_lists_resolving_names_and_no_submodule():
     namespace = {}
     exec("from absspectra import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(absspectra.__all__)
+
+
+def test_energy_wrappers_and_graph_taking_predictions_are_gone():
+    from absspectra import spectra
+
+    assert "energy" in absspectra.__all__ and absspectra.energy is spectra.energy
+    for name in ("EnergyReport", "PredictedEnergy", "abs_energy", "adjacency_energy"):
+        assert name not in absspectra.__all__ and not hasattr(absspectra, name), name
+        assert not hasattr(spectra, name), name
+    for name in ("lift_base_graph", "lift_quadratic"):
+        assert not hasattr(spectra, name), name

@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 from absspectra import (
-    Graph,
-    abs_energy,
     abs_matrix,
     abs_spectrum,
-    adjacency_energy,
     adjacency_matrix,
     adjacency_spectrum,
+    apply_transform,
     char_poly,
     closed_form_abs_spectrum,
     degree_index,
     det_lu,
     eigenvalues_symmetric,
+    energy,
     generate,
+    is_regular,
     path_abs_charpoly,
     predicted_energy,
     predicted_transform_spectrum,
@@ -30,9 +30,15 @@ from absspectra import (
     subdivision,
 )
 from absspectra.linalg import multiset_deviation, poly_deviation
-from absspectra.spectra import lift_coefficients, spectrum_report
+from absspectra.spectra import lift_coefficients, spectrum_report, splitting_energy_radicands
 
-from conftest import random_graph, regular_corpus
+from conftest import predicted_lift, random_graph, regular_corpus
+
+
+def _predicted_energy(kind, graph, k):
+    """Both readings for the k-splitting or k-shadow of a connected regular graph, from its degree and energies."""
+    transformed_energy = energy(adjacency_spectrum(apply_transform(kind, graph, k)))
+    return predicted_energy(kind, is_regular(graph), k, energy(adjacency_spectrum(graph)), transformed_energy)
 
 
 def test_abs_matrix_k2_is_zero():
@@ -66,16 +72,16 @@ def test_abs_spectrum_c4():
     np.testing.assert_allclose(
         abs_spectrum(generate("cycle", 4)), [-math.sqrt(2), 0.0, 0.0, math.sqrt(2)], atol=1e-12
     )
-    assert abs_energy(generate("cycle", 4)).energy == pytest.approx(2.0 * math.sqrt(2), abs=1e-12)
+    assert energy(abs_spectrum(generate("cycle", 4))) == pytest.approx(2.0 * math.sqrt(2), abs=1e-12)
 
 
 def test_abs_energy_k4():
     # one eigenvalue 3*sqrt(2/3), three at -sqrt(2/3): energy 2*sqrt(6)
-    assert abs_energy(generate("complete", 4)).energy == pytest.approx(2.0 * math.sqrt(6), abs=1e-12)
+    assert energy(abs_spectrum(generate("complete", 4))) == pytest.approx(2.0 * math.sqrt(6), abs=1e-12)
 
 
 def test_abs_energy_k2_zero():
-    assert abs_energy(generate("complete", 2)).energy == 0.0
+    assert energy(abs_spectrum(generate("complete", 2))) == 0.0
 
 
 def test_closed_form_star_and_bipartite_agree():
@@ -161,19 +167,19 @@ def test_path_charpoly_rejects_small_n():
 
 
 def test_predicted_subdivision_of_c3_is_c6_spectrum():
-    pred = predicted_transform_spectrum("subdivision", generate("cycle", 3))
+    pred = predicted_transform_spectrum("subdivision", 2, adjacency_spectrum(generate("cycle", 3)), 6)
     assert multiset_deviation(pred, closed_form_abs_spectrum("cycle", 6)) <= 1e-9
 
 
 def test_predicted_semitotal_point_of_k2():
     # T1(K2) = K3, whose ABS spectrum is the scaled complete-graph spectrum
-    pred = predicted_transform_spectrum("semitotal_point", generate("complete", 2))
+    pred = predicted_transform_spectrum("semitotal_point", 1, adjacency_spectrum(generate("complete", 2)), 3)
     assert multiset_deviation(pred, closed_form_abs_spectrum("complete", 3)) <= 1e-9
 
 
 def test_predicted_semitotal_line_of_c3():
     g = generate("cycle", 3)
-    pred = predicted_transform_spectrum("semitotal_line", g)
+    pred = predicted_lift("semitotal_line", g)
     actual = eigenvalues_symmetric(abs_matrix(semitotal_line(g)))
     assert multiset_deviation(pred, actual) <= 1e-9
 
@@ -185,7 +191,7 @@ def test_predicted_semitotal_line_of_c3():
 ])
 def test_predicted_transform_spectra_on_regular_corpus(kind, transform):
     for g in regular_corpus():
-        pred = predicted_transform_spectrum(kind, g)
+        pred = predicted_lift(kind, g)
         actual = eigenvalues_symmetric(abs_matrix(transform(g)))
         assert multiset_deviation(pred, actual) <= 1e-8
 
@@ -199,18 +205,23 @@ def test_lift_coefficients_table():
         lift_coefficients("splitting", r)
 
 
-def test_predicted_transform_rejects_irregular_and_disconnected():
-    with pytest.raises(ValueError, match="regular"):
-        predicted_transform_spectrum("subdivision", generate("path", 4))
-    with pytest.raises(ValueError, match="connected"):
-        predicted_transform_spectrum("subdivision", Graph(4, [(0, 1), (2, 3)]))
-    with pytest.raises(ValueError, match="r >= 1"):
-        predicted_transform_spectrum("subdivision", Graph(3))
+def test_predictions_reject_degree_below_1():
+    for r in (0, -1):
+        for kind in ("subdivision", "semitotal_point", "semitotal_line"):
+            with pytest.raises(ValueError, match="r >= 1"):
+                lift_coefficients(kind, r)
+            with pytest.raises(ValueError, match="r >= 1"):
+                predicted_transform_spectrum(kind, r, [], 1)
+        for kind in ("splitting", "shadow"):
+            with pytest.raises(ValueError, match="r >= 1"):
+                predicted_energy(kind, r, 2, 0.0, 0.0)
+        with pytest.raises(ValueError, match="r >= 1"):
+            splitting_energy_radicands(r, 1)
+    with pytest.raises(ValueError, match="order"):
+        predicted_transform_spectrum("subdivision", 2, [2.0, -1.0, -1.0], -1)
 
 
 def test_splitting_radicands_agree_at_k1():
-    from absspectra.spectra import splitting_energy_radicands
-
     corrected, printed = splitting_energy_radicands(2, 1)
     assert corrected == pytest.approx(41.0 / 12.0, abs=1e-15)
     assert printed == pytest.approx(41.0 / 12.0, abs=1e-15)
@@ -220,36 +231,36 @@ def test_splitting_radicands_agree_at_k1():
 
 
 def test_predicted_shadow_energy_c4_k2():
-    pe = predicted_energy("shadow", generate("cycle", 4), 2)
-    assert pe.corrected == pytest.approx(4.0 * math.sqrt(3), abs=1e-12)
-    assert abs_energy(shadow(generate("cycle", 4), 2)).energy == pytest.approx(pe.corrected, abs=1e-8)
+    corrected, _ = _predicted_energy("shadow", generate("cycle", 4), 2)
+    assert corrected == pytest.approx(4.0 * math.sqrt(3), abs=1e-12)
+    assert energy(abs_spectrum(shadow(generate("cycle", 4), 2))) == pytest.approx(corrected, abs=1e-8)
 
 
 def test_predicted_shadow_energy_k1_reduces_to_abs_energy():
     for g in (generate("cycle", 5), generate("complete", 4)):
-        pe = predicted_energy("shadow", g, 1)
-        assert pe.corrected == pytest.approx(abs_energy(g).energy, abs=1e-10)
-        assert pe.as_printed == pytest.approx(pe.corrected, abs=1e-10)
+        corrected, as_printed = _predicted_energy("shadow", g, 1)
+        assert corrected == pytest.approx(energy(abs_spectrum(g)), abs=1e-10)
+        assert as_printed == pytest.approx(corrected, abs=1e-10)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_predicted_energies_match_bruteforce(k):
     for g in regular_corpus()[:8]:
-        assert abs_energy(splitting(g, k)).energy == pytest.approx(
-            predicted_energy("splitting", g, k).corrected, abs=1e-8
+        assert energy(abs_spectrum(splitting(g, k))) == pytest.approx(
+            _predicted_energy("splitting", g, k)[0], abs=1e-8
         )
-        assert abs_energy(shadow(g, k)).energy == pytest.approx(
-            predicted_energy("shadow", g, k).corrected, abs=1e-8
+        assert energy(abs_spectrum(shadow(g, k))) == pytest.approx(
+            _predicted_energy("shadow", g, k)[0], abs=1e-8
         )
 
 
 def test_predicted_energy_validation():
     with pytest.raises(ValueError):
-        predicted_energy("splitting", generate("cycle", 4), 0)
+        predicted_energy("splitting", 2, 0, 4.0, 4.0)
     with pytest.raises(ValueError):
-        predicted_energy("shadow", generate("path", 4), 2)
+        predicted_energy("shadow", 0, 2, 4.0, 8.0)
     with pytest.raises(ValueError):
-        predicted_energy("total", generate("cycle", 4), 1)
+        predicted_energy("total", 2, 1, 4.0, 4.0)
 
 
 def test_trace_identities_random():
@@ -272,9 +283,10 @@ def test_regular_scaling_on_connected_regular_corpus():
 
 def test_energy_reports():
     g = generate("cycle", 4)
-    rep = adjacency_energy(g)
-    assert rep.energy == pytest.approx(4.0, abs=1e-12)
-    assert rep.energy >= abs(rep.spectrum[-1])
+    spectrum = adjacency_spectrum(g)
+    assert energy(spectrum) == pytest.approx(4.0, abs=1e-12)
+    assert energy(spectrum) >= abs(spectrum[-1])
+    assert energy([-1.5, 0.0, 0.5, 1.0]) == 3.0  # any sequence of eigenvalues
     report = spectrum_report(g, "abs")
     assert set(report) == {"spectrum", "energy", "trace_sq", "harmonic_check"}
     assert report["trace_sq"] == pytest.approx(report["harmonic_check"], abs=1e-10)
