@@ -126,9 +126,6 @@ class Graph:
         """Edge count."""
         return len(self.edges)
 
-    def has_edge(self, u, v):
-        return 0 <= u < self.n and v in self.adjacency[u]
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 

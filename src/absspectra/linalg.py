@@ -1,9 +1,9 @@
-"""Dense symmetric eigensolver, characteristic polynomials and polynomial helpers.
+"""Dense symmetric eigensolver, characteristic polynomials, LU solves and deviation measures.
 
 Everything here is desk-scale numerical linear algebra. Polynomials are
 represented as 1-D float arrays of coefficients in ascending order of power
-(``coeffs[k]`` multiplies ``x**k``) with exact trailing zeros trimmed; a zero
-polynomial is ``[0.0]``. Spectra are 1-D float arrays sorted ascending.
+(``coeffs[k]`` multiplies ``x**k``). Spectra are 1-D float arrays sorted
+ascending.
 """
 
 import functools
@@ -243,36 +243,12 @@ def solve_lu(matrix, rhs):
     return det, x
 
 
-def poly_trim(coeffs):
-    """Drop exact trailing zero coefficients (zero polynomial stays ``[0.0]``)."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("polynomial coefficients must be a 1-D sequence")
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return np.zeros(1)
-    return c[: nz[-1] + 1].copy()
-
-
 def poly_from_roots(roots):
     """Monic polynomial with the given real roots, ascending coefficients."""
     coeffs = np.ones(1)
     for r in np.asarray(roots, dtype=float):
         coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
     return coeffs
-
-
-def poly_mul(p, q):
-    """Product of two coefficient arrays."""
-    return poly_trim(np.convolve(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
-
-
-def poly_eval(coeffs, x):
-    """Evaluate a coefficient array at a scalar point (Horner)."""
-    acc = 0.0
-    for c in reversed(np.asarray(coeffs, dtype=float)):
-        acc = acc * x + c
-    return acc
 
 
 def multiset_deviation(a, b):

@@ -13,10 +13,10 @@ import numpy as np
 from . import linalg
 from .graphs import adjacency_matrix, check_dense_budget, degree_sequence
 from .indices import degree_index
-from .transforms import K_KINDS
+from .transforms import K_KINDS, TRANSFORM_KINDS
 
-CLOSED_FORM_KINDS = ("regular_scaled", "complete", "cycle", "star", "complete_bipartite")
-LIFT_KINDS = ("subdivision", "semitotal_point", "semitotal_line")
+CLOSED_FORM_KINDS = ("complete", "cycle", "star", "complete_bipartite")
+LIFT_KINDS = tuple(kind for kind in TRANSFORM_KINDS if kind not in K_KINDS)
 
 
 def abs_matrix(graph):
@@ -72,8 +72,6 @@ def closed_form_abs_spectrum(kind, *params):
 
     Kinds and parameters:
 
-    * ``regular_scaled`` (adjacency_spectrum, r): entrywise scaling by
-      ``sqrt(r^2 - r)/r``, r >= 1;
     * ``complete`` (n >= 2): one eigenvalue ``(n-1)*sqrt((n-2)/(n-1))`` and
       ``-sqrt((n-2)/(n-1))`` with multiplicity n-1;
     * ``cycle`` (n >= 3): ``sqrt(2)*cos(2*pi*i/n)`` for i = 0..n-1;
@@ -81,9 +79,6 @@ def closed_form_abs_spectrum(kind, *params):
     * ``complete_bipartite`` (m, n >= 1): ``+/- sqrt(mn(m+n-2)/(m+n))`` and
       m+n-2 zeros.
     """
-    if kind == "regular_scaled":
-        spectrum, r = params
-        return np.sort(regular_abs_factor(int(r)) * np.asarray(spectrum, dtype=float))
     if kind == "complete":
         (n,) = params
         if n < 2:
@@ -203,6 +198,8 @@ def splitting_energy_radicands(r, k):
     at k = 1 and differ for k >= 2.
     """
     _require_degree(r, "splitting radicands")
+    if k < 1:
+        raise ValueError(f"splitting radicands need k >= 1, got {k}")
     a2 = 1.0 - 1.0 / (r * (k + 1.0))
     b2 = 1.0 - 2.0 / (r * (k + 2.0))
     corrected = a2 + 4.0 * k * b2

@@ -1,9 +1,12 @@
-"""Guards on the runtime routes: no runtime path calls numpy.linalg, and the tracer's hooks resolve."""
+"""Guards on the runtime routes: no numpy.linalg call, no numpy.polynomial import, and the tracer's hooks resolve."""
 
 import ast
 import importlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -11,7 +14,8 @@ import pytest
 
 from absspectra import CheckId, cli, default_suite, reports_to_json, run_suite
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # one graph per check on which the check applies
 _CHECK_GRAPHS = {
@@ -59,6 +63,27 @@ def test_no_runtime_path_calls_numpy_linalg(monkeypatch):
     # the checks record an oracle failure as verdict "error", so compare whole outputs
     assert _outputs() == expected
     assert '"verdict": "error"' not in expected[0] + "".join(out for _, out, _ in expected[1:])
+
+
+def test_no_runtime_path_imports_numpy_polynomial():
+    # numpy does not load numpy.polynomial itself; importing it costs every process time and memory
+    code = f"""
+import sys
+from contextlib import redirect_stdout
+import io
+from absspectra import cli, default_suite, run_suite
+run_suite(default_suite())
+with redirect_stdout(io.StringIO()):
+    for check, spec in {_CHECK_GRAPHS!r}.items():
+        cli.main(["verify", "--check", check, "--graph", spec])
+assert "numpy" in sys.modules
+assert "numpy.polynomial" not in sys.modules, "numpy.polynomial imported on a runtime path"
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tracer_targets_resolve():

@@ -30,7 +30,7 @@ from absspectra import (
     subdivision,
 )
 from absspectra.linalg import multiset_deviation, poly_deviation
-from absspectra.spectra import lift_coefficients, spectrum_report, splitting_energy_radicands
+from absspectra.spectra import lift_coefficients, regular_abs_factor, spectrum_report, splitting_energy_radicands
 
 from conftest import predicted_lift, random_graph, regular_corpus
 
@@ -99,9 +99,11 @@ def test_closed_form_cycle3():
     np.testing.assert_allclose(closed_form_abs_spectrum("cycle", 3), expected, atol=1e-12)
 
 
-def test_closed_form_regular_scaled_r1_is_zero():
-    spec = closed_form_abs_spectrum("regular_scaled", [1.0, -1.0], 1)
-    np.testing.assert_array_equal(spec, [0.0, 0.0])
+def test_regular_abs_factor_r1_is_zero():
+    assert regular_abs_factor(1) == 0.0
+    # the scaled adjacency spectrum is not a closed-form kind
+    with pytest.raises(ValueError, match="unknown closed-form kind"):
+        closed_form_abs_spectrum("regular_scaled", [1.0, -1.0], 1)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +219,9 @@ def test_predictions_reject_degree_below_1():
                 predicted_energy(kind, r, 2, 0.0, 0.0)
         with pytest.raises(ValueError, match="r >= 1"):
             splitting_energy_radicands(r, 1)
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k >= 1"):
+            splitting_energy_radicands(3, k)
     with pytest.raises(ValueError, match="order"):
         predicted_transform_spectrum("subdivision", 2, [2.0, -1.0, -1.0], -1)
 

@@ -93,7 +93,7 @@ def test_semitotal_line_of_triangle():
     # the three edge-vertices form a complete triangle
     for i in range(3, 6):
         for j in range(i + 1, 6):
-            assert t.has_edge(i, j)
+            assert (i, j) in t.edges
 
 
 def test_semitotal_line_degree_law():

@@ -24,7 +24,7 @@ from absspectra import (
     run_check,
     run_suite,
 )
-from absspectra import NoConvergenceError, graphs, linalg, verifier
+from absspectra import NoConvergenceError, graphs, linalg, spectra, verifier
 from absspectra.verifier import has_key_failure, report_to_dict
 
 from conftest import small_graphs
@@ -253,6 +253,13 @@ def test_check_ids_members_values_order_and_pickling():
         assert CheckId(name) is check and getattr(CheckId, name) is check
         assert pickle.loads(pickle.dumps(check)) is check
     assert pickle.loads(pickle.dumps(list(CheckId))) == list(CheckId)
+
+
+def test_derived_kind_lists():
+    # K_CHECKS comes from the _CHECKS rows, LIFT_KINDS from the transform kinds
+    assert verifier.K_CHECKS == (CheckId.THM_SPLIT_ENERGY, CheckId.THM_SHADOW_ENERGY)
+    assert spectra.LIFT_KINDS == ("subdivision", "semitotal_point", "semitotal_line")
+    assert spectra.CLOSED_FORM_KINDS == ("complete", "cycle", "star", "complete_bipartite")
 
 
 @pytest.mark.parametrize(
