@@ -13,7 +13,6 @@ import types
 from .graphs import (
     Graph,
     adjacency_matrix,
-    degree_sequence,
     generate,
     incidence_matrix,
     is_connected,

@@ -6,7 +6,7 @@ composes generators and transforms in one token, e.g.::
     --graph cycle:6
     --graph complete_bipartite:2:3
     --graph splitting:cycle:4:k=2
-    --graph subdivision:shadow:complete:4:k=2:
+    --graph subdivision:shadow:complete:4:k=2
     --graph file:path/to/graph.txt
 
 Output is JSON on stdout (floats at 15 significant digits); ``--csv`` switches

@@ -3,7 +3,8 @@
 Vertices are ``0..n-1``. Edges are stored sorted lexicographically as
 ``(min, max)`` pairs; the position of an edge in that order is its edge index,
 which fixes the column order of the incidence matrix and the vertex order of
-the line graph.
+the line graph. Beside them a graph keeps only its vertex degrees; the one
+search that needs neighbour lists, :func:`_two_colouring`, builds its own.
 """
 
 import json
@@ -54,10 +55,11 @@ class Graph:
     :func:`generate`, :func:`line_graph` and the five transforms, skip the
     checks: their producers emit distinct in-range ``(min, max)`` pairs by
     construction and pass them to the private core, :meth:`_canonical`.
-    Instances are immutable; all operations return new graphs.
+    Instances hold ``n``, the sorted ``edges`` and the tuple of vertex
+    ``degrees``, and are immutable; all operations return new graphs.
     """
 
-    __slots__ = ("n", "edges", "adjacency")
+    __slots__ = ("n", "edges", "degrees")
 
     def __init__(self, n, pairs=()):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -102,17 +104,15 @@ class Graph:
         return graph
 
     def _fill(self, n, pairs):
-        """Set ``n``, the sorted ``edges`` and ``adjacency`` from canonical ``pairs``."""
+        """Set ``n``, the sorted ``edges`` and the per-vertex ``degrees`` from canonical ``pairs``."""
         edges = tuple(sorted(pairs))
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        # in sorted (min, max) order each list is already ascending: lower
-        # neighbours arrive first, then higher ones
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        object.__setattr__(self, "degrees", tuple(degrees))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -181,14 +181,9 @@ def generate(kind, *params):
     return Graph._canonical(n, [(0, i) for i in range(1, n)])  # star
 
 
-def degree_sequence(graph):
-    """Per-vertex degrees in vertex-index order."""
-    return [len(ns) for ns in graph.adjacency]
-
-
 def is_regular(graph):
     """Common degree r when all vertices share it, else None (empty graph is 0-regular)."""
-    degs = degree_sequence(graph)
+    degs = graph.degrees
     if not degs:
         return 0
     r = degs[0]
@@ -201,12 +196,16 @@ def _two_colouring(graph):
     Unreached vertices keep colour -1; ``bipartite`` is False when an edge
     joins two vertices of one colour.
     """
+    neighbours = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     colour = [0] + [-1] * (graph.n - 1)
     bipartite = True
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in graph.adjacency[u]:
+        for v in neighbours[u]:
             if colour[v] == -1:
                 colour[v] = 1 - colour[u]
                 stack.append(v)
@@ -241,7 +240,7 @@ def families(graph):
     colour, bipartite = _two_colouring(graph)
     if -1 in colour:
         return {}
-    degs = degree_sequence(graph)
+    degs = graph.degrees
     found = {}
     if m == n * (n - 1) // 2:
         found["complete"] = (n,)
@@ -259,7 +258,7 @@ def families(graph):
 
 def line_graph_edge_count(graph):
     """Edges of the line graph: one per pair of edges at a common vertex, sum of C(d_v, 2)."""
-    return sum(d * (d - 1) // 2 for d in degree_sequence(graph))
+    return sum(d * (d - 1) // 2 for d in graph.degrees)
 
 
 def line_pairs(graph, offset=0):

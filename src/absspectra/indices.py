@@ -7,8 +7,6 @@ across runs. An edgeless graph scores 0 for every kind.
 
 import math
 
-from .graphs import degree_sequence
-
 _EDGE_TERMS = {
     "M1": lambda di, dj: float(di + dj),
     "M2": lambda di, dj: float(di * dj),
@@ -27,7 +25,7 @@ def degree_index(graph, kind):
         term = _EDGE_TERMS[kind]
     except KeyError:
         raise ValueError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}") from None
-    degs = degree_sequence(graph)
+    degs = graph.degrees
     return math.fsum(term(degs[u], degs[v]) for u, v in graph.edges)
 
 

@@ -17,8 +17,8 @@ _JACOBI_SWEEP_CAP = 100
 
 # Faddeev-LeVerrier is O(n^4); past this order use an eigenvalue method instead.
 _CHARPOLY_ORDER_CAP = 64
-# Jacobi time grows 6-8x per doubling of the order: `spectrum --abs` takes
-# 7.7 s on the 400-cycle and 65 s, about a minute, on the 900-cycle (2-vCPU Xeon).
+# Jacobi time grows 6-8x per doubling of the order: `spectrum --abs` takes 5.2-5.6 s
+# on the 400-cycle and 59-69 s, about a minute, on the 900-cycle (2-vCPU Xeon, 2 runs).
 _JACOBI_ORDER_CAP = 900
 
 

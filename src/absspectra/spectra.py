@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .graphs import adjacency_matrix, check_dense_budget, degree_sequence
+from .graphs import adjacency_matrix, check_dense_budget
 from .indices import degree_index
 from .transforms import K_KINDS, TRANSFORM_KINDS
 
@@ -22,7 +22,7 @@ LIFT_KINDS = tuple(kind for kind in TRANSFORM_KINDS if kind not in K_KINDS)
 def abs_matrix(graph):
     """Dense ABS matrix of a graph."""
     check_dense_budget(graph.n, graph.n, "ABS matrix")
-    degs = degree_sequence(graph)
+    degs = graph.degrees
     a = np.zeros((graph.n, graph.n))
     for u, v in graph.edges:
         s = degs[u] + degs[v]

@@ -30,7 +30,6 @@ from . import linalg
 from .graphs import (
     adjacency_matrix,
     connected_regular_degree,
-    degree_sequence,
     families,
     generate,
     incidence_matrix,
@@ -240,7 +239,7 @@ def _chk_schur(graph, params, memo):
     if graph.n == 0:
         return False, 0.0, "empty graph"
     a = adjacency_matrix(graph)
-    shift = max(degree_sequence(graph)) + 1
+    shift = max(graph.degrees) + 1
     m_blk = a + shift * np.eye(graph.n)  # diagonally dominant, invertible
     n_blk = abs_matrix(graph)
     block = np.block([[m_blk, n_blk], [n_blk, m_blk]])

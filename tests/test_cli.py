@@ -3,8 +3,10 @@
 import io
 import json
 import math
+import re
 import time
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
 
 from conftest import json_ready_reference
 
+ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("gen", "load", "transform", "matrix", "spectrum", "energy", "indices", "charpoly", "verify")
 
 
@@ -310,6 +313,28 @@ def test_graph_spec_grammar():
         parse_graph_spec("cycle:4:junk")
     with pytest.raises(GraphSpecError):
         parse_graph_spec("wat:3")
+
+
+def _documented_graph_specs():
+    """The ``--graph`` examples of the cli module docstring, README's grammar block and README's commands."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    grammar_block = readme.split("transforms and files:\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {
+        "cli docstring": re.findall(r"--graph (\S+)", cli.__doc__),
+        "README grammar block": grammar_block.split(),
+        "README commands": re.findall(r"^absspectra .*--graph (\S+)", readme, re.MULTILINE),
+    }
+    for source, specs in documented.items():
+        assert specs, source
+    return [spec for specs in documented.values() for spec in specs]
+
+
+def test_documented_graph_specs_parse(tmp_path, monkeypatch):
+    (tmp_path / "path" / "to").mkdir(parents=True)
+    (tmp_path / "path" / "to" / "graph.txt").write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the examples' file:path/to/graph.txt
+    for spec in _documented_graph_specs():
+        assert parse_graph_spec(spec).n >= 1, spec
 
 
 def _nested_spec(head, depth, base):

@@ -14,7 +14,7 @@ from absspectra import (
     Graph,
     abs_matrix,
     adjacency_matrix,
-    degree_sequence,
+    apply_transform,
     eigenvalues_symmetric,
     generate,
     incidence_matrix,
@@ -35,13 +35,14 @@ from absspectra.graphs import (
     to_json_dict,
     to_json_text,
 )
+from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
 
-from conftest import adjacency_reference, line_graph_pairs_reference, random_graph
+from conftest import degrees_reference, line_graph_pairs_reference, random_graph
 
 
 def test_from_edge_list_path():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert degree_sequence(g) == [1, 2, 1]
+    assert g.degrees == (1, 2, 1)
     assert g.edges == ((0, 1), (1, 2))
 
 
@@ -73,7 +74,7 @@ def test_graph_pickle_and_copy_roundtrip():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
         assert h == g and hash(h) == hash(g)
-        assert h.adjacency == g.adjacency
+        assert h.degrees == g.degrees
 
 
 def test_graph_rejects_bool_vertex_count():
@@ -122,7 +123,7 @@ def test_graph_accepts_numpy_integer_ids():
 
 def test_generate_star():
     g = generate("star", 4)
-    assert degree_sequence(g) == [3, 1, 1, 1]
+    assert g.degrees == (3, 1, 1, 1)
 
 
 def test_generate_complete():
@@ -134,7 +135,7 @@ def test_generate_complete():
 def test_generate_complete_bipartite():
     g = generate("complete_bipartite", 2, 3)
     assert g.m == 6
-    assert degree_sequence(g) == [3, 3, 2, 2, 2]
+    assert g.degrees == (3, 3, 2, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -230,18 +231,18 @@ def _graph_strategy(st, max_n=10):
     return st.integers(0, max_n).flatmap(on)
 
 
-def test_adjacency_lists_ascending():
+def test_degrees_match_reference():
     hyp = pytest.importorskip("hypothesis")
 
     @hyp.settings(derandomize=True, deadline=None)
     @hyp.given(_graph_strategy(hyp.strategies))
     def check(g):
-        assert g.adjacency == adjacency_reference(g)
+        assert g.degrees == degrees_reference(g)
 
     check()
     for kind, sizes in _family_members(9):
         g = generate(kind, *sizes)
-        assert g.adjacency == adjacency_reference(g)
+        assert g.degrees == degrees_reference(g)
 
 
 def test_structural_queries():
@@ -250,7 +251,7 @@ def test_structural_queries():
     assert is_connected(c5)
 
     p4 = generate("path", 4)
-    assert degree_sequence(p4) == [1, 2, 2, 1]
+    assert p4.degrees == (1, 2, 2, 1)
     assert is_regular(p4) is None
 
     two_edges = Graph(4, [(0, 1), (2, 3)])
@@ -267,6 +268,47 @@ def test_connected_regular_degree():
     assert connected_regular_degree(generate("complete", 2)) == 1
     for g in (Graph(0), Graph(1), Graph(3), generate("path", 4), Graph(4, [(0, 1), (2, 3)])):
         assert connected_regular_degree(g) is None
+
+
+def _component_count(g):
+    """Connected components by union-find over the edge list, independent of the package's search."""
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        parent[root(u)] = root(v)
+    return sum(root(x) == x for x in range(g.n))
+
+
+def _assert_connectivity_matches_reference(g):
+    connected = _component_count(g) <= 1
+    assert is_connected(g) == connected
+    degs = degrees_reference(g)
+    r = degs[0] if degs and len(set(degs)) == 1 and degs[0] >= 1 and connected else None
+    assert connected_regular_degree(g) == r
+
+
+def test_connectivity_matches_union_find():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(derandomize=True, deadline=None)
+    @hyp.given(_graph_strategy(hyp.strategies))
+    def check(g):
+        _assert_connectivity_matches_reference(g)
+
+    check()
+    rng = random.Random(53)
+    bases = [random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(20)]
+    bases += [generate("cycle", 5), generate("complete", 4)]
+    for g in bases:
+        for kind in TRANSFORM_KINDS:
+            for k in (1, 2, 3) if kind in K_KINDS else (None,):
+                _assert_connectivity_matches_reference(apply_transform(kind, g, k))
 
 
 # --- family recognition --------------------------------------------------------
@@ -360,7 +402,7 @@ def test_handshake_lemma_random():
     rng = random.Random(11)
     for _ in range(30):
         g = random_graph(rng, rng.randint(0, 9))
-        assert sum(degree_sequence(g)) == 2 * g.m
+        assert sum(g.degrees) == 2 * g.m
 
 
 def _line_graph_bruteforce(g):
@@ -392,7 +434,7 @@ def test_line_graph_matches_bruteforce_and_edge_count():
         g = random_graph(rng, rng.randint(0, 8))
         lg = line_graph(g)
         assert lg == _line_graph_bruteforce(g)
-        degs = degree_sequence(g)
+        degs = g.degrees
         assert lg.m == sum(d * (d - 1) // 2 for d in degs)
 
 
@@ -425,7 +467,7 @@ def test_line_graph_invariant_under_relabeling():
         rng.shuffle(perm)
         h = Graph(7, [(perm[u], perm[v]) for u, v in g.edges])
         lg, lh = line_graph(g), line_graph(h)
-        assert sorted(degree_sequence(lg)) == sorted(degree_sequence(lh))
+        assert sorted(lg.degrees) == sorted(lh.degrees)
         if lg.n:
             np.testing.assert_allclose(
                 eigenvalues_symmetric(adjacency_matrix(lg)),
@@ -445,7 +487,7 @@ def test_incidence_matrix_sums():
         g = random_graph(rng, rng.randint(1, 8))
         f = incidence_matrix(g)
         assert (f.sum(axis=0) == 2).all()
-        assert (f.sum(axis=1) == np.array(degree_sequence(g))).all()
+        assert (f.sum(axis=1) == np.array(g.degrees)).all()
 
 
 def test_incidence_gram_regular_c4():

@@ -35,3 +35,12 @@ def test_polynomial_helpers_and_has_edge_are_gone():
         assert not hasattr(linalg, name) and not hasattr(absspectra, name), name
     assert not hasattr(verifier, "_monomial")
     assert not hasattr(absspectra.Graph, "has_edge")
+
+
+def test_degree_sequence_and_neighbour_lists_are_gone():
+    from absspectra import graphs
+
+    assert not hasattr(graphs, "degree_sequence") and not hasattr(absspectra, "degree_sequence")
+    assert absspectra.Graph.__slots__ == ("n", "edges", "degrees")
+    assert not hasattr(absspectra.Graph, "adjacency")
+    assert not hasattr(absspectra.generate("cycle", 4), "adjacency")

@@ -64,7 +64,7 @@ def test_abs_matrix_entries_in_unit_interval_and_trace_zero():
         assert np.all(m >= 0.0) and np.all(m < 1.0)
         assert np.trace(m) == 0.0
         for u, v in g.edges:
-            du, dv = len(g.adjacency[u]), len(g.adjacency[v])
+            du, dv = g.degrees[u], g.degrees[v]
             assert (m[u, v] == 0.0) == (du == 1 and dv == 1)
 
 
@@ -281,7 +281,7 @@ def test_trace_identities_random():
 
 def test_regular_scaling_on_connected_regular_corpus():
     for g in regular_corpus():
-        r = len(g.adjacency[0])
+        r = g.degrees[0]
         scaled = math.sqrt(r * r - r) / r * adjacency_spectrum(g)
         assert multiset_deviation(abs_spectrum(g), np.sort(scaled)) <= 1e-9
 

@@ -12,7 +12,6 @@ from absspectra import (
     adjacency_matrix,
     apply_transform,
     default_suite,
-    degree_sequence,
     generate,
     incidence_matrix,
     is_connected,
@@ -27,7 +26,7 @@ from absspectra import (
 
 from absspectra import graphs, transforms
 
-from conftest import adjacency_reference, line_graph_pairs_reference, random_graph, small_graphs
+from conftest import degrees_reference, line_graph_pairs_reference, random_graph, small_graphs
 
 
 def test_subdivision_of_triangle_is_hexagon():
@@ -43,7 +42,7 @@ def test_subdivision_of_k2_is_p3():
 
 def test_subdivision_of_star_degrees():
     s = subdivision(generate("star", 4))
-    assert degree_sequence(s) == [3, 1, 1, 1, 2, 2, 2]
+    assert s.degrees == (3, 1, 1, 1, 2, 2, 2)
 
 
 def test_subdivision_counts_and_adjacency_block():
@@ -67,7 +66,7 @@ def test_semitotal_point_of_k2_is_triangle():
 def test_semitotal_point_of_triangle():
     t = semitotal_point(generate("cycle", 3))
     assert t.n == 6 and t.m == 9
-    assert sorted(degree_sequence(t)) == [2, 2, 2, 4, 4, 4]
+    assert sorted(t.degrees) == [2, 2, 2, 4, 4, 4]
 
 
 def test_semitotal_point_degree_law():
@@ -76,8 +75,8 @@ def test_semitotal_point_degree_law():
         g = random_graph(rng, rng.randint(1, 8))
         t = semitotal_point(g)
         assert t.m == 3 * g.m
-        degs = degree_sequence(t)
-        for x, d in enumerate(degree_sequence(g)):
+        degs = t.degrees
+        for x, d in enumerate(g.degrees):
             assert degs[x] == 2 * d
         assert all(degs[g.n + j] == 2 for j in range(g.m))
 
@@ -101,8 +100,8 @@ def test_semitotal_line_degree_law():
     for _ in range(15):
         g = random_graph(rng, rng.randint(1, 8))
         t = semitotal_line(g)
-        degs_g = degree_sequence(g)
-        degs_t = degree_sequence(t)
+        degs_g = g.degrees
+        degs_t = t.degrees
         for x in range(g.n):
             assert degs_t[x] == degs_g[x]
         for j, (u, v) in enumerate(g.edges):
@@ -130,16 +129,16 @@ def test_semitotal_line_matches_set_reference():
 def test_splitting_of_k2_is_p4():
     s = splitting(generate("complete", 2), 1)
     assert s.n == 4 and s.m == 3
-    assert sorted(degree_sequence(s)) == [1, 1, 2, 2]
+    assert sorted(s.degrees) == [1, 1, 2, 2]
     assert is_connected(s)
 
 
 def test_splitting_of_c4_counts_and_degrees():
     s = splitting(generate("cycle", 4), 2)
     assert s.n == 12 and s.m == 20
-    degs = degree_sequence(s)
-    assert degs[:4] == [6, 6, 6, 6]
-    assert degs[4:] == [2] * 8
+    degs = s.degrees
+    assert degs[:4] == (6, 6, 6, 6)
+    assert degs[4:] == (2,) * 8
 
 
 def test_splitting_counts_random():
@@ -150,8 +149,8 @@ def test_splitting_counts_random():
             s = splitting(g, k)
             assert s.n == (k + 1) * g.n
             assert s.m == (2 * k + 1) * g.m
-            degs = degree_sequence(s)
-            for x, d in enumerate(degree_sequence(g)):
+            degs = s.degrees
+            for x, d in enumerate(g.degrees):
                 assert degs[x] == d * (k + 1)
                 for c in range(1, k + 1):
                     assert degs[c * g.n + x] == d
@@ -186,8 +185,8 @@ def test_shadow_counts_random():
         for k in (2, 3):
             d = shadow(g, k)
             assert d.n == k * g.n and d.m == k * k * g.m
-            degs = degree_sequence(d)
-            for x, dx in enumerate(degree_sequence(g)):
+            degs = d.degrees
+            for x, dx in enumerate(g.degrees):
                 for c in range(k):
                     assert degs[c * g.n + x] == k * dx
 
@@ -280,7 +279,7 @@ def test_apply_transform_vertex_budget_uses_exact_counts(monkeypatch):
                 monkeypatch.undo()
 
 
-def test_transform_adjacency_lists_ascending():
+def test_transform_degrees_match_reference():
     rng = random.Random(37)
     bases = [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(12)]
     bases += [generate("star", 6), generate("complete", 5), generate("complete_bipartite", 2, 3)]
@@ -288,7 +287,7 @@ def test_transform_adjacency_lists_ascending():
         for kind in transforms.TRANSFORM_KINDS:
             for k in (1, 2, 3) if kind in ("splitting", "shadow") else (None,):
                 t = apply_transform(kind, g, k)
-                assert t.adjacency == adjacency_reference(t)
+                assert t.degrees == degrees_reference(t)
 
 
 def _core_builds(monkeypatch):
