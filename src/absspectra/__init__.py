@@ -35,7 +35,6 @@ from .linalg import (
     char_poly,
     det_lu,
     eigenvalues_symmetric,
-    poly_from_roots,
 )
 from .indices import INDEX_KINDS, all_indices, degree_index
 from .spectra import (

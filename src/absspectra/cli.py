@@ -22,6 +22,8 @@ import re
 import sys
 from itertools import takewhile
 
+import numpy as np
+
 from .graphs import GENERATOR_KINDS, families, generate, load_graph, to_edge_list_text, to_json_text
 from . import linalg
 from .indices import all_indices
@@ -177,7 +179,8 @@ def _cmd_charpoly(args):
     if args.via == "fl":
         coeffs = linalg.char_poly(matrix)
     elif args.via == "roots":
-        coeffs = linalg.poly_from_roots(linalg.eigenvalues_symmetric(matrix))
+        # np.poly gives the highest power first, and a scalar for no roots
+        coeffs = np.atleast_1d(np.poly(linalg.eigenvalues_symmetric(matrix)))[::-1]
     else:  # recurrence
         if args.matrix != "abs":
             raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")

@@ -17,8 +17,8 @@ _JACOBI_SWEEP_CAP = 100
 
 # Faddeev-LeVerrier is O(n^4); past this order use an eigenvalue method instead.
 _CHARPOLY_ORDER_CAP = 64
-# Jacobi time grows 6-8x per doubling of the order: `spectrum --abs` takes 5.2-5.6 s
-# on the 400-cycle and 59-69 s, about a minute, on the 900-cycle (2-vCPU Xeon, 2 runs).
+# Jacobi time grows 6-8x per doubling of the order: `spectrum --abs` takes 4.5-4.7 s
+# on the 400-cycle and 50 s, close to a minute, on the 900-cycle (2-vCPU Xeon, 2 runs).
 _JACOBI_ORDER_CAP = 900
 
 
@@ -81,13 +81,15 @@ def eigenvalues_symmetric(matrix):
     pivots are all skipped only moves the pairs on. A member at its target
     skips every pivot from then on, so it only moves while the others finish,
     and each member's eigenvalues are bit for bit those of solving it alone.
-    A round costs about the same for a stack as for one matrix at small
-    orders, where numpy dispatch rather than arithmetic sets its cost.
+    At small orders numpy dispatch rather than arithmetic sets a round's
+    cost: at orders 16-44 a round on a stack of eight costs 2-3.5 times a
+    round on one matrix, not eight.
 
     Raises :class:`NoConvergenceError` if ``_JACOBI_SWEEP_CAP`` (100) sweeps
     do not bring every member to its target (does not happen for finite
     symmetric input in practice; the cap is a hard safety stop), and
-    ``ValueError`` above order 900.
+    ``ValueError`` above order 900 or when a member's Frobenius norm
+    overflows.
     """
     a = _as_square_matrix(matrix, stacked=True)
     n = a.shape[-1]
@@ -100,7 +102,11 @@ def eigenvalues_symmetric(matrix):
     stack = a.reshape(-1, n, n)
     k = stack.shape[0]
 
-    target = [_JACOBI_RTOL * max(1.0, math.sqrt(float(np.sum(m * m)))) for m in stack]
+    with np.errstate(over="ignore"):
+        norms = [math.sqrt(float(np.sum(m * m))) for m in stack]
+    if math.inf in norms:
+        raise ValueError("matrix entries are too large: the Frobenius norm overflows")
+    target = [_JACOBI_RTOL * max(1.0, norm) for norm in norms]
     order = n + n % 2
     half = order // 2
     sq = order * order
@@ -115,10 +121,10 @@ def eigenvalues_symmetric(matrix):
     b = np.zeros((k, sq + order))
     b[:, :sq].reshape(k, order, order)[:, :n, :n] = stack
     perm, perm_t = _round_robin_step(order)
-    rot = np.empty((k * half, 2, 2))
-    rot4 = rot.reshape(-1, 4)  # each pair's block is c, -s, s, c
-    rot = rot.reshape(k, half, 2, 2)
+    rot = np.empty((k, half, 2, 2))
+    c, minus_s, s, c_again = rot.reshape(-1, 4).T  # each pair's block is c, -s, s, c
     b_flat = b.reshape(-1)
+    a_pp, a_pq, a_qq = b_flat[0::stride], b_flat[1::stride], b_flat[order + 1 :: stride]
     b_pairs = b[:, :sq].reshape(k, half, 2, order)
     rows = np.empty((k, half, 2, order))
     # Rows, then columns as the rows of the transpose; this leaves the
@@ -127,6 +133,11 @@ def eigenvalues_symmetric(matrix):
     cols = np.zeros((k, sq + order))
     cols_flat = cols.reshape(-1)
     cols_pairs = cols[:, :sq].reshape(k, half, 2, order)
+    cols_pq, cols_qp = cols_flat[1::stride], cols_flat[order::stride]
+    # Per-pair scratch, made per call; at the usual orders a round costs numpy
+    # dispatch rather than arithmetic, so each step below writes in place.
+    d, g, h, t = np.empty((4, k * half))
+    active = np.empty(k * half, dtype=bool)
 
     def above_target(j):
         return _offdiag_norm(b[j, :sq].reshape(order, order)) > target[j]
@@ -141,27 +152,28 @@ def eigenvalues_symmetric(matrix):
         # moves with the permutation, which changes none of its bits.
         tiny[settled] = math.inf
         for _ in range(order - 1):
-            apq = b_flat[1::stride]
-            active = np.abs(apq) > tiny_pairs
-            if not active.any():
+            np.greater(np.abs(a_pq, out=h), tiny_pairs, out=active)
+            if not np.count_nonzero(active):
                 # Every rotation is the identity, after which a rotated round
                 # leaves the transpose; permute the transpose directly. The
                 # indices are in range: mode="wrap" only spares take a buffer.
-                np.take(b, perm_t, axis=1, out=cols, mode="wrap")
+                b.take(perm_t, 1, cols, "wrap")
                 np.copyto(b, cols)
                 continue
-            d = b_flat[order + 1 :: stride] - b_flat[0::stride]
-            g = 2.0 * apq
+            np.subtract(a_qq, a_pp, out=d)
+            np.multiply(2.0, a_pq, out=g)
             # tan of the smaller rotation angle; skipped pairs keep t = 0.
-            t = np.divide(g, d + np.copysign(np.hypot(d, g), d), out=np.zeros(k * half), where=active)
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            rot4.T[:] = c, -s, s, c
+            np.add(d, np.copysign(np.hypot(d, g, out=h), d, out=h), out=h)
+            t.fill(0.0)
+            np.divide(g, h, out=t, where=active)
+            np.divide(1.0, np.hypot(t, 1.0, out=h), out=c)
+            np.negative(np.multiply(t, c, out=s), out=minus_s)
+            np.copyto(c_again, c)
             np.matmul(rot, b_pairs, out=rows)
             np.matmul(rot, rows_t, out=cols_pairs)
-            cols_flat[1::stride][active] = 0.0
-            cols_flat[order::stride][active] = 0.0
-            np.take(cols, perm, axis=1, out=b, mode="wrap")
+            cols_pq[active] = 0.0
+            cols_qp[active] = 0.0
+            cols.take(perm, 1, b, "wrap")
     else:
         if any(above_target(j) for j in live):
             raise NoConvergenceError(f"Jacobi did not converge within {_JACOBI_SWEEP_CAP} sweeps (n={n})")
@@ -241,14 +253,6 @@ def solve_lu(matrix, rhs):
         x[row] -= aug[row, row + 1 : n] @ x[row + 1 :]
         x[row] /= aug[row, row]
     return det, x
-
-
-def poly_from_roots(roots):
-    """Monic polynomial with the given real roots, ascending coefficients."""
-    coeffs = np.ones(1)
-    for r in np.asarray(roots, dtype=float):
-        coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
-    return coeffs
 
 
 def multiset_deviation(a, b):

@@ -8,6 +8,7 @@ import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from absspectra import Graph, apply_transform, generate, load_graph, to_edge_list_text
@@ -15,7 +16,7 @@ from absspectra import CheckId, cli, graphs, linalg, run_check
 from absspectra.cli import GraphSpecError, _JsonText, build_parser, main, parse_graph_spec
 from absspectra.graphs import GENERATOR_KINDS, adjacency_matrix, to_json_dict, to_json_text
 from absspectra.indices import all_indices
-from absspectra.linalg import char_poly, eigenvalues_symmetric, poly_from_roots
+from absspectra.linalg import char_poly, eigenvalues_symmetric
 from absspectra.spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
 
@@ -138,7 +139,7 @@ def _numeric_command_data(argv, graph):
     if via == "fl":
         coeffs = char_poly(matrix)
     elif via == "roots":
-        coeffs = poly_from_roots(eigenvalues_symmetric(matrix))
+        coeffs = np.atleast_1d(np.poly(eigenvalues_symmetric(matrix)))[::-1]
     else:
         coeffs = path_abs_charpoly(graph.n)
     return {"order": len(coeffs) - 1, "coeffs": list(coeffs)}
@@ -445,6 +446,15 @@ def test_charpoly_routes_agree():
     c_rec = json.loads(out_rec)["coeffs"]
     assert c_fl == pytest.approx(c_rec, abs=1e-8)
     assert c_roots == pytest.approx(c_rec, abs=1e-8)
+
+
+def test_charpoly_via_roots_small_cases(tmp_path):
+    # lowest power first; a graph with no vertices has the constant polynomial 1
+    (tmp_path / "empty.json").write_text('{"n": 0, "edges": []}')
+    cases = {f"file:{tmp_path / 'empty.json'}": [1.0], "complete:1": [0.0, 1.0], "complete:2": [-1.0, 0.0, 1.0]}
+    for spec, want in cases.items():
+        code, out, err = run_cli("charpoly", "--adjacency", "--graph", spec, "--via", "roots")
+        assert (code, err) == (0, "") and json.loads(out)["coeffs"] == pytest.approx(want, abs=1e-15), spec
 
 
 def test_graph_spec_fuzz_exits_0_or_2(tmp_path, monkeypatch):

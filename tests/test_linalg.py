@@ -10,15 +10,17 @@ from absspectra import (
     Graph,
     NoConvergenceError,
     adjacency_matrix,
+    apply_transform,
     char_poly,
     det_lu,
     eigenvalues_symmetric,
     generate,
-    poly_from_roots,
 )
 from absspectra import linalg
 from absspectra.linalg import multiset_deviation, poly_deviation
 from absspectra.spectra import abs_matrix
+from absspectra.transforms import TRANSFORM_KINDS
+from absspectra.verifier import default_suite
 
 
 def _random_symmetric(rng, n, scale=1.0):
@@ -284,6 +286,128 @@ def test_stack_validation_and_caps(monkeypatch):
         eigenvalues_symmetric(np.zeros((2, cap + 1, cap + 1)))
 
 
+def _seed_eigenvalues(matrix):
+    """eigenvalues_symmetric before its round loop kept its views and scratch across rounds.
+
+    Validation is left out; from ``stack`` on it is the old body, with module
+    names qualified and the comments of the round loop dropped.
+    """
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[-1]
+    if n < 2 or a.size == 0:
+        return a.diagonal(axis1=-2, axis2=-1).copy()
+    stack = a.reshape(-1, n, n)
+    k = stack.shape[0]
+
+    target = [linalg._JACOBI_RTOL * max(1.0, math.sqrt(float(np.sum(m * m)))) for m in stack]
+    order = n + n % 2
+    half = order // 2
+    sq = order * order
+    tiny = np.repeat(np.divide(target, n * n + 1), half).reshape(k, half)
+    tiny_pairs = tiny.reshape(-1)
+    stride = 2 * order + 2
+    b = np.zeros((k, sq + order))
+    b[:, :sq].reshape(k, order, order)[:, :n, :n] = stack
+    perm, perm_t = linalg._round_robin_step(order)
+    rot = np.empty((k * half, 2, 2))
+    rot4 = rot.reshape(-1, 4)  # each pair's block is c, -s, s, c
+    rot = rot.reshape(k, half, 2, 2)
+    b_flat = b.reshape(-1)
+    b_pairs = b[:, :sq].reshape(k, half, 2, order)
+    rows = np.empty((k, half, 2, order))
+    rows_t = rows.reshape(k, order, order).transpose(0, 2, 1).reshape(k, half, 2, order)
+    cols = np.zeros((k, sq + order))
+    cols_flat = cols.reshape(-1)
+    cols_pairs = cols[:, :sq].reshape(k, half, 2, order)
+
+    def above_target(j):
+        return linalg._offdiag_norm(b[j, :sq].reshape(order, order)) > target[j]
+
+    live = list(range(k))  # members still above their target
+    for _ in range(linalg._JACOBI_SWEEP_CAP):
+        settled = [j for j in live if not above_target(j)]
+        live = [j for j in live if j not in settled]
+        if not live:
+            break
+        tiny[settled] = math.inf
+        for _ in range(order - 1):
+            apq = b_flat[1::stride]
+            active = np.abs(apq) > tiny_pairs
+            if not active.any():
+                np.take(b, perm_t, axis=1, out=cols, mode="wrap")
+                np.copyto(b, cols)
+                continue
+            d = b_flat[order + 1 :: stride] - b_flat[0::stride]
+            g = 2.0 * apq
+            t = np.divide(g, d + np.copysign(np.hypot(d, g), d), out=np.zeros(k * half), where=active)
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            rot4.T[:] = c, -s, s, c
+            np.matmul(rot, b_pairs, out=rows)
+            np.matmul(rot, rows_t, out=cols_pairs)
+            cols_flat[1::stride][active] = 0.0
+            cols_flat[order::stride][active] = 0.0
+            np.take(cols, perm, axis=1, out=b, mode="wrap")
+    else:
+        if any(above_target(j) for j in live):
+            raise NoConvergenceError("seed kernel did not converge")
+    eigs = np.sort(b[:, : sq : order + 1][:, :n])
+    return eigs if a.ndim == 3 else eigs[0]
+
+
+def _bit_identity_inputs():
+    """Single matrices and stacks: the default corpus and its transforms, random and mixed-convergence input."""
+    graphs = []
+    for graph, params in default_suite():
+        graphs.append(graph)
+        graphs += [apply_transform(kind, graph, params["k"]) for kind in TRANSFORM_KINDS]
+    singles = [f(g) for g in graphs for f in (abs_matrix, adjacency_matrix)]
+    rng = random.Random(4242)
+    singles += [_random_symmetric(rng, n, scale=3.0) for n in range(1, 61)]
+    by_order = {}
+    for m in singles:
+        by_order.setdefault(m.shape[0], []).append(m)
+    stacks = [np.stack(ms) for ms in by_order.values() if len(ms) > 1]
+    for n in (9, 10):  # settled from the start, fast and slow members side by side
+        stacks.append(np.stack(list(_stack_members(n, random.Random(5000 + n)).values())))
+    stacks.append(np.zeros((0, 5, 5)))
+    return singles, stacks
+
+
+def test_eigenvalues_bit_identical_to_seed_round_loop():
+    singles, stacks = _bit_identity_inputs()
+    assert len(singles) >= 250 and len(stacks) >= 20
+    for m in singles + stacks:
+        got, want = eigenvalues_symmetric(m), _seed_eigenvalues(m)
+        assert got.shape == want.shape and np.array_equal(got, want), m.shape
+
+
+def test_results_are_fresh_arrays():
+    # Buffers reused across rounds must not leak into, or be shared between, results.
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (6, 6), (7, 7), (3, 8, 8)):
+        x = rng.standard_normal(shape)
+        m = x + x.swapaxes(-1, -2)
+        first = eigenvalues_symmetric(m)
+        kept = first.copy()
+        second = eigenvalues_symmetric(2.0 * m)
+        assert np.array_equal(first, kept) and np.array_equal(second, 2.0 * kept)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, m)
+        second[...] = 0.0
+        assert np.array_equal(eigenvalues_symmetric(m), kept)
+
+
+def test_overflowing_norm_is_refused():
+    big = np.array([[0.0, 1e160], [1e160, 0.0]])
+    with pytest.raises(ValueError, match="Frobenius norm overflows"):
+        eigenvalues_symmetric(big)
+    with pytest.raises(ValueError, match="Frobenius norm overflows"):
+        eigenvalues_symmetric(np.stack([np.eye(2), big, np.eye(2)]))
+    # squares that still sum to a finite norm solve as before
+    np.testing.assert_array_equal(eigenvalues_symmetric(big * 1e-7), _seed_eigenvalues(big * 1e-7))
+
+
 def test_eigenvalues_match_mpmath_50_digits():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(2024)
@@ -336,14 +460,6 @@ def test_char_poly_small_orders():
     np.testing.assert_allclose(char_poly([[2.5]]), [-2.5, 1.0])
 
 
-def test_poly_from_roots_and_eval():
-    np.testing.assert_allclose(poly_from_roots([1.0, -1.0]), [-1.0, 0.0, 1.0], atol=1e-15)
-    p = poly_from_roots([2.0, 3.0])
-    # ascending coefficients; np.polyval takes the highest power first
-    assert np.polyval(p[::-1], 2.0) == pytest.approx(0.0, abs=1e-12)
-    assert np.polyval(p[::-1], 0.0) == pytest.approx(6.0)
-
-
 def test_multiset_close():
     assert multiset_deviation([0.0, 1.0], [1.0, 1e-13]) <= 1e-9
     assert multiset_deviation([0.0, 1.0], [1.0, 1e-3]) > 1e-9
@@ -360,11 +476,11 @@ def test_poly_close_padding_and_scale():
 
 
 def test_two_charpoly_routes_agree():
-    # poly_from_roots(eigenvalues(M)) and Faddeev-LeVerrier are independent paths
+    # np.poly(eigenvalues(M)) and Faddeev-LeVerrier are independent paths
     rng = random.Random(7)
     for n in range(1, 11):
         m = _random_symmetric(rng, n)
-        assert poly_deviation(poly_from_roots(eigenvalues_symmetric(m)), char_poly(m)) <= 1e-8
+        assert poly_deviation(np.poly(eigenvalues_symmetric(m))[::-1], char_poly(m)) <= 1e-8
 
 
 def test_det_lu_against_numpy():

@@ -31,7 +31,7 @@ def test_energy_wrappers_and_graph_taking_predictions_are_gone():
 def test_polynomial_helpers_and_has_edge_are_gone():
     from absspectra import linalg, verifier
 
-    for name in ("poly_trim", "poly_mul", "poly_eval"):
+    for name in ("poly_trim", "poly_mul", "poly_eval", "poly_from_roots"):
         assert not hasattr(linalg, name) and not hasattr(absspectra, name), name
     assert not hasattr(verifier, "_monomial")
     assert not hasattr(absspectra.Graph, "has_edge")
