@@ -192,7 +192,10 @@ def _cmd_charpoly(args):
 
 
 def _cmd_verify(args):
-    tol = args.tol if args.tol is not None else float(os.environ.get("ABS_SPECTRA_TOL", DEFAULT_TOL))
+    try:
+        tol = args.tol if args.tol is not None else float(os.environ.get("ABS_SPECTRA_TOL", DEFAULT_TOL))
+    except ValueError:
+        raise ValueError(f"tolerance ABS_SPECTRA_TOL={os.environ['ABS_SPECTRA_TOL']!r} is not a number") from None
     if args.suite:
         given = [opt for opt in ("check", "graph", "k") if getattr(args, opt) is not None]
         if given:

@@ -29,6 +29,7 @@ import numpy as np
 from . import linalg
 from .graphs import (
     adjacency_matrix,
+    check_dense_budget,
     connected_regular_degree,
     families,
     generate,
@@ -220,6 +221,7 @@ def _chk_incidence_reg(graph, params, memo):
     r = is_regular(graph)
     if r is None:
         return False, 0.0, "not regular"
+    check_dense_budget(graph.n, graph.n, "F F^t")
     f = incidence_matrix(graph)
     lhs = f @ f.T
     rhs = adjacency_matrix(graph).astype(np.int64) + r * np.eye(graph.n, dtype=np.int64)
@@ -228,6 +230,7 @@ def _chk_incidence_reg(graph, params, memo):
 
 
 def _chk_incidence_line(graph, params, memo):
+    check_dense_budget(graph.m, graph.m, "F^t F")
     f = incidence_matrix(graph)
     lhs = f.T @ f
     rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(memo.transform("line_graph", graph)).astype(np.int64)
@@ -238,16 +241,20 @@ def _chk_incidence_line(graph, params, memo):
 def _chk_schur(graph, params, memo):
     if graph.n == 0:
         return False, 0.0, "empty graph"
+    check_dense_budget(2 * graph.n, 2 * graph.n, "block matrix")
     a = adjacency_matrix(graph)
     shift = max(graph.degrees) + 1
     m_blk = a + shift * np.eye(graph.n)  # diagonally dominant, invertible
     n_blk = abs_matrix(graph)
     block = np.block([[m_blk, n_blk], [n_blk, m_blk]])
-    lhs = linalg.det_lu(block)
-    det_m, m_inv_n = linalg.solve_lu(m_blk, n_blk)
-    rhs = det_m * linalg.det_lu(m_blk - n_blk @ m_inv_n)
-    dev = _scalar_deviation(lhs, rhs)
-    return True, dev, f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
+    with np.errstate(over="ignore"):
+        lhs = linalg.det_lu(block)
+        det_m, m_inv_n = linalg.solve_lu(m_blk, n_blk)
+        rhs = det_m * linalg.det_lu(m_blk - n_blk @ m_inv_n)
+    details = f"block det {_fmt(lhs)} vs |M||Q - P M^-1 N| {_fmt(rhs)}"
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"a determinant overflows: {details}")
+    return True, _scalar_deviation(lhs, rhs), details
 
 
 def _chk_reg_scaling(graph, params, memo):
@@ -440,6 +447,8 @@ def _settle(outcome, tolerance, tol):
     try:
         applicable, deviation, details = outcome() if callable(outcome) else outcome
         vtol, note = tolerance(applicable)
+        if not math.isfinite(deviation):
+            raise ValueError(f"deviation is {deviation}: {details}")
     except Exception as exc:  # oracle failure -> recorded, not raised
         return _error(exc, tol)
     if not applicable:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+import warnings
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -565,13 +566,28 @@ def test_verify_env_tolerance(monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 def test_verify_rejects_nonfinite_tolerance(value, monkeypatch):
     code, out, err = run_cli("verify", "--check", "THM_CYCLE", "--graph", "cycle:5", f"--tol={value}")
-    assert code == 2 and out == "" and "tolerance" in err
+    # argparse refuses a --tol that is not a float before the command runs
+    assert code == 2 and out == "" and ("invalid float value" if value == "abc" else "tolerance") in err
     monkeypatch.setenv("ABS_SPECTRA_TOL", value)
     code, out, err = run_cli("verify", "--check", "THM_CYCLE", "--graph", "cycle:5")
     assert code == 2 and out == "" and "tolerance" in err
+    assert value != "abc" or err == "error: tolerance ABS_SPECTRA_TOL='abc' is not a number\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_schur_overflow_prints_valid_json():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run_cli("verify", "--check", "LEM_SCHUR", "--graph", "cycle:500")
+    (row,) = json.loads(out, parse_constant=_refuse_constant)
+    assert code == 1 and row["verdict"] == "error" and row["max_deviation"] == 0.0
+    assert row["details"].startswith("ValueError: a determinant overflows: block det -inf")
 
 
 @pytest.mark.parametrize(

@@ -290,7 +290,8 @@ def _seed_eigenvalues(matrix):
     """eigenvalues_symmetric before its round loop kept its views and scratch across rounds.
 
     Validation is left out; from ``stack`` on it is the old body, with module
-    names qualified and the comments of the round loop dropped.
+    names qualified, the comments of the round loop dropped and the body of
+    the old ``linalg._offdiag_norm`` written into ``above_target``.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[-1]
@@ -321,7 +322,9 @@ def _seed_eigenvalues(matrix):
     cols_pairs = cols[:, :sq].reshape(k, half, 2, order)
 
     def above_target(j):
-        return linalg._offdiag_norm(b[j, :sq].reshape(order, order)) > target[j]
+        m = b[j, :sq].reshape(order, order)
+        off = m - np.diag(np.diag(m))
+        return math.sqrt(float(np.sum(off * off))) > target[j]
 
     live = list(range(k))  # members still above their target
     for _ in range(linalg._JACOBI_SWEEP_CAP):
@@ -355,8 +358,30 @@ def _seed_eigenvalues(matrix):
     return eigs if a.ndim == 3 else eigs[0]
 
 
+def _stack_at_its_targets(rng, n, k):
+    """A stack, stored member axis last, whose members sit one ulp of off-norm above their targets.
+
+    Each member is diagonal but for the pair (0, 1) over two equal diagonal
+    entries, so it rotates once, moving two eigenvalues by the pair's size,
+    only if its off-norm exceeds its target: a target computed a bit too
+    high, say by summing the squares in another order, leaves them in place.
+    """
+    members = []
+    for _ in range(k):
+        m = np.diag([1.0, 1.0] + [rng.gauss(0, 3) for _ in range(n - 2)])
+        target = linalg._JACOBI_RTOL * max(1.0, math.sqrt(float(np.sum(m * m))))
+        p = target / math.sqrt(2.0)
+        while math.sqrt(2.0 * p * p) <= target:
+            p = math.nextafter(p, math.inf)
+        m[0, 1] = m[1, 0] = p
+        members.append(m)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(np.stack(members), 0, -1)), -1, 0)
+
+
 def _bit_identity_inputs():
-    """Single matrices and stacks: the default corpus and its transforms, random and mixed-convergence input."""
+    """Single matrices and stacks: the default corpus and its transforms, random and mixed-convergence
+    input, and the same kind of input in other memory layouts: Fortran order, transposed views, strided
+    slices, transposed stacks and stacks stored member axis last."""
     graphs = []
     for graph, params in default_suite():
         graphs.append(graph)
@@ -371,6 +396,13 @@ def _bit_identity_inputs():
     for n in (9, 10):  # settled from the start, fast and slow members side by side
         stacks.append(np.stack(list(_stack_members(n, random.Random(5000 + n)).values())))
     stacks.append(np.zeros((0, 5, 5)))
+    rng = random.Random(4343)
+    for n in range(1, 31):
+        m, other, big = (_random_symmetric(rng, size, scale=3.0) for size in (n, n, 2 * n))
+        singles += [np.asfortranarray(m), other.T, big[::2, ::2]]
+        stack = np.stack([m, big[::2, ::2], np.diag(np.diag(other)), other])
+        stacks += [stack.transpose(0, 2, 1), np.asfortranarray(stack), stack[::-1, ::-1, ::-1], stack[:, ::2, ::2]]
+    stacks += [_stack_at_its_targets(rng, 24, 4) for _ in range(4)]
     return singles, stacks
 
 
@@ -380,6 +412,26 @@ def test_eigenvalues_bit_identical_to_seed_round_loop():
     for m in singles + stacks:
         got, want = eigenvalues_symmetric(m), _seed_eigenvalues(m)
         assert got.shape == want.shape and np.array_equal(got, want), m.shape
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_sweep_cap_boundary_matches_seed(n):
+    members = _stack_members(n, random.Random(5000 + n))
+    for m in (members["random"], np.stack(list(members.values()))):
+        needed = _sweeps_needed(m)
+        assert needed > 1
+        for cap in range(needed + 1):
+            results = []
+            for solve in (eigenvalues_symmetric, _seed_eigenvalues):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(linalg, "_JACOBI_SWEEP_CAP", cap)
+                    try:
+                        results.append(solve(m))
+                    except NoConvergenceError:
+                        results.append(None)
+            got, want = results
+            assert (got is None) == (want is None) == (cap < needed), cap
+            assert got is None or np.array_equal(got, want)
 
 
 def test_results_are_fresh_arrays():

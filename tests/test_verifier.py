@@ -8,6 +8,8 @@ import json
 import math
 import pathlib
 import pickle
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +105,40 @@ def test_schur_check_passes():
     for g in (generate("complete", 4), generate("cycle", 6), generate("star", 5)):
         (r,) = run_check(CheckId.LEM_SCHUR, g)
         assert r.verdict == "pass"
+
+
+def test_schur_overflow_is_an_error_whatever_the_warning_filter():
+    # The block determinant of K100 passes 1.8e308; before, inf - inf made the
+    # deviation NaN and the verdict "fail" once RuntimeWarnings were let pass.
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            (r,) = run_check(CheckId.LEM_SCHUR, generate("complete", 100))
+        assert r.verdict == "error" and r.max_deviation == 0.0
+        assert r.details == "ValueError: a determinant overflows: block det inf vs |M||Q - P M^-1 N| inf"
+
+
+def test_nonfinite_deviation_is_an_error():
+    for deviation in (math.nan, math.inf):
+        outcome = (True, deviation, "lhs vs rhs")
+        applicable, verdict, dev, _, details = verifier._settle(outcome, lambda applicable: (1e-8, ""), 1e-8)
+        assert (applicable, verdict, dev) == (True, "error", 0.0)
+        assert details == f"ValueError: deviation is {deviation}: lhs vs rhs"
+
+
+@pytest.mark.parametrize(
+    "check, graph, product",
+    [
+        ("LEM_INCIDENCE_LINE", generate("complete", 100), "F^t F would have 4950 x 4950"),
+        ("LEM_INCIDENCE_REG", Graph(4097), "F F^t would have 4097 x 4097"),
+        ("LEM_SCHUR", Graph(4096), "block matrix would have 8192 x 8192"),
+    ],
+)
+def test_lemma_products_are_budgeted_before_they_are_formed(check, graph, product):
+    start = time.perf_counter()
+    (r,) = run_check(check, graph)
+    assert time.perf_counter() - start < 1.0
+    assert r.verdict == "error" and product in r.details and "over the budget" in r.details
 
 
 def test_path_recurrence_check_range():
