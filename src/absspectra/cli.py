@@ -176,17 +176,20 @@ def _cmd_indices(args):
 def _cmd_charpoly(args):
     graph = parse_graph_spec(args.graph)
     matrix = graph_matrix(graph, args.matrix)
-    if args.via == "fl":
-        coeffs = linalg.char_poly(matrix)
-    elif args.via == "roots":
-        # np.poly gives the highest power first, and a scalar for no roots
-        coeffs = np.atleast_1d(np.poly(linalg.eigenvalues_symmetric(matrix)))[::-1]
-    else:  # recurrence
-        if args.matrix != "abs":
-            raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")
-        if "path" not in families(graph):
-            raise ValueError("--via recurrence needs a path graph")
-        coeffs = path_abs_charpoly(graph.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, whatever the warning filter
+        if args.via == "fl":
+            coeffs = linalg.char_poly(matrix)
+        elif args.via == "roots":
+            # np.poly gives the highest power first, and a scalar for no roots
+            coeffs = np.atleast_1d(np.poly(linalg.eigenvalues_symmetric(matrix)))[::-1]
+        else:  # recurrence
+            if args.matrix != "abs":
+                raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")
+            if "path" not in families(graph):
+                raise ValueError("--via recurrence needs a path graph")
+            coeffs = path_abs_charpoly(graph.n)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"characteristic polynomial coefficients overflow float64 (--via {args.via})")
     coeffs = coeffs.tolist()
     return _emit(args, {"order": len(coeffs) - 1, "coeffs": coeffs}, [("coeffs", coeffs)])
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .graphs import adjacency_matrix, check_dense_budget
-from .indices import degree_index
+from .indices import _EDGE_TERMS, degree_index
 from .transforms import K_KINDS, TRANSFORM_KINDS
 
 CLOSED_FORM_KINDS = ("complete", "cycle", "star", "complete_bipartite")
@@ -23,12 +23,10 @@ def abs_matrix(graph):
     """Dense ABS matrix of a graph."""
     check_dense_budget(graph.n, graph.n, "ABS matrix")
     degs = graph.degrees
+    term = _EDGE_TERMS["abs"]
     a = np.zeros((graph.n, graph.n))
     for u, v in graph.edges:
-        s = degs[u] + degs[v]
-        w = math.sqrt((s - 2.0) / s)
-        a[u, v] = w
-        a[v, u] = w
+        a[u, v] = a[v, u] = term(degs[u], degs[v])
     return a
 
 

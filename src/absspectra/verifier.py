@@ -16,6 +16,7 @@ Everything is deterministic: two runs over the same inputs produce identical
 reports.
 """
 
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -118,14 +119,14 @@ class _Spectra:
 
     ``run_check`` makes one and ``run_suite`` shares one across its entries;
     it is dropped when that call returns, so nothing outlives a run.
-    Transformed graphs are keyed by (kind, graph, k), so the spectral plan and
-    the checks read one object; spectra and polynomials by (graph, matrix
-    kind), kind ``"abs"`` or ``"adjacency"``. ``Graph`` hashes by content.
-    Stored arrays are read-only, since every check that asks gets the same
-    array. A computation that raises is not stored, so it raises again for
-    each caller: an oracle error private to one variant stays private.
-    :meth:`prefetch` solves spectra ahead of the checks, stacked by order;
-    what it leaves out is solved on first request.
+    Transformed graphs are keyed by (kind, graph, k), k read from the params
+    by :meth:`transform` alone, so the plan and the checks read one object;
+    spectra and polynomials by (graph, matrix kind), kind ``"abs"`` or
+    ``"adjacency"``; ``Graph`` hashes by content. Stored arrays are
+    read-only, since every check that asks gets the same array. A computation
+    that raises is not stored, so it raises again for each caller: an oracle
+    error private to one variant stays private. ``run_suite`` has
+    :meth:`prefetch` solve its one plan first; the rest is solved on request.
     """
 
     def __init__(self):
@@ -133,8 +134,9 @@ class _Spectra:
         self._spectra = {}
         self._charpolys = {}
 
-    def transform(self, kind, graph, k=None):
-        """The ``kind`` transform of ``graph``, or its line graph for kind ``"line_graph"``."""
+    def transform(self, kind, graph, params=None):
+        """The ``kind`` transform of ``graph`` (k from ``params`` for K_KINDS), or L(G) for kind ``"line_graph"``."""
+        k = _copies(params) if kind in K_KINDS else None
         key = (kind, graph, k)
         built = self._graphs.get(key)
         if built is None:
@@ -159,7 +161,7 @@ class _Spectra:
         return self._lookup(self._charpolys, graph, kind, linalg.char_poly)
 
     def prefetch(self, keys):
-        """Solve the spectra of the (graph, kind) ``keys`` not yet stored, one stacked eigensolve per order.
+        """Solve and store the spectra of the (graph, kind) ``keys``, one stacked eigensolve per order.
 
         A Jacobi round costs about as much for a stack of small matrices as
         for one, and each member's eigenvalues are bit for bit those of its
@@ -168,8 +170,7 @@ class _Spectra:
         """
         groups = {}
         for key in dict.fromkeys(keys):
-            if key not in self._spectra:
-                groups.setdefault(key[0].n, []).append(key)
+            groups.setdefault(key[0].n, []).append(key)
         for group in groups.values():
             try:
                 rows = linalg.eigenvalues_symmetric(np.stack([graph_matrix(*key) for key in group]))
@@ -187,9 +188,9 @@ def _spectral_plan(graph, params, memo):
     r >= 1 (regular scaling); and for a connected one also the adjacency
     spectrum of L(G) (semitotal line), the ABS spectra of the subdivision and
     the semitotal point graph (their lifts), and both spectra of the
-    k-splitting and the k-shadow (energy checks). A key may repeat: L(C3) is
-    C3, and the 1-shadow is the graph itself. The transformed graphs come
-    from ``memo``, the run's _Spectra, where the checks find them again.
+    k-splitting and the k-shadow when they build (energy checks). A key may
+    repeat: L(C3) is C3, and the 1-shadow is the graph itself. The transformed
+    graphs come from ``memo``, the run's _Spectra, where the checks find them.
     """
     keys = [(graph, "abs")]
     if not is_regular(graph):
@@ -199,10 +200,9 @@ def _spectral_plan(graph, params, memo):
         return keys
     keys.append((memo.transform("line_graph", graph), "adjacency"))
     keys += [(memo.transform(kind, graph), "abs") for kind in ("subdivision", "semitotal_point")]
-    k = _copies(params)
-    if k >= 1:
-        for kind in K_KINDS:
-            transformed = memo.transform(kind, graph, k)
+    for kind in K_KINDS:
+        with contextlib.suppress(ValueError):  # k < 1 or over budget: the energy check asks for nothing
+            transformed = memo.transform(kind, graph, params)
             keys += [(transformed, "abs"), (transformed, "adjacency")]
     return keys
 
@@ -372,9 +372,7 @@ def _energy_check(kind):
             skip = (False, 0.0, "needs a connected regular graph with r >= 1")
             return skip, skip
         k = _copies(params)
-        if k < 1:
-            raise ValueError(f"{kind} energy check needs k >= 1, got {k}")
-        transformed = memo.transform(kind, graph, k)
+        transformed = memo.transform(kind, graph, params)
         lhs = energy(memo.spectrum(transformed, "abs"))
         base_energy, transformed_energy = (energy(memo.spectrum(g, "adjacency")) for g in (graph, transformed))
         corrected, as_printed = predicted_energy(kind, r, k, base_energy, transformed_energy)
@@ -436,7 +434,7 @@ def _tolerance(rule, graph, params, tol, memo, applicable):
     if rule == "exact":
         return 0.0, ""
     if applicable and rule != "fixed":
-        sized = graph if rule == "graph" else memo.transform(rule, graph, _copies(params) if rule in K_KINDS else None)
+        sized = graph if rule == "graph" else memo.transform(rule, graph, params)
         if sized.n + sized.m > 100 and tol < RELAXED_TOL:
             return RELAXED_TOL, f"; tolerance relaxed to {RELAXED_TOL:g} (n+m > 100)"
     return tol, ""
@@ -497,22 +495,18 @@ def run_suite(entries, tol=DEFAULT_TOL):
 
     Entries are graphs or (graph, params) pairs. Per-check errors are captured
     in the reports, never raised. Each spectrum and characteristic polynomial
-    is computed once per call, however many checks and entries ask for it;
-    before its checks run, an entry's spectra are solved in one stacked
-    eigensolve per order (see ``_spectral_plan``).
+    is computed once per call: the entries' plans (see ``_spectral_plan``) are
+    joined into one, solved in one stacked eigensolve per order first.
     """
     memo = _Spectra()
-    reports = []
-    for entry in entries:
-        graph, params = entry if isinstance(entry, tuple) else (entry, None)
-        try:
-            plan = _spectral_plan(graph, params, memo)
-        except Exception:  # a transform failed; the checks that build it report that
-            plan = ()
-        memo.prefetch(plan)
-        for check in CheckId:
-            reports.extend(run_check(check, graph, params, tol, _memo=memo))
-    return reports
+    entries = [entry if isinstance(entry, tuple) else (entry, None) for entry in entries]
+    plan = []
+    for graph, params in entries:
+        with contextlib.suppress(Exception):  # a transform failed; the checks that build it report that
+            plan += _spectral_plan(graph, params, memo)
+    memo.prefetch(plan)
+    runs = (run_check(check, graph, params, tol, _memo=memo) for graph, params in entries for check in CheckId)
+    return [r for reports in runs for r in reports]
 
 
 def default_suite():

@@ -70,6 +70,11 @@ def small_graphs(st):
     return st.one_of(graphs, regular)
 
 
+def gnp_graphs(st):
+    """Strategy for G(n, p) on 1-20 vertices, p drawn per example; ``st`` is ``hypothesis.strategies``."""
+    return st.builds(random_graph, st.integers(0, 2**32).map(random.Random), st.integers(1, 20), st.floats(0, 1))
+
+
 def random_connected_graph(rng, n):
     while True:
         g = random_graph(rng, n, p=rng.uniform(0.3, 0.8))

@@ -458,6 +458,17 @@ def test_charpoly_via_roots_small_cases(tmp_path):
         assert (code, err) == (0, "") and json.loads(out)["coeffs"] == pytest.approx(want, abs=1e-15), spec
 
 
+@pytest.mark.parametrize("fmt", [(), ("--csv",)], ids=["json", "csv"])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_charpoly_refuses_overflowing_coefficients(monkeypatch, fmt, action):
+    # (x - 1e200)^3 has coefficients 3e400 and -1e600, past float64
+    monkeypatch.setattr(linalg, "eigenvalues_symmetric", lambda matrix: np.array([1e200] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code, out, err = run_cli("charpoly", "--abs", "--via", "roots", "--graph", "path:3", *fmt)
+    assert (code, out) == (2, "") and "overflow" in err
+
+
 def test_graph_spec_fuzz_exits_0_or_2(tmp_path, monkeypatch):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

@@ -29,7 +29,7 @@ from absspectra import (
 from absspectra import NoConvergenceError, graphs, linalg, spectra, verifier
 from absspectra.verifier import has_key_failure, report_to_dict
 
-from conftest import small_graphs
+from conftest import gnp_graphs, small_graphs
 
 GOLDEN_SUITE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden_suite.json"
 
@@ -343,6 +343,8 @@ def test_each_spectrum_is_computed_once_per_run(monkeypatch):
     # (C3 and K3 are the same graph, so their entries share every result).
     run_suite(suite)
     assert (sum(eigensolves), sum(charpolys)) == (86, 57)
+    # The run's one plan falls in 15 orders, one stacked solve each.
+    assert len(eigensolves) == 15
     # One run per entry: K3's run solves again what C3's solved, nothing else repeats.
     eigensolves.clear()
     charpolys.clear()
@@ -390,6 +392,25 @@ def test_each_transformed_graph_is_built_once_per_run(monkeypatch):
     builds.clear()
     run_suite(suite)
     assert set(keys.values()) == {1} and len(builds) == sum(keys.values()) == 60
+
+
+def test_one_run_reports_what_its_entries_report_alone(monkeypatch):
+    entries = default_suite() + [(generate("cycle", 6), {"k": 1}), (generate("complete", 4), {"k": 3})]
+    # the 10^6-splitting exceeds the edge budget: its spectra stay out of the plan, its rows are errors
+    entries.append((generate("cycle", 5), {"k": 10**6}))
+    alone = [run_suite([entry]) for entry in entries]
+    split_rows = [r for r in alone[-1] if r.check == "THM_SPLIT_ENERGY"]
+    assert len(split_rows) == 2 and all(r.verdict == "error" and "budget" in r.details for r in split_rows)
+    ndims = []
+    real = linalg.eigenvalues_symmetric
+
+    def eigenvalues(matrix, *args, **kwargs):
+        ndims.append(np.ndim(matrix))
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigenvalues_symmetric", eigenvalues)
+    assert run_suite(entries) == [r for reports in alone for r in reports]
+    assert set(ndims) == {3}  # every spectrum asked for was prefetched
 
 
 def test_nothing_outlives_a_run(monkeypatch):
@@ -448,6 +469,23 @@ def test_spectral_plan_on_random_graphs(monkeypatch):
     @hyp.given(small_graphs(st), st.integers(1, 3))
     def check(graph, k):
         _assert_plan_is_exact(monkeypatch, graph, {"k": k})
+
+    check()
+
+
+# The checks that need no regularity: they hold on every graph.
+_ANY_GRAPH_CHECKS = ("LEM_INCIDENCE_REG", "LEM_INCIDENCE_LINE", "LEM_SCHUR", "THM_TRACE_HARMONIC", "THM_R1_BOUND")
+
+
+def test_any_graph_checks_hold_on_random_graphs():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(derandomize=True, deadline=None, max_examples=200)
+    @hyp.given(gnp_graphs(hyp.strategies))
+    def check(graph):
+        memo = verifier._Spectra()
+        reports = [r for name in _ANY_GRAPH_CHECKS for r in run_check(name, graph, _memo=memo)]
+        assert not has_key_failure(reports), [r for r in reports if r.verdict in ("fail", "error")]
 
     check()
 
