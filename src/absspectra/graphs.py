@@ -41,14 +41,24 @@ def check_dense_budget(rows, cols, what):
         raise ValueError(f"{what} would have {rows} x {cols} entries, over the budget of {DENSE_BUDGET}")
 
 
+def _integer(value, what):
+    """The one reader of a passed count or vertex id: ``operator.index(value)``, not a bool, else ``ValueError``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be integers, got {value!r}")
+
+
 class Graph:
     """Simple undirected graph with canonical vertex and edge ordering.
 
-    ``Graph(n, pairs)`` validates its input: it collapses duplicate pairs,
-    normalizes every pair to ``(min, max)`` and rejects self-loops,
-    out-of-range (``IndexError``), bool or non-integral vertex ids, items that
-    are not pairs, ``pairs`` that is not iterable, and a vertex count that is a
-    bool, not a non-negative int or over VERTEX_BUDGET. Every graph read from
+    ``Graph(n, pairs)`` validates its input: it reads ``n`` and each vertex
+    id through :func:`_integer`, collapses duplicate pairs, normalizes every
+    pair to ``(min, max)`` and rejects self-loops, out-of-range ids
+    (``IndexError``), items that are not pairs, ``pairs`` that is not
+    iterable, and a vertex count below 0 or over VERTEX_BUDGET. Every graph read from
     outside the package goes through it: :func:`load_graph`,
     :func:`parse_edge_list_text`, :func:`from_json_dict`, unpickling and any
     direct call. The graphs the package derives from a valid graph, those of
@@ -62,8 +72,9 @@ class Graph:
     __slots__ = ("n", "edges", "degrees")
 
     def __init__(self, n, pairs=()):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
+        n = _integer(n, "vertex counts")
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
         check_budget(0, n, "graph")
         try:
             pairs = iter(pairs)
@@ -79,12 +90,7 @@ class Graph:
             except (TypeError, ValueError):
                 raise ValueError(f"an edge must be a pair of vertex ids, got {pair!r}") from None
             if type(u) is not int or type(v) is not int:  # exact ints, the common case, need no conversion
-                if isinstance(u, bool) or isinstance(v, bool):
-                    raise ValueError(f"vertex ids must be integers, not bool, got ({u!r}, {v!r})")
-                try:
-                    u, v = operator.index(u), operator.index(v)
-                except TypeError:
-                    raise ValueError(f"vertex ids must be integers, got ({u!r}, {v!r})") from None
+                u, v = _integer(u, "vertex ids"), _integer(v, "vertex ids")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -136,16 +142,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _size(value, kind):
-    """``value`` as an int; a bool or non-integral size raises ``ValueError``."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{kind} sizes must be integers, got {value!r}")
-
-
 def generate(kind, *params):
     """Generate a named graph family member.
 
@@ -159,14 +155,14 @@ def generate(kind, *params):
     if kind == "complete_bipartite":
         if len(params) != 2:
             raise ValueError("complete_bipartite takes two part sizes")
-        a, b = _size(params[0], kind), _size(params[1], kind)
+        a, b = _integer(params[0], f"{kind} sizes"), _integer(params[1], f"{kind} sizes")
         if a < 1 or b < 1:
             raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
         check_budget(a * b, a + b, f"complete_bipartite({a}, {b})")
         return Graph._canonical(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
-    n = _size(params[0], kind)
+    n = _integer(params[0], f"{kind} sizes")
     if n < 1:
         raise ValueError(f"{kind} needs n >= 1, got {n}")
     check_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), n, f"{kind}({n})")
@@ -362,7 +358,9 @@ def load_graph(path):
     """Load a graph from a file in either the JSON or edge-list text format."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json_dict(json.loads(text))
+    if text.lstrip().startswith("{"):
+        try:
+            return from_json_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError(f"graph JSON in {path} nests too deeply to decode") from None
     return parse_edge_list_text(text)

@@ -17,7 +17,7 @@ without the checks ``Graph`` runs on outside input.
 
 from itertools import chain
 
-from .graphs import Graph, check_budget, line_graph_edge_count, line_pairs
+from .graphs import Graph, _integer, check_budget, line_graph_edge_count, line_pairs
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
 # The transforms that take a copy count k.
@@ -61,8 +61,9 @@ def splitting(graph, k):
     """Add k copy vertices per vertex, each adjacent to that vertex's original neighbors.
 
     (k+1)n vertices and (2k+1)m edges; original degrees scale by k+1, copies
-    keep the base degree.
+    keep the base degree. A k that is a bool or not integral raises ``ValueError``.
     """
+    k = _integer(k, "splitting copy counts k")
     if k < 1:
         raise ValueError(f"splitting needs k >= 1, got {k}")
     check_budget((2 * k + 1) * graph.m, (k + 1) * graph.n, f"splitting with k={k}")
@@ -80,8 +81,9 @@ def shadow(graph, k):
     """k copies of the graph with every cross-copy pair of an edge's endpoints joined.
 
     kn vertices, k^2 m edges, every degree scales by k. ``shadow(G, 1)`` is G
-    itself.
+    itself. ``k`` is read as in :func:`splitting`.
     """
+    k = _integer(k, "shadow copy counts k")
     if k < 1:
         raise ValueError(f"shadow needs k >= 1, got {k}")
     if k == 1:
@@ -102,12 +104,10 @@ def shadow(graph, k):
 
 
 def apply_transform(kind, graph, k=None):
-    """Dispatch a transform by name; the K_KINDS, splitting and shadow, require the copy count ``k``."""
+    """Dispatch a transform by name; the K_KINDS, splitting and shadow, read the copy count ``k`` (None raises)."""
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown transform {kind!r}; expected one of {TRANSFORM_KINDS}")
     if kind in K_KINDS:
-        if k is None:
-            raise ValueError(f"{kind} requires the copy count k")
         return splitting(graph, k) if kind == "splitting" else shadow(graph, k)
     if kind == "subdivision":
         return subdivision(graph)

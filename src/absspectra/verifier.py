@@ -29,6 +29,7 @@ import numpy as np
 
 from . import linalg
 from .graphs import (
+    _integer,
     adjacency_matrix,
     check_dense_budget,
     connected_regular_degree,
@@ -91,7 +92,8 @@ def _scalar_deviation(lhs, rhs):
 
 
 def _copies(params):
-    return int((params or {}).get("k", 2))
+    """The copy count k of the energy checks, default 2, read by ``graphs._integer``: a non-integral k raises."""
+    return _integer((params or {}).get("k", 2), "copy counts k")
 
 
 _FAMILY_NAMES = {

@@ -339,6 +339,17 @@ def test_documented_graph_specs_parse(tmp_path, monkeypatch):
         assert parse_graph_spec(spec).n >= 1, spec
 
 
+def test_readme_commands_run(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = [line.split("#", 1)[0].split()[1:] for line in readme.splitlines() if line.startswith("absspectra ")]
+    assert len(commands) >= 10
+    (tmp_path / "graph.txt").write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the example's load graph.txt
+    for argv in commands:
+        code, out, _ = run_cli(*argv)
+        assert code == 0 and out.strip(), argv
+
+
 def _nested_spec(head, depth, base):
     suffix = ["k=1"] * depth if head == "shadow" else []
     return ":".join([head] * depth + [base] + suffix)
@@ -644,6 +655,15 @@ def test_malformed_json_edges_exit_2(tmp_path, text):
     for argv in (("load", str(path)), ("indices", "--graph", f"file:{path}")):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"n": 2, "edges": ' + "[" * depth + "]" * depth + "}")
+    for argv in (("load", str(path)), ("spectrum", "--abs", "--graph", f"file:{path}")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1 and "nests too deeply" in err
 
 
 @pytest.mark.parametrize("name,text", [("bad.json", '{"n": 3, "edges": [[0, 9]]}'), ("bad.txt", "3 1\n0 7\n")])

@@ -82,6 +82,14 @@ def test_graph_rejects_bool_vertex_count():
         Graph(True)
 
 
+def test_graph_reads_its_vertex_count_as_an_integer():
+    for bad in (3.0, "3", None):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(bad)
+    g = Graph(np.int64(3), [(0, 1)])
+    assert g == Graph(3, [(0, 1)]) and type(g.n) is int
+
+
 def test_graph_rejects_non_integral_vertex_ids():
     with pytest.raises(ValueError, match="vertex ids must be integers"):
         Graph(3, [(0.0, 1.7)])

@@ -161,6 +161,16 @@ def test_splitting_rejects_bad_k():
         splitting(generate("cycle", 3), 0)
 
 
+@pytest.mark.parametrize("kind", ["splitting", "shadow"])
+@pytest.mark.parametrize("k", [2.5, True, "3", None])
+def test_copy_transforms_refuse_a_non_integral_k(kind, k):
+    g = generate("cycle", 4)
+    for call in (lambda: getattr(transforms, kind)(g, k), lambda: apply_transform(kind, g, k)):
+        with pytest.raises(ValueError, match=f"{kind} copy counts k must be integers"):
+            call()
+    assert apply_transform(kind, g, np.int64(3)) == apply_transform(kind, g, 3)
+
+
 def test_shadow_identity_case():
     g = generate("path", 4)
     assert shadow(g, 1) is g

@@ -199,6 +199,17 @@ def test_error_captured_in_report():
     assert all("k >= 1" in r.details for r in reports)
 
 
+@pytest.mark.parametrize("check", ["THM_SPLIT_ENERGY", "THM_SHADOW_ENERGY"])
+def test_energy_checks_refuse_a_non_integral_k(check):
+    c4 = generate("cycle", 4)
+    for k in (2.7, True, "3"):
+        reports = run_check(check, c4, {"k": k})
+        suite_reports = [r for r in run_suite([(c4, {"k": k})]) if r.check == check]
+        for r in reports + suite_reports:
+            assert r.verdict == "error" and "copy counts k must be integers" in r.details, (k, r)
+    assert run_check(check, c4, {"k": np.int64(3)}) == run_check(check, c4, {"k": 3})
+
+
 def test_describe_graph_names():
     assert describe_graph(generate("complete", 4)) == "K4"
     assert describe_graph(generate("cycle", 6)) == "C6"
