@@ -16,6 +16,7 @@ errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -274,8 +275,14 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command=None):
-    """The argument parser: all commands, or only ``command``'s sub-parser when one is named."""
+    """The argument parser: all commands, or only ``command``'s sub-parser when one is named.
+
+    Each parser is built once per process and shared by every later call with
+    the same ``command``; callers must not change it. Parsing leaves a parser
+    as it was, and usage and help text are formatted when they are printed.
+    """
     parser = argparse.ArgumentParser(prog="absspectra", description=__doc__.split("\n")[0])
     # with one sub-parser, the usage line still lists every command
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"

@@ -9,7 +9,8 @@ search that needs neighbour lists, :func:`_two_colouring`, builds its own.
 
 import json
 import operator
-from itertools import combinations
+import re
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -311,6 +312,21 @@ def to_edge_list_text(graph):
     return "\n".join(lines) + "\n"
 
 
+# An id or count token is ASCII decimal digits with an optional leading '-', so
+# that a negative id still reaches Graph's range check.
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _int_pair(row, shape):
+    """The two integers of a split data line; ``shape`` names the expected line in the error."""
+    if len(row) != 2:
+        raise ValueError(f"{shape}, got {' '.join(row)!r}")
+    for token in row:
+        if not _INT_TOKEN.fullmatch(token):
+            raise ValueError(f"vertex ids and counts must be ASCII decimal integers, got {token!r}")
+    return int(row[0]), int(row[1])
+
+
 def parse_edge_list_text(text):
     """Parse the edge-list text format into a graph."""
     rows = []
@@ -320,16 +336,20 @@ def parse_edge_list_text(text):
             rows.append(line.split())
     if not rows:
         raise ValueError("empty edge-list input")
-    if len(rows[0]) != 2:
-        raise ValueError(f"header must be 'n m', got {' '.join(rows[0])!r}")
-    n, m = int(rows[0][0]), int(rows[0][1])
+    n, m = _int_pair(rows[0], "header must be 'n m'")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    pairs = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"edge line must be 'u v', got {' '.join(row)!r}")
-        pairs.append((int(row[0]), int(row[1])))
+    pairs = None
+    # int() also takes '+', '_' between digits and non-ASCII digits; in ASCII
+    # text with neither it takes exactly the tokens _int_pair takes, so the
+    # text is tested once and _int_pair reads only other files or a bad row
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            pairs = [(int(u), int(v)) for u, v in rows[1:]]
+        except ValueError:
+            pass
+    if pairs is None:
+        pairs = [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]]
     return Graph(n, pairs)
 
 
@@ -338,11 +358,15 @@ def to_json_dict(graph):
     return {"n": graph.n, "edges": [[u, v] for u, v in graph.edges]}
 
 
+# One edge of to_json_text's output; the edge list is one %-format of m copies.
+_JSON_EDGE = "\n    [\n      %d,\n      %d\n    ]"
+
+
 def to_json_text(graph):
     """Serialize to JSON text, equal to ``json.dumps(to_json_dict(graph), indent=2)``."""
     if not graph.edges:
         return '{\n  "n": %d,\n  "edges": []\n}' % graph.n
-    body = ",".join(f"\n    [\n      {u},\n      {v}\n    ]" for u, v in graph.edges)
+    body = ",".join([_JSON_EDGE] * graph.m) % tuple(chain.from_iterable(graph.edges))
     return '{\n  "n": %d,\n  "edges": [%s\n  ]\n}' % (graph.n, body)
 
 
@@ -356,7 +380,7 @@ def from_json_dict(data):
 
 def load_graph(path):
     """Load a graph from a file in either the JSON or edge-list text format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:

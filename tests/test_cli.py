@@ -1,5 +1,6 @@
 """Command-line behavior: output schemas, graph grammar, exit codes, round-trips."""
 
+import argparse
 import io
 import json
 import math
@@ -233,6 +234,45 @@ def test_main_builds_only_the_named_command(monkeypatch):
     run_cli("bogus")
     assert built[: len(COMMANDS)] == [(command, [command]) for command in COMMANDS]
     assert built[len(COMMANDS) :] == [(None, sorted(COMMANDS))] * 3
+
+
+@pytest.mark.parametrize("command", (None,) + COMMANDS)
+def test_build_parser_is_shared(command):
+    assert build_parser(command) is build_parser(command)
+
+
+def test_main_builds_parsers_only_on_the_first_call(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    counts = []
+    for _ in range(5):
+        before = len(built)
+        assert run_cli("spectrum", "--abs", "--graph", "cycle:5")[0] == 0
+        counts.append(len(built) - before)
+    assert counts[0] > 0 and counts[1:] == [0] * 4
+
+
+def test_cached_parser_prints_what_a_fresh_one_prints(monkeypatch):
+    # a usage error, help, a handler error and a valid call, each on a parser
+    # an earlier call of the sequence may have used
+    sequence = [
+        ("matrix", "--abs"),
+        ("spectrum", "-h"),
+        ("transform", "shadow", "--k", "0", "--graph", "cycle:4"),
+        ("spectrum", "--abs", "--graph", "cycle:5"),
+    ]
+    cached = [run_cli(*argv) for argv in sequence * 2]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run_cli(*argv) for argv in sequence]
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 0]
+    assert cached == fresh * 2
 
 
 @pytest.mark.parametrize(
@@ -666,13 +706,35 @@ def test_deeply_nested_json_exits_2(tmp_path):
         assert (code, out) == (2, "") and err.count("\n") == 1 and "nests too deeply" in err
 
 
-@pytest.mark.parametrize("name,text", [("bad.json", '{"n": 3, "edges": [[0, 9]]}'), ("bad.txt", "3 1\n0 7\n")])
+@pytest.mark.parametrize(
+    "name,text",
+    [("bad.json", '{"n": 3, "edges": [[0, 9]]}'), ("bad.txt", "3 1\n0 7\n"), ("negative.txt", "3 1\n0 -1\n")],
+)
 def test_out_of_range_edge_exits_2(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     for argv in (("load", str(path)), ("spectrum", "--abs", "--graph", f"file:{path}")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "") and err.startswith("error: edge (0, ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,token",
+    [
+        ("11 1\n0 1_0\n", "1_0"),
+        ("4 1\n\u0660 \u0663\n", "\u0660"),
+        ("3 1\n+0 1\n", "+0"),
+        ("3 1\n0 1.0\n", "1.0"),
+        ("\u0663 1\n0 1\n", "\u0663"),
+        ("3 1_0\n0 1\n", "1_0"),
+    ],
+)
+def test_edge_list_ids_must_be_ascii_decimal(tmp_path, text, token):
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    message = f"error: vertex ids and counts must be ASCII decimal integers, got {token!r}\n"
+    assert run_cli("load", str(path)) == (2, "", message)
+    assert run_cli("spectrum", "--abs", "--graph", f"file:{path}") == (2, "", message)
 
 
 def test_verify_refuses_k_below_1():

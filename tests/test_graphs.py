@@ -5,6 +5,7 @@ import functools
 import json
 import pickle
 import random
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -35,7 +36,7 @@ from absspectra.graphs import (
     to_json_dict,
     to_json_text,
 )
-from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
+from absspectra.transforms import K_KINDS, TRANSFORM_KINDS, semitotal_line
 
 from conftest import degrees_reference, line_graph_pairs_reference, random_graph
 
@@ -520,6 +521,19 @@ def test_edge_list_text_roundtrip():
     assert parse_edge_list_text(to_edge_list_text(g)) == g
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+1", "1.0", "0x1", "a", "--1", "1-"])
+def test_edge_list_ids_refuse_what_int_alone_takes(token):
+    for text in (f"3 1\n0 {token}\n", f"{token} 1\n0 1\n", f"3 {token}\n0 1\n"):
+        with pytest.raises(ValueError, match=f"ASCII decimal integers, got {re.escape(repr(token))}$"):
+            parse_edge_list_text(text)
+
+
+def test_edge_list_ids_take_ascii_decimal_with_minus():
+    assert parse_edge_list_text("03 1\n002\t\u20030 # tab and em space\n") == Graph(3, [(0, 2)])
+    with pytest.raises(IndexError, match=r"edge \(0, -1\)"):
+        parse_edge_list_text("3 1\n0 -1\n")
+
+
 def test_edge_list_text_comments_and_errors():
     g = parse_edge_list_text("# a triangle\n3 3\n0 1\n1 2 # last\n0 2\n")
     assert g == generate("cycle", 3)
@@ -534,6 +548,9 @@ def test_to_json_text_equals_indented_json_dumps():
     cases = [Graph(0), Graph(1), Graph(3), generate("complete", 2), Graph(3, [(np.int64(2), np.int64(0))])]
     cases += [generate(kind, *sizes) for kind, sizes in _family_members(9)]
     cases += [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(30)]
+    # the sizes the build benchmark writes: over 10^4 edges, ids of 10^4 and more
+    cases += [semitotal_line(generate("cycle", 6000)), semitotal_line(generate("complete", 20))]
+    assert cases[-2].m > 10**4 and cases[-2].edges[-1][1] >= 10**4
     for g in cases:
         assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2)
 
@@ -547,3 +564,13 @@ def test_json_roundtrip(tmp_path):
     path2 = tmp_path / "g.txt"
     path2.write_text(to_edge_list_text(g))
     assert load_graph(path2) == g
+
+
+def test_load_graph_drops_a_byte_order_mark(tmp_path):
+    g = generate("cycle", 5)
+    for name, text in (("g.json", json.dumps(to_json_dict(g))), ("g.txt", to_edge_list_text(g))):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_graph(marked) == load_graph(plain) == g
