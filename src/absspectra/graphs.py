@@ -313,18 +313,22 @@ def to_edge_list_text(graph):
 
 
 # An id or count token is ASCII decimal digits with an optional leading '-', so
-# that a negative id still reaches Graph's range check.
+# that a negative id still reaches Graph's range check. A data line is matched
+# once, as two such tokens around whitespace (the whitespace str.split takes).
 _INT_TOKEN = re.compile(r"-?[0-9]+")
+_INT_PAIR = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 
 
-def _int_pair(row, shape):
-    """The two integers of a split data line; ``shape`` names the expected line in the error."""
+def _int_pair(line, shape):
+    """The two integers of a stripped data line; ``shape`` names the expected line in the error."""
+    match = _INT_PAIR.fullmatch(line)
+    if match is not None:
+        return int(match[1]), int(match[2])
+    row = line.split()
     if len(row) != 2:
         raise ValueError(f"{shape}, got {' '.join(row)!r}")
-    for token in row:
-        if not _INT_TOKEN.fullmatch(token):
-            raise ValueError(f"vertex ids and counts must be ASCII decimal integers, got {token!r}")
-    return int(row[0]), int(row[1])
+    token = next(token for token in row if not _INT_TOKEN.fullmatch(token))
+    raise ValueError(f"vertex ids and counts must be ASCII decimal integers, got {token!r}")
 
 
 def parse_edge_list_text(text):
@@ -333,24 +337,13 @@ def parse_edge_list_text(text):
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
+            rows.append(line)
     if not rows:
         raise ValueError("empty edge-list input")
     n, m = _int_pair(rows[0], "header must be 'n m'")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    pairs = None
-    # int() also takes '+', '_' between digits and non-ASCII digits; in ASCII
-    # text with neither it takes exactly the tokens _int_pair takes, so the
-    # text is tested once and _int_pair reads only other files or a bad row
-    if text.isascii() and "+" not in text and "_" not in text:
-        try:
-            pairs = [(int(u), int(v)) for u, v in rows[1:]]
-        except ValueError:
-            pass
-    if pairs is None:
-        pairs = [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]]
-    return Graph(n, pairs)
+    return Graph(n, [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]])
 
 
 def to_json_dict(graph):
