@@ -25,7 +25,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .graphs import GENERATOR_KINDS, families, generate, load_graph, to_edge_list_text, to_json_text
+from .graphs import GENERATOR_KINDS, _text_integer, families, generate, load_graph, to_edge_list_text, to_json_text
 from . import linalg
 from .indices import all_indices
 from .spectra import graph_matrix, path_abs_charpoly, spectrum_report
@@ -45,7 +45,7 @@ from .verifier import (
 )
 
 _GENERATOR_ARITY = {kind: 2 if kind == "complete_bipartite" else 1 for kind in GENERATOR_KINDS}
-_K_TOKEN = re.compile(r"^k=(\d+)$")
+_K_TOKEN = re.compile(r"^k=([0-9]+)$")
 
 
 class GraphSpecError(ValueError):
@@ -78,7 +78,7 @@ def parse_graph_spec(spec):
         params = []
         for token in rest[:arity]:
             try:
-                params.append(int(token))
+                params.append(_text_integer(token, f"{base} sizes"))
             except ValueError:
                 raise GraphSpecError(f"expected an integer for {base}, got {token!r}") from None
         if len(params) < arity:
@@ -91,8 +91,9 @@ def parse_graph_spec(spec):
         if head in K_KINDS:
             match = _K_TOKEN.match(rest[0]) if rest else None
             if not match:
-                raise GraphSpecError(f"{head}: expects :k=K after the inner graph spec")
-            k, rest = int(match.group(1)), rest[1:]
+                got = f", got {rest[0]!r}" if rest else ""
+                raise GraphSpecError(f"{head}: expects :k=K after the inner graph spec{got}")
+            k, rest = _text_integer(match[1], "copy counts k"), rest[1:]
         graph = apply_transform(head, graph, k)
     if rest:
         raise GraphSpecError(f"unexpected trailing tokens {':'.join(rest)!r} in graph spec {spec!r}")
@@ -238,14 +239,22 @@ def _add_matrix_options(parser, via=False):
     _add_graph_option(parser)
 
 
+def _int_option(token):
+    """argparse ``type`` of the integer options: :func:`graphs._text_integer`, with argparse's own message."""
+    try:
+        return _text_integer(token, "integer options")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _gen_arguments(p):
     p.add_argument("kind", choices=sorted(_GENERATOR_ARITY))
-    p.add_argument("params", nargs="+", type=int, help="size parameters")
+    p.add_argument("params", nargs="+", type=_int_option, help="size parameters")
 
 
 def _transform_arguments(p):
     p.add_argument("kind", choices=TRANSFORM_KINDS)
-    p.add_argument("--k", type=int, default=None, help="copy count for splitting/shadow")
+    p.add_argument("--k", type=_int_option, default=None, help="copy count for splitting/shadow")
     _add_graph_option(p)
 
 
@@ -253,7 +262,7 @@ def _verify_arguments(p):
     p.add_argument("--suite", choices=("default",), default=None)
     p.add_argument("--check", default=None, help="single check id, e.g. THM_CYCLE")
     _add_graph_option(p, required=False)
-    p.add_argument("--k", type=int, default=None, help="copy count for the energy checks")
+    p.add_argument("--k", type=_int_option, default=None, help="copy count for the energy checks")
     p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-8, env ABS_SPECTRA_TOL)")
 
 

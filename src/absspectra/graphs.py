@@ -10,7 +10,7 @@ search that needs neighbour lists, :func:`_two_colouring`, builds its own.
 import json
 import operator
 import re
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby, repeat
 
 import numpy as np
 
@@ -269,8 +269,7 @@ def line_pairs(graph, offset=0):
     for idx, (u, v) in enumerate(graph.edges, offset):
         incident[u].append(idx)
         incident[v].append(idx)
-    for ids in incident:
-        yield from combinations(ids, 2)
+    return chain.from_iterable(map(combinations, incident, repeat(2)))
 
 
 def line_graph(graph):
@@ -305,30 +304,54 @@ def adjacency_matrix(graph):
 # JSON: {"n": int, "edges": [[u, v], ...]}.
 
 
+# The writers below emit the text ``head % u + tail % v`` of each edge (u, v),
+# edges separated by ``sep``. Sorted edges from u to higher ids form one run, so
+# u's text can be formatted once per run and each v's once per call; a run costs
+# about as much as eight edges of one %-template over every id (timed on random
+# graphs with 1-16 edges per vertex), so sparser graphs take the template.
+_RUN_MIN_EDGES_PER_VERTEX = 8
+
+
+def _edge_texts(graph, head, tail, sep):
+    """Texts whose concatenation is ``sep.join(head % u + tail % v for (u, v) in graph.edges)``."""
+    edges = graph.edges
+    if len(edges) <= _RUN_MIN_EDGES_PER_VERTEX * graph.n:
+        return [sep.join([head + tail] * len(edges)) % tuple(chain.from_iterable(edges))]
+    tails = [tail % v for v in range(graph.n)]
+    texts = []
+    for u, run in groupby(edges, operator.itemgetter(0)):
+        text = sep + head % u
+        texts += text, text.join(map(tails.__getitem__, map(operator.itemgetter(1), run)))
+    texts[0] = texts[0][len(sep) :]  # no separator before the first edge
+    return texts
+
+
 def to_edge_list_text(graph):
     """Serialize to the edge-list text format."""
-    lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
+    return "".join(["%d %d\n" % (graph.n, graph.m), *_edge_texts(graph, "%d ", "%d\n", "")])
 
 
 # An id or count token is ASCII decimal digits with an optional leading '-', so
-# that a negative id still reaches Graph's range check. A data line is matched
-# once, as two such tokens around whitespace (the whitespace str.split takes).
+# that a negative id still reaches Graph's range check.
 _INT_TOKEN = re.compile(r"-?[0-9]+")
-_INT_PAIR = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
+# Every data row of an edge list at once: rows are joined by newlines, and a row
+# matches when it is two such tokens around whitespace (the whitespace str.split takes).
+_EDGE_ROWS = re.compile(r"^(-?[0-9]+)[^\S\n]+(-?[0-9]+)$", re.M)
+
+
+def _text_integer(token, what):
+    """The one reader of an integer written as text: ``_INT_TOKEN`` or ``ValueError`` naming the token."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ValueError(f"{what} must be ASCII decimal integers, got {token!r}")
+    return int(token)
 
 
 def _int_pair(line, shape):
     """The two integers of a stripped data line; ``shape`` names the expected line in the error."""
-    match = _INT_PAIR.fullmatch(line)
-    if match is not None:
-        return int(match[1]), int(match[2])
     row = line.split()
     if len(row) != 2:
         raise ValueError(f"{shape}, got {' '.join(row)!r}")
-    token = next(token for token in row if not _INT_TOKEN.fullmatch(token))
-    raise ValueError(f"vertex ids and counts must be ASCII decimal integers, got {token!r}")
+    return tuple(_text_integer(token, "vertex ids and counts") for token in row)
 
 
 def parse_edge_list_text(text):
@@ -343,7 +366,11 @@ def parse_edge_list_text(text):
     n, m = _int_pair(rows[0], "header must be 'n m'")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    return Graph(n, [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]])
+    ids = _EDGE_ROWS.findall("\n".join(rows[1:]))
+    if len(ids) != m:  # some row is not two integers: read row by row to name the first
+        ids = [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]]
+    ids = map(int, chain.from_iterable(ids))
+    return Graph(n, zip(ids, ids))  # consecutive ids pair up
 
 
 def to_json_dict(graph):
@@ -351,16 +378,12 @@ def to_json_dict(graph):
     return {"n": graph.n, "edges": [[u, v] for u, v in graph.edges]}
 
 
-# One edge of to_json_text's output; the edge list is one %-format of m copies.
-_JSON_EDGE = "\n    [\n      %d,\n      %d\n    ]"
-
-
 def to_json_text(graph):
     """Serialize to JSON text, equal to ``json.dumps(to_json_dict(graph), indent=2)``."""
     if not graph.edges:
         return '{\n  "n": %d,\n  "edges": []\n}' % graph.n
-    body = ",".join([_JSON_EDGE] * graph.m) % tuple(chain.from_iterable(graph.edges))
-    return '{\n  "n": %d,\n  "edges": [%s\n  ]\n}' % (graph.n, body)
+    edges = _edge_texts(graph, "\n    [\n      %d,\n      ", "%d\n    ]", ",")
+    return "".join(['{\n  "n": %d,\n  "edges": [' % graph.n, *edges, "\n  ]\n}"])
 
 
 def from_json_dict(data):

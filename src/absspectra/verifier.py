@@ -240,10 +240,17 @@ def _chk_incidence_line(graph, params, memo):
     return True, dev, "F^t F vs 2I + A(L(G)), integer arithmetic"
 
 
+# LEM_SCHUR's three partial-pivot eliminations grow as n^3 in the graph order n:
+# C300 takes 0.5 s, C500 2.0 s, C600 3.0 s and C700 5.2 s (2-vCPU Xeon, 2 runs).
+_SCHUR_ORDER_CAP = 500
+
+
 def _chk_schur(graph, params, memo):
     if graph.n == 0:
         return False, 0.0, "empty graph"
     check_dense_budget(2 * graph.n, 2 * graph.n, "block matrix")
+    if graph.n > _SCHUR_ORDER_CAP:
+        raise ValueError(f"graph order {graph.n} exceeds LEM_SCHUR cap {_SCHUR_ORDER_CAP}")
     a = adjacency_matrix(graph)
     shift = max(graph.degrees) + 1
     m_blk = a + shift * np.eye(graph.n)  # diagonally dominant, invertible

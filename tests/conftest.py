@@ -75,6 +75,23 @@ def gnp_graphs(st):
     return st.builds(random_graph, st.integers(0, 2**32).map(random.Random), st.integers(1, 20), st.floats(0, 1))
 
 
+def spread_graph(rng, n, per_vertex):
+    """Each vertex of a random part of ``0..n-1`` joined to 0..2*per_vertex random vertices of that part.
+
+    Vertices outside the part are isolated, and the largest id of the part has no higher neighbour.
+    """
+    part = rng.sample(range(n), rng.randint(0, n))
+    pairs = [(u, rng.choice(part)) for u in part for _ in range(rng.randint(0, 2 * per_vertex))]
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+def spread_graphs(st, max_n=2000, max_per_vertex=20):
+    """Strategy for :func:`spread_graph`, sparse to dense; ``st`` is ``hypothesis.strategies``."""
+    return st.builds(
+        spread_graph, st.integers(0, 2**32).map(random.Random), st.integers(0, max_n), st.integers(0, max_per_vertex)
+    )
+
+
 def random_connected_graph(rng, n):
     while True:
         g = random_graph(rng, n, p=rng.uniform(0.3, 0.8))

@@ -643,6 +643,15 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def test_verify_schur_order_cap_fails_fast():
+    start = time.perf_counter()
+    code, out, _ = run_cli("verify", "--check", "LEM_SCHUR", "--graph", "cycle:1200")
+    assert time.perf_counter() - start < 2.0
+    (row,) = json.loads(out)
+    assert code == 1 and row["verdict"] == "error"
+    assert row["details"] == "ValueError: graph order 1200 exceeds LEM_SCHUR cap 500"
+
+
 def test_verify_schur_overflow_prints_valid_json():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -735,6 +744,28 @@ def test_edge_list_ids_must_be_ascii_decimal(tmp_path, text, token):
     message = f"error: vertex ids and counts must be ASCII decimal integers, got {token!r}\n"
     assert run_cli("load", str(path)) == (2, "", message)
     assert run_cli("spectrum", "--abs", "--graph", f"file:{path}") == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("indices", "--graph", "cycle:1_0"), "1_0"),
+        (("indices", "--graph", "cycle:\u0663"), "\u0663"),
+        (("gen", "cycle", "+1_0"), "+1_0"),
+        (("transform", "shadow", "--k", "\u0662", "--graph", "cycle:4"), "\u0662"),
+        (("spectrum", "--abs", "--graph", "shadow:cycle:4:k=\u0662"), "k=\u0662"),
+        (("verify", "--check", "THM_SHADOW_ENERGY", "--graph", "cycle:4", "--k", "+2"), "+2"),
+        (("gen", "complete_bipartite", "2", " 3"), " 3"),
+    ],
+)
+def test_integers_in_text_are_ascii_decimal(argv, token):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and repr(token) in err
+
+
+def test_integers_in_text_keep_leading_zeros():
+    assert run_cli("gen", "cycle", "007") == run_cli("gen", "cycle", "7")
+    assert run_cli("indices", "--graph", "shadow:cycle:04:k=02") == run_cli("indices", "--graph", "shadow:cycle:4:k=2")
 
 
 def test_verify_refuses_k_below_1():

@@ -38,7 +38,7 @@ from absspectra.graphs import (
 )
 from absspectra.transforms import K_KINDS, TRANSFORM_KINDS, semitotal_line
 
-from conftest import degrees_reference, line_graph_pairs_reference, random_graph
+from conftest import degrees_reference, line_graph_pairs_reference, random_graph, spread_graphs
 
 
 def test_from_edge_list_path():
@@ -553,6 +553,122 @@ def test_to_json_text_equals_indented_json_dumps():
     assert cases[-2].m > 10**4 and cases[-2].edges[-1][1] >= 10**4
     for g in cases:
         assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2)
+
+
+# --- the text layer against its per-edge and row-by-row forms -----------------
+
+
+def _per_edge_edge_list_text(graph):
+    """The edge-list text written with one f-string per edge."""
+    lines = [f"{graph.n} {graph.m}"]
+    lines.extend(f"{u} {v}" for u, v in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
+def _generator_line_pairs(graph, offset=0):
+    """The line-graph pairs yielded by one generator frame, vertex by vertex."""
+    incident = [[] for _ in range(graph.n)]
+    for idx, (u, v) in enumerate(graph.edges, offset):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    for ids in incident:
+        yield from combinations(ids, 2)
+
+
+_ROW_INT_TOKEN = re.compile(r"-?[0-9]+")
+_ROW_INT_PAIR = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
+
+
+def _row_int_pair(line, shape):
+    match = _ROW_INT_PAIR.fullmatch(line)
+    if match is not None:
+        return int(match[1]), int(match[2])
+    row = line.split()
+    if len(row) != 2:
+        raise ValueError(f"{shape}, got {' '.join(row)!r}")
+    token = next(token for token in row if not _ROW_INT_TOKEN.fullmatch(token))
+    raise ValueError(f"vertex ids and counts must be ASCII decimal integers, got {token!r}")
+
+
+def _row_by_row_reader(text):
+    """The edge-list reader that matches and converts one row at a time."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
+    if not rows:
+        raise ValueError("empty edge-list input")
+    n, m = _row_int_pair(rows[0], "header must be 'n m'")
+    if len(rows) - 1 != m:
+        raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
+    return Graph(n, [_row_int_pair(row, "edge line must be 'u v'") for row in rows[1:]])
+
+
+def test_graph_text_layer_matches_its_per_edge_forms(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, max_examples=40)
+    @hyp.given(spread_graphs(st), st.integers(0, 3))
+    def check(g, offset):
+        expected_json, expected_text = json.dumps(to_json_dict(g), indent=2), _per_edge_edge_list_text(g)
+        # 0 sends every graph with an edge through the vertex runs, 10**9 every graph through one template
+        for per_vertex in (0, 10**9, graphs._RUN_MIN_EDGES_PER_VERTEX):
+            monkeypatch.setattr(graphs, "_RUN_MIN_EDGES_PER_VERTEX", per_vertex)
+            assert to_json_text(g) == expected_json
+            assert to_edge_list_text(g) == expected_text
+        assert parse_edge_list_text(expected_text) == g
+        assert list(line_pairs(g, offset)) == list(_generator_line_pairs(g, offset))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n0 1\n1 x\n",  # a bad token
+        "3 2\n0 1 2\n1 2\n",  # three fields
+        "11 1\n0 1_0\n",
+        "4 1\n٠ ٣\n",  # Unicode digits
+        "3 2\v0 1\f1 2\n",  # \v and \f break rows
+        "3 2\v0 1\f1 x\n",
+        "3 2\r\n0 1\r\n1 2\r\n",  # CRLF
+        "3 2\r\n0 1\r\n1 2 3\r\n",
+        "# only\n  # comment rows\n",
+        "# a\n3 1\n# b\n0 2 # c\n#\n",
+        "3 2\n0 1\n",  # count mismatch
+        "3 1\n0 1\n1 2\n",
+        "3 3\n0 x\n0 1 2\n1_0 2\n",  # the first bad row is named
+        "3 3\n0 1\n0 1 2\n0 x\n",
+        "3\n0 1\n",
+        "x 1\n0 1\n",
+        "3 1\n0 3\n",
+        "3 1\n1 1\n",
+        "3 1\n0 -1\n",
+        "3 1\n0 \t2\n",
+        "3 1\n0\x1f2\n",  # a separator str.split takes and splitlines does not
+        "3 0\n",
+        "0 0\n",
+        "",
+    ],
+)
+def test_edge_list_reader_matches_the_row_by_row_reader(text):
+    def outcome(read):
+        try:
+            return read(text)
+        except (ValueError, IndexError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(parse_edge_list_text) == outcome(_row_by_row_reader)
+
+
+def test_text_integer_is_ascii_decimal_with_minus():
+    tokens = ("0", "007", "-3", "12345678901234567890")
+    assert [graphs._text_integer(token, "sizes") for token in tokens] == [0, 7, -3, 12345678901234567890]
+    for token in ("1_0", "٣", "+1", " 1", "1.0", "", "-"):
+        with pytest.raises(ValueError, match=f"^sizes must be ASCII decimal integers, got {re.escape(repr(token))}$"):
+            graphs._text_integer(token, "sizes")
 
 
 def test_json_roundtrip(tmp_path):

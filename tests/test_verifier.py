@@ -118,6 +118,15 @@ def test_schur_overflow_is_an_error_whatever_the_warning_filter():
         assert r.details == "ValueError: a determinant overflows: block det inf vs |M||Q - P M^-1 N| inf"
 
 
+def test_schur_order_cap():
+    cap = verifier._SCHUR_ORDER_CAP
+    assert cap >= 500  # test_verify_schur_overflow_prints_valid_json runs C500
+    start = time.perf_counter()
+    (r,) = run_check(CheckId.LEM_SCHUR, generate("cycle", cap + 1))
+    assert time.perf_counter() - start < 1.0
+    assert r.verdict == "error" and r.details == f"ValueError: graph order {cap + 1} exceeds LEM_SCHUR cap {cap}"
+
+
 def test_nonfinite_deviation_is_an_error():
     for deviation in (math.nan, math.inf):
         outcome = (True, deviation, "lhs vs rhs")
