@@ -3,14 +3,14 @@
 Vertices are ``0..n-1``. Edges are stored sorted lexicographically as
 ``(min, max)`` pairs; the position of an edge in that order is its edge index,
 which fixes the column order of the incidence matrix and the vertex order of
-the line graph. Beside them a graph keeps only its vertex degrees; the one
-search that needs neighbour lists, :func:`_two_colouring`, builds its own.
+the line graph. Beside them a graph keeps its vertex degrees and, once asked,
+its two-colouring; that one search, :func:`_two_colouring`, builds its own neighbour lists.
 """
 
 import json
 import operator
 import re
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -59,18 +59,18 @@ class Graph:
     id through :func:`_integer`, collapses duplicate pairs, normalizes every
     pair to ``(min, max)`` and rejects self-loops, out-of-range ids
     (``IndexError``), items that are not pairs, ``pairs`` that is not
-    iterable, and a vertex count below 0 or over VERTEX_BUDGET. Every graph read from
-    outside the package goes through it: :func:`load_graph`,
+    iterable, and a vertex count below 0 or over VERTEX_BUDGET; then it sorts the edges and counts the
+    degrees. Every graph read from outside the package goes through it: :func:`load_graph`,
     :func:`parse_edge_list_text`, :func:`from_json_dict`, unpickling and any
     direct call. The graphs the package derives from a valid graph, those of
-    :func:`generate`, :func:`line_graph` and the five transforms, skip the
-    checks: their producers emit distinct in-range ``(min, max)`` pairs by
-    construction and pass them to the private core, :meth:`_canonical`.
-    Instances hold ``n``, the sorted ``edges`` and the tuple of vertex
-    ``degrees``, and are immutable; all operations return new graphs.
+    :func:`generate`, :func:`line_graph` and the five transforms, skip all of
+    that: their producers emit distinct in-range ``(min, max)`` pairs in ascending order and the
+    degrees by construction and pass both to the private core, :meth:`_canonical`.
+    Instances hold ``n``, the sorted ``edges``, the tuple of vertex ``degrees`` and, once
+    :func:`_two_colouring` has run, its result; they are immutable, and all operations return new graphs.
     """
 
-    __slots__ = ("n", "edges", "degrees")
+    __slots__ = ("n", "edges", "degrees", "_colouring")
 
     def __init__(self, n, pairs=()):
         n = _integer(n, "vertex counts")
@@ -97,28 +97,28 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
             norm.append((u, v) if u < v else (v, u))
-        self._fill(n, dict.fromkeys(norm))
-
-    @classmethod
-    def _canonical(cls, n, pairs):
-        """The graph on ``n`` vertices with edges ``pairs``, taken without checks.
-
-        ``pairs`` must already be in range, in ``(min, max)`` form and
-        distinct; the package's own producers guarantee that.
-        """
-        graph = object.__new__(cls)
-        graph._fill(n, pairs)
-        return graph
-
-    def _fill(self, n, pairs):
-        """Set ``n``, the sorted ``edges`` and the per-vertex ``degrees`` from canonical ``pairs``."""
-        edges = tuple(sorted(pairs))
+        edges = sorted(dict.fromkeys(norm))
         degrees = [0] * n
         for u, v in edges:
             degrees[u] += 1
             degrees[v] += 1
+        self._fill(n, edges, degrees)
+
+    @classmethod
+    def _canonical(cls, n, edges, degrees):
+        """The graph on ``n`` vertices with ``edges`` and vertex ``degrees``, taken without checks.
+
+        ``edges`` must be distinct in-range ``(min, max)`` pairs in ascending order and ``degrees`` the
+        degree of each vertex, as the package's own producers emit them; nothing is sorted or counted.
+        """
+        graph = object.__new__(cls)
+        graph._fill(n, edges, degrees)
+        return graph
+
+    def _fill(self, n, edges, degrees):
+        """Store ``n``, the sorted ``edges`` and the per-vertex ``degrees`` as tuples."""
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "degrees", tuple(degrees))
 
     def __setattr__(self, name, value):
@@ -160,7 +160,7 @@ def generate(kind, *params):
         if a < 1 or b < 1:
             raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
         check_budget(a * b, a + b, f"complete_bipartite({a}, {b})")
-        return Graph._canonical(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        return Graph._canonical(a + b, [(i, a + j) for i in range(a) for j in range(b)], [b] * a + [a] * b)
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
     n = _integer(params[0], f"{kind} sizes")
@@ -168,14 +168,14 @@ def generate(kind, *params):
         raise ValueError(f"{kind} needs n >= 1, got {n}")
     check_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), n, f"{kind}({n})")
     if kind == "complete":
-        return Graph._canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph._canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)], [n - 1] * n)
     if kind == "cycle":
         if n < 3:
             raise ValueError(f"cycle needs n >= 3, got {n}")
-        return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        return Graph._canonical(n, [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)], [2] * n)
     if kind == "path":
-        return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)])
-    return Graph._canonical(n, [(0, i) for i in range(1, n)])  # star
+        return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)], [1] + [2] * (n - 2) + [1] if n > 1 else [0])
+    return Graph._canonical(n, [(0, i) for i in range(1, n)], [n - 1] + [1] * (n - 1))  # star
 
 
 def is_regular(graph):
@@ -191,8 +191,11 @@ def _two_colouring(graph):
     """Colour a graph on n >= 1 vertices by one search from vertex 0: (colours, bipartite).
 
     Unreached vertices keep colour -1; ``bipartite`` is False when an edge
-    joins two vertices of one colour.
+    joins two vertices of one colour. The result is kept in the graph's
+    ``_colouring`` slot, so each graph object is searched once.
     """
+    if hasattr(graph, "_colouring"):
+        return graph._colouring
     neighbours = [[] for _ in range(graph.n)]
     for u, v in graph.edges:
         neighbours[u].append(v)
@@ -208,7 +211,8 @@ def _two_colouring(graph):
                 stack.append(v)
             elif colour[v] == colour[u]:
                 bipartite = False
-    return colour, bipartite
+    object.__setattr__(graph, "_colouring", (tuple(colour), bipartite))
+    return graph._colouring
 
 
 def is_connected(graph):
@@ -258,24 +262,33 @@ def line_graph_edge_count(graph):
     return sum(d * (d - 1) // 2 for d in graph.degrees)
 
 
-def line_pairs(graph, offset=0):
-    """Edges of the line graph as ``(offset + i, offset + j)`` pairs of edge indices, i < j.
-
-    Two edges of a simple graph share at most one endpoint, so each pair
-    comes from exactly one vertex's incident list and none repeats; the lists
-    are built in edge-index order, so i < j.
-    """
+def _incidence(graph, offset):
+    """Each vertex's incident edge ids ``offset + j`` in ascending lists, and ``line_pairs(graph, offset)``."""
     incident = [[] for _ in range(graph.n)]
-    for idx, (u, v) in enumerate(graph.edges, offset):
-        incident[u].append(idx)
-        incident[v].append(idx)
-    return chain.from_iterable(map(combinations, incident, repeat(2)))
+    later = []  # (i, the list at one end of edge i, the position after i in it), u's end first
+    for i, (u, v) in enumerate(graph.edges, offset):
+        a, b = incident[u], incident[v]
+        a.append(i)
+        b.append(i)
+        later += (i, a, len(a)), (i, b, len(b))
+    return incident, [(i, j) for i, ids, p in later for j in ids[p:]]
+
+
+def line_pairs(graph, offset=0):
+    """Edges of the line graph as ascending ``(offset + i, offset + j)`` pairs of edge indices, i < j.
+
+    Edge i = uv (u < v) meets the later edges at u, the edges uw with w > v, then the later edges at v,
+    whose other ends are above u; so the ids ascend, and no sort is needed. Two edges of a simple graph
+    share at most one endpoint, so no pair repeats.
+    """
+    return _incidence(graph, offset)[1]
 
 
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
     check_budget(line_graph_edge_count(graph), graph.m, "line graph")
-    return Graph._canonical(graph.m, line_pairs(graph))
+    degs = graph.degrees
+    return Graph._canonical(graph.m, line_pairs(graph), [degs[u] + degs[v] - 2 for u, v in graph.edges])
 
 
 def incidence_matrix(graph):

@@ -10,31 +10,37 @@ the resulting matrices is literal:
 * ``shadow(G, k)`` puts copy ``c in 0..k-1`` at ``c*n .. c*n + n - 1``.
 
 Each transform checks the edge and vertex counts of its result against the
-graph budgets before it builds anything. Each emits distinct in-range
-``(min, max)`` pairs and builds its result through ``Graph._canonical``,
-without the checks ``Graph`` runs on outside input.
+graph budgets before it builds anything. Each emits its edges as ascending
+``(min, max)`` pairs, vertex by vertex from lists of higher neighbours, and
+its degrees from the formula its docstring states, and builds its result
+through ``Graph._canonical``, which neither checks, sorts nor counts.
 """
 
-from itertools import chain
-
-from .graphs import Graph, _integer, check_budget, line_graph_edge_count, line_pairs
+from .graphs import Graph, _incidence, _integer, check_budget, line_graph_edge_count
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
 # The transforms that take a copy count k.
 K_KINDS = ("splitting", "shadow")
 
 
-def _edge_vertex_pairs(graph):
-    """``(u, n + j)`` and ``(v, n + j)`` for each edge j = uv, joining edge-vertex n + j to both endpoints."""
+def _pairs(higher):
+    """The ascending edges ``(x, y)``, y in ``higher[x]``, from each vertex's ascending higher neighbours."""
+    return [(x, y) for x, ys in enumerate(higher) for y in ys]
+
+
+def _edge_vertex_pairs(graph, higher):
+    """Ascending edges from ``0..n-1``: each vertex's ``higher`` neighbours below n, then n + j for its edges j."""
     for j, (u, v) in enumerate(graph.edges, graph.n):
-        yield u, j
-        yield v, j
+        higher[u].append(j)
+        higher[v].append(j)
+    return _pairs(higher)
 
 
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
     check_budget(2 * graph.m, graph.n + graph.m, "subdivision")
-    return Graph._canonical(graph.n + graph.m, _edge_vertex_pairs(graph))
+    edges = _edge_vertex_pairs(graph, [[] for _ in range(graph.n)])
+    return Graph._canonical(graph.n + graph.m, edges, graph.degrees + (2,) * graph.m)
 
 
 def semitotal_point(graph):
@@ -43,8 +49,12 @@ def semitotal_point(graph):
     Original vertex degrees double; edge-vertices have degree 2. The result
     has n + m vertices and 3m edges.
     """
-    check_budget(3 * graph.m, graph.n + graph.m, "semitotal_point")
-    return Graph._canonical(graph.n + graph.m, chain(graph.edges, _edge_vertex_pairs(graph)))
+    n, m = graph.n, graph.m
+    check_budget(3 * m, n + m, "semitotal_point")
+    higher = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        higher[u].append(v)
+    return Graph._canonical(n + m, _edge_vertex_pairs(graph, higher), [2 * d for d in graph.degrees] + [2] * m)
 
 
 def semitotal_line(graph):
@@ -53,8 +63,23 @@ def semitotal_line(graph):
     Original vertices keep their degree; the vertex for edge uv gets degree
     d(u) + d(v).
     """
-    check_budget(line_graph_edge_count(graph) + 2 * graph.m, graph.n + graph.m, "semitotal_line")
-    return Graph._canonical(graph.n + graph.m, chain(line_pairs(graph, graph.n), _edge_vertex_pairs(graph)))
+    n, m = graph.n, graph.m
+    check_budget(line_graph_edge_count(graph) + 2 * m, n + m, "semitotal_line")
+    incident, pairs = _incidence(graph, n)
+    edges = _pairs(incident)
+    edges += pairs  # the line-graph pairs, all above the vertex-to-edge pairs
+    degs = graph.degrees
+    return Graph._canonical(n + m, edges, degs + tuple(degs[u] + degs[v] for u, v in graph.edges))
+
+
+def _lift(graph, higher, a, copies):
+    """Append to ``higher[a + x]`` x's higher neighbours in copy ``a``, then its neighbours in each of ``copies``."""
+    for u, v in graph.edges:
+        higher[a + u].append(a + v)
+    for b in copies:  # outermost, so each list stays ascending
+        for u, v in graph.edges:
+            higher[a + u].append(b + v)
+            higher[a + v].append(b + u)
 
 
 def splitting(graph, k):
@@ -67,14 +92,10 @@ def splitting(graph, k):
     if k < 1:
         raise ValueError(f"splitting needs k >= 1, got {k}")
     check_budget((2 * k + 1) * graph.m, (k + 1) * graph.n, f"splitting with k={k}")
-    n = graph.n
-    pairs = list(graph.edges)
-    for c in range(1, k + 1):
-        off = c * n
-        for u, v in graph.edges:
-            pairs.append((v, off + u))
-            pairs.append((u, off + v))
-    return Graph._canonical((k + 1) * n, pairs)
+    n, degs = graph.n, graph.degrees
+    higher = [[] for _ in range(n)]  # copies join only originals, which have the lower ids
+    _lift(graph, higher, 0, range(n, (k + 1) * n, n) if graph.m else ())  # n = 0 has no copy step
+    return Graph._canonical((k + 1) * n, _pairs(higher), [(k + 1) * d for d in degs] + list(degs) * k)
 
 
 def shadow(graph, k):
@@ -90,17 +111,12 @@ def shadow(graph, k):
         return graph
     check_budget(k * k * graph.m, k * graph.n, f"shadow with k={k}")
     n = graph.n
-    pairs = []
-    # an edgeless graph gets no pairs, so skip its k^2 empty copy pairs
-    for c in range(k if graph.m else 0):
-        for cp in range(k):
-            a, b = c * n, cp * n
-            # copy c's vertices all precede copy cp's when c < cp; within one copy u < v
-            if c <= cp:
-                pairs.extend((a + u, b + v) for u, v in graph.edges)
-            else:
-                pairs.extend((b + v, a + u) for u, v in graph.edges)
-    return Graph._canonical(k * n, pairs)
+    higher = [[] for _ in range(k * n)]
+    # an edgeless graph gets no edges, so skip its k^2 empty copy pairs (and n = 0 its zero step)
+    copies = range(0, k * n, n) if graph.m else ()
+    for c, a in enumerate(copies):
+        _lift(graph, higher, a, copies[c + 1 :])
+    return Graph._canonical(k * n, _pairs(higher), [k * d for d in graph.degrees] * k)
 
 
 def apply_transform(kind, graph, k=None):

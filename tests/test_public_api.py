@@ -41,6 +41,7 @@ def test_degree_sequence_and_neighbour_lists_are_gone():
     from absspectra import graphs
 
     assert not hasattr(graphs, "degree_sequence") and not hasattr(absspectra, "degree_sequence")
-    assert absspectra.Graph.__slots__ == ("n", "edges", "degrees")
+    # the colouring slot holds the one two-colouring search's result, not neighbour lists
+    assert absspectra.Graph.__slots__ == ("n", "edges", "degrees", "_colouring")
     assert not hasattr(absspectra.Graph, "adjacency")
     assert not hasattr(absspectra.generate("cycle", 4), "adjacency")

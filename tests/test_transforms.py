@@ -301,14 +301,14 @@ def test_transform_degrees_match_reference():
 
 
 def _core_builds(monkeypatch):
-    """(n, pairs, graph) of each later ``Graph._canonical`` build, with pairs as the producer emitted them."""
+    """(n, edges, degrees, graph) of each later ``Graph._canonical`` build, edges and degrees as passed."""
     builds = []
     real = graphs.Graph._canonical.__func__
 
-    def canonical(cls, n, pairs):
-        pairs = list(pairs)
-        graph = real(cls, n, pairs)
-        builds.append((n, pairs, graph))
+    def canonical(cls, n, edges, degrees):
+        edges, degrees = list(edges), list(degrees)
+        graph = real(cls, n, edges, degrees)
+        builds.append((n, edges, degrees, graph))
         return graph
 
     monkeypatch.setattr(graphs.Graph, "_canonical", classmethod(canonical))
@@ -323,12 +323,14 @@ def _derive_all(graph):
 
 
 def _assert_core_invariant(builds):
-    # what Graph._canonical takes on trust: strictly increasing edges, u < v < n,
-    # and the graph that validating the producer's own pairs gives
-    for n, pairs, graph in builds:
-        assert all(a < b for a, b in zip(graph.edges, graph.edges[1:]))
-        assert all(0 <= u < v < n for u, v in graph.edges)
-        assert graph == Graph(n, pairs)
+    # what Graph._canonical takes on trust: the edges as passed strictly
+    # ascending with u < v < n, the degrees they give, and so the graph that
+    # validating the producer's own edges gives
+    for n, edges, degrees, graph in builds:
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert all(0 <= u < v < n for u, v in edges)
+        assert tuple(degrees) == degrees_reference(graph)
+        assert graph == Graph(n, edges)
 
 
 def test_producers_emit_canonical_pairs_on_the_default_corpus(monkeypatch):
@@ -348,9 +350,13 @@ def test_producers_emit_canonical_pairs_on_random_graphs(monkeypatch):
 
     @hyp.settings(derandomize=True, deadline=None, max_examples=60)
     @hyp.given(small_graphs(hyp.strategies))
+    @hyp.example(Graph(0))
+    @hyp.example(Graph(4))
+    @hyp.example(Graph(6, [(1, 4), (2, 4), (3, 5)]))
     def check(graph):
         builds.clear()
         _derive_all(graph)
+        assert len(builds) == 9  # L(G), three lifts, three splittings, two shadows
         _assert_core_invariant(builds)
 
     check()

@@ -390,9 +390,9 @@ def test_each_transformed_graph_is_built_once_per_run(monkeypatch):
     builds = []
     real_canonical = graphs.Graph._canonical.__func__
 
-    def canonical(cls, n, pairs):
+    def canonical(cls, n, edges, degrees):
         builds.append(n)
-        return real_canonical(cls, n, pairs)
+        return real_canonical(cls, n, edges, degrees)
 
     suite = default_suite()
     monkeypatch.setattr(verifier, "apply_transform", transform)
@@ -412,6 +412,27 @@ def test_each_transformed_graph_is_built_once_per_run(monkeypatch):
     builds.clear()
     run_suite(suite)
     assert set(keys.values()) == {1} and len(builds) == sum(keys.values()) == 60
+
+
+def test_each_graph_is_two_coloured_once_per_object(monkeypatch):
+    # families, is_connected and connected_regular_degree share one search per graph object
+    calls = []  # (graph, whether its colouring was stored before the call, the colouring returned)
+    real_colouring = graphs._two_colouring
+
+    def two_colouring(graph):
+        stored = hasattr(graph, "_colouring")
+        calls.append((graph, stored, real_colouring(graph)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(graphs, "_two_colouring", two_colouring)
+    run_suite(default_suite())
+    assert len(calls) == 154
+    first = {}
+    for graph, stored, colouring in calls:
+        # only the first call on a graph object searches; later calls return its very result
+        assert stored == (id(graph) in first)
+        assert first.setdefault(id(graph), colouring) is colouring
+    assert len(first) == 16  # the 16 entries: K3 and C3 are equal graphs but two objects
 
 
 def test_one_run_reports_what_its_entries_report_alone(monkeypatch):
