@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .graphs import adjacency_matrix, check_dense_budget
+from .graphs import _integer, adjacency_matrix, check_dense_budget
 from .indices import _EDGE_TERMS, degree_index
 from .transforms import K_KINDS, TRANSFORM_KINDS
 
@@ -68,7 +68,7 @@ def regular_abs_factor(r):
 def closed_form_abs_spectrum(kind, *params):
     """Closed-form ABS spectrum of a named family, sorted ascending.
 
-    Kinds and parameters:
+    Kinds and integer parameters (read by ``graphs._integer``):
 
     * ``complete`` (n >= 2): one eigenvalue ``(n-1)*sqrt((n-2)/(n-1))`` and
       ``-sqrt((n-2)/(n-1))`` with multiplicity n-1;
@@ -77,41 +77,43 @@ def closed_form_abs_spectrum(kind, *params):
     * ``complete_bipartite`` (m, n >= 1): ``+/- sqrt(mn(m+n-2)/(m+n))`` and
       m+n-2 zeros.
     """
+    if kind not in CLOSED_FORM_KINDS:
+        raise ValueError(f"unknown closed-form kind {kind!r}; expected one of {CLOSED_FORM_KINDS}")
+    sizes = [_integer(size, f"{kind} closed-form sizes") for size in params]
     if kind == "complete":
-        (n,) = params
+        (n,) = sizes
         if n < 2:
             raise ValueError(f"complete closed form needs n >= 2, got {n}")
         w = math.sqrt((n - 2.0) / (n - 1.0))
         return np.sort(np.array([(n - 1) * w] + [-w] * (n - 1)))
     if kind == "cycle":
-        (n,) = params
+        (n,) = sizes
         if n < 3:
             raise ValueError(f"cycle closed form needs n >= 3, got {n}")
         return np.sort(np.array([math.sqrt(2.0) * math.cos(2.0 * math.pi * i / n) for i in range(n)]))
     if kind == "star":
-        (n,) = params
+        (n,) = sizes
         if n < 2:
             raise ValueError(f"star closed form needs n >= 2, got {n}")
         w = math.sqrt((n - 1.0) * (n - 2.0) / n)
         return np.sort(np.array([w, -w] + [0.0] * (n - 2)))
-    if kind == "complete_bipartite":
-        a, b = params
-        if a < 1 or b < 1:
-            raise ValueError(f"complete_bipartite closed form needs part sizes >= 1, got ({a}, {b})")
-        w = math.sqrt(a * b * (a + b - 2.0) / (a + b))
-        return np.sort(np.array([w, -w] + [0.0] * (a + b - 2)))
-    raise ValueError(f"unknown closed-form kind {kind!r}; expected one of {CLOSED_FORM_KINDS}")
+    a, b = sizes  # complete_bipartite
+    if a < 1 or b < 1:
+        raise ValueError(f"complete_bipartite closed form needs part sizes >= 1, got ({a}, {b})")
+    w = math.sqrt(a * b * (a + b - 2.0) / (a + b))
+    return np.sort(np.array([w, -w] + [0.0] * (a + b - 2)))
 
 
 def path_abs_charpoly(n):
     """ABS characteristic polynomial of the n-vertex path via the tridiagonal recurrence.
 
-    Valid for n >= 5. With Omega_0 = 1, Omega_1 = x and
+    Valid for integer n >= 5. With Omega_0 = 1, Omega_1 = x and
     Omega_m = x*Omega_{m-1} - (1/2)*Omega_{m-2}, so Omega_2 = x^2 - 1/2, the
     polynomial is ``x^2*Omega_{n-2} - (2/3)*x*Omega_{n-3} + (1/9)*Omega_{n-4}``.
     Omega_0 = 1 is forced by consistency with the determinant recurrence of
     tridiagonal matrices; it is needed exactly when n = 5.
     """
+    n = _integer(n, "path orders")
     if n < 5:
         raise ValueError(f"path recurrence is defined for n >= 5, got {n}")
     omegas = [np.array([1.0]), np.array([0.0, 1.0])]

@@ -4,7 +4,10 @@ import argparse
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from contextlib import redirect_stdout, redirect_stderr
@@ -218,27 +221,24 @@ def test_main_usage_text_equals_all_commands_parser(argv):
     assert run_cli(*argv) == _run_all_commands_parser(argv)
 
 
-def test_main_builds_only_the_named_command(monkeypatch):
-    built = []
-
-    def spy(command=None):
-        parser = build_parser(command)
-        built.append((command, sorted(parser._subparsers._group_actions[0].choices)))
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    for command in COMMANDS:
-        run_cli(command, "-h")
-    run_cli()
-    run_cli("-h")
-    run_cli("bogus")
-    assert built[: len(COMMANDS)] == [(command, [command]) for command in COMMANDS]
-    assert built[len(COMMANDS) :] == [(None, sorted(COMMANDS))] * 3
+def test_build_parser_is_shared():
+    assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize("command", (None,) + COMMANDS)
-def test_build_parser_is_shared(command):
-    assert build_parser(command) is build_parser(command)
+@pytest.mark.parametrize(
+    "argv", [("indices", "--graph", "cycle:6"), ("matrix", "--abs"), ("spectrum", "-h")], ids=["valid", "usage", "help"]
+)
+def test_one_shot_process_prints_what_main_prints(argv):
+    # main(argv=None) reads sys.argv, as the installed absspectra command does
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "absspectra.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
 
 def test_main_builds_parsers_only_on_the_first_call(monkeypatch):
@@ -756,6 +756,7 @@ def test_edge_list_ids_must_be_ascii_decimal(tmp_path, text, token):
         (("spectrum", "--abs", "--graph", "shadow:cycle:4:k=\u0662"), "k=\u0662"),
         (("verify", "--check", "THM_SHADOW_ENERGY", "--graph", "cycle:4", "--k", "+2"), "+2"),
         (("gen", "complete_bipartite", "2", " 3"), " 3"),
+        (("spectrum", "--abs", "--graph", "shadow:cycle:4:k=2\n"), "k=2\n"),
     ],
 )
 def test_integers_in_text_are_ascii_decimal(argv, token):

@@ -108,7 +108,17 @@ def test_regular_abs_factor_r1_is_zero():
 
 @pytest.mark.parametrize(
     "kind,params",
-    [("complete", (1,)), ("cycle", (2,)), ("star", (1,)), ("complete_bipartite", (0, 2)), ("regular_scaled", ([1.0], 0))],
+    [
+        ("complete", (1,)),
+        ("cycle", (2,)),
+        ("star", (1,)),
+        ("complete_bipartite", (0, 2)),
+        ("regular_scaled", ([1.0], 0)),
+        ("cycle", (5.0,)),
+        ("complete", (2.5,)),
+        ("complete_bipartite", (2.5, 3)),
+        ("star", (4.0,)),
+    ],
 )
 def test_closed_form_rejects_bad_params(kind, params):
     with pytest.raises(ValueError):
@@ -166,6 +176,8 @@ def test_path_charpoly_constant_term_is_determinant():
 def test_path_charpoly_rejects_small_n():
     with pytest.raises(ValueError, match="n >= 5"):
         path_abs_charpoly(4)
+    with pytest.raises(ValueError, match="must be integers"):
+        path_abs_charpoly(5.0)
 
 
 def test_predicted_subdivision_of_c3_is_c6_spectrum():
