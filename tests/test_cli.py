@@ -221,8 +221,20 @@ def test_main_usage_text_equals_all_commands_parser(argv):
     assert run_cli(*argv) == _run_all_commands_parser(argv)
 
 
-def test_build_parser_is_shared():
+def _command_parser(command):
+    """The sub-parser of ``command`` inside the shared parser, or the parser itself for None."""
+    parser = build_parser()
+    if command is None:
+        return parser
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", (None,) + COMMANDS)
+def test_build_parser_is_shared(command):
     assert build_parser() is build_parser()
+    assert _command_parser(command) is _command_parser(command)
+    assert _command_parser(command).prog == " ".join(filter(None, ("absspectra", command)))
 
 
 @pytest.mark.parametrize(
