@@ -17,7 +17,6 @@ errors.
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -34,8 +33,8 @@ from .verifier import (
     DEFAULT_TOL,
     K_CHECKS,
     CheckId,
+    _JsonText,
     _csv_cell,
-    _round15,
     default_suite,
     has_key_failure,
     reports_to_csv,
@@ -98,32 +97,6 @@ def parse_graph_spec(spec):
     if rest:
         raise GraphSpecError(f"unexpected trailing tokens {':'.join(rest)!r} in graph spec {spec!r}")
     return graph
-
-
-class _JsonText(dict):
-    """``text(value)`` is ``json.dumps(value, indent=2)`` with floats rounded by ``_round15``.
-
-    Dicts map strings to anything, and a list holds only lists or only floats.
-    The instance maps each float met so far to its text, so it is formatted once.
-    """
-
-    def __missing__(self, x):
-        text = self[x] = json.dumps(_round15(x))
-        return text
-
-    def text(self, value, indent=""):
-        if not isinstance(value, (dict, list)):
-            return self[value] if isinstance(value, float) else json.dumps(value)
-        inner = indent + "  "
-        if isinstance(value, dict):
-            parts = [f"{json.dumps(key)}: {self.text(item, inner)}" for key, item in value.items()]
-        elif value and isinstance(value[0], list):
-            parts = [self.text(item, inner) for item in value]
-        else:
-            parts = map(self.__getitem__, value)
-        body = f",\n{inner}".join(parts)
-        brackets = "{}" if isinstance(value, dict) else "[]"
-        return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
 def _emit_graph(graph, csv_mode):

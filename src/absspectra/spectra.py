@@ -54,14 +54,17 @@ def energy(spectrum):
     return math.fsum(abs(x) for x in np.asarray(spectrum, dtype=float).tolist())
 
 
-def _require_degree(r, what):
-    if r < 1:
-        raise ValueError(f"{what} needs degree r >= 1, got {r}")
+def _at_least_1(value, name, what):
+    """``value``, the ``name`` that ``what`` takes, read by ``graphs._integer`` and refused below 1."""
+    value = _integer(value, f"{name} for {what}")
+    if value < 1:
+        raise ValueError(f"{what} needs {name} >= 1, got {value}")
+    return value
 
 
 def regular_abs_factor(r):
     """Scale factor sqrt(r^2 - r) / r turning adjacency into ABS data for r-regular graphs."""
-    _require_degree(r, "regular scaling")
+    r = _at_least_1(r, "degree r", "regular scaling")
     return math.sqrt(r * r - r) / r
 
 
@@ -144,7 +147,7 @@ def lift_coefficients(kind, r):
     ``phi(x) = (u*x + v) * x^s * psi((x^2 - w) / (u*x + v))`` with psi the
     base characteristic polynomial and s the zero surplus.
     """
-    _require_degree(r, "lift")
+    r = _at_least_1(r, "degree r", "lift")
     if kind == "subdivision":
         return 0.0, r / (r + 2.0), r * r / (r + 2.0)
     if kind == "semitotal_point":
@@ -164,6 +167,7 @@ def predicted_transform_spectrum(kind, r, base_spectrum, order):
     the near-zero values are dropped.
     """
     u, v, w = lift_coefficients(kind, r)
+    order = _integer(order, "transform orders")
     if order < 0:
         raise ValueError(f"transform order must be >= 0, got {order}")
     values = []
@@ -197,9 +201,8 @@ def splitting_energy_radicands(r, k):
     ``(5rk^2 + 15rk - 9k + 10r - 10) / (r(k+1)(k+2))``; the two agree exactly
     at k = 1 and differ for k >= 2.
     """
-    _require_degree(r, "splitting radicands")
-    if k < 1:
-        raise ValueError(f"splitting radicands need k >= 1, got {k}")
+    r = _at_least_1(r, "degree r", "splitting radicands")
+    k = _at_least_1(k, "k", "splitting radicands")
     a2 = 1.0 - 1.0 / (r * (k + 1.0))
     b2 = 1.0 - 2.0 / (r * (k + 2.0))
     corrected = a2 + 4.0 * k * b2
@@ -218,9 +221,8 @@ def predicted_energy(kind, r, k, base_energy, transformed_energy):
     """
     if kind not in K_KINDS:
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
-    if k < 1:
-        raise ValueError(f"energy prediction needs k >= 1, got {k}")
-    _require_degree(r, f"{kind} energy prediction")
+    k = _at_least_1(k, "k", "energy prediction")
+    r = _at_least_1(r, "degree r", f"{kind} energy prediction")
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
         return factor * base_energy, factor * transformed_energy

@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -537,15 +538,36 @@ def _fmt15(x):
     return f"{_round15(x):.15g}"
 
 
-def report_to_dict(report):
-    """JSON-ready dict with floats rounded to 15 significant digits."""
-    rounded = {"max_deviation": _round15(report.max_deviation), "tolerance": _round15(report.tolerance)}
-    return {**vars(report), **rounded}
+class _JsonText(dict):
+    """``text(value)`` is ``json.dumps(value, indent=2)`` with floats rounded by ``_round15``.
+
+    Dicts map strings to anything, and a list holds only dicts and lists or only floats.
+    The instance keeps each float's text and nothing else, as ``True`` and ``1.0`` share a key.
+    """
+
+    def __missing__(self, x):
+        return self.setdefault(x, json.dumps(_round15(x)))
+
+    def text(self, value, indent=""):
+        if isinstance(value, float):
+            return self[value]
+        if not isinstance(value, (dict, list)):
+            return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts = [f"{encode_basestring_ascii(key)}: {self.text(item, inner)}" for key, item in value.items()]
+        elif value and isinstance(value[0], (dict, list)):
+            parts = [self.text(item, inner) for item in value]
+        else:
+            parts = map(self.__getitem__, value)
+        body = f",\n{inner}".join(parts)
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
 def reports_to_json(reports):
     """Serialize reports as a JSON array (stable formatting)."""
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
+    return _JsonText().text([vars(r) for r in reports])
 
 
 def _csv_cell(value):

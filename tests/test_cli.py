@@ -18,12 +18,13 @@ import pytest
 
 from absspectra import Graph, apply_transform, generate, load_graph, to_edge_list_text
 from absspectra import CheckId, cli, graphs, linalg, run_check
-from absspectra.cli import GraphSpecError, _JsonText, build_parser, main, parse_graph_spec
+from absspectra.cli import GraphSpecError, build_parser, main, parse_graph_spec
 from absspectra.graphs import GENERATOR_KINDS, adjacency_matrix, to_json_dict, to_json_text
 from absspectra.indices import all_indices
 from absspectra.linalg import char_poly, eigenvalues_symmetric
 from absspectra.spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
+from absspectra.verifier import _JsonText
 
 from conftest import json_ready_reference
 
@@ -184,6 +185,9 @@ def test_json_text_of_nonfinite_and_signed_zero():
         {"rows": [[nan, -0.0], [-inf, 0.1], []], "empty": {}, "none": [], "order": 0},
         [],
         {},
+        [{"a": 1.0, "b": True}, {"c": 0.0, "d": False, "e": None, "f": 3}],  # bools beside the floats they equal
+        {"C₅ ü": "ü ₅ \u2028 \"q\"\n", "ascii": "plain"},
+        {"reports": [], "rows": [{}]},
     ]
     for value in values:
         assert _JsonText().text(value) == json.dumps(json_ready_reference(value), indent=2)

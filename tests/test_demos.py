@@ -1,7 +1,8 @@
-"""The README walkthroughs in ``demos/`` run to completion in their own processes."""
+"""The README walkthroughs run to completion: ``demos/`` in their own processes, README's python blocks in this one."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,11 @@ def test_demo_runs(name, tmp_path):
     assert proc.stdout.strip()
     if name.startswith("03"):
         assert len(json.loads(report.read_text())) == 368
+
+
+def test_readme_python_blocks_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -236,6 +236,16 @@ def test_predictions_reject_degree_below_1():
             splitting_energy_radicands(3, k)
     with pytest.raises(ValueError, match="order"):
         predicted_transform_spectrum("subdivision", 2, [2.0, -1.0, -1.0], -1)
+    # r, k and the order are read by graphs._integer: bools, floats and strings are refused
+    calls = [
+        lambda: regular_abs_factor(True),
+        lambda: lift_coefficients("subdivision", 2.5),
+        lambda: predicted_transform_spectrum("subdivision", 2, [1.0, -1.0], 4.5),
+        lambda: splitting_energy_radicands(2, 1.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
 
 
 def test_splitting_radicands_agree_at_k1():
@@ -278,6 +288,9 @@ def test_predicted_energy_validation():
         predicted_energy("shadow", 0, 2, 4.0, 8.0)
     with pytest.raises(ValueError):
         predicted_energy("total", 2, 1, 4.0, 4.0)
+    for kind, r, k in [("shadow", 2, 2.5), ("splitting", 2, True), ("shadow", 2, "3"), ("shadow", 2.0, 2)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            predicted_energy(kind, r, k, 1.0, 1.0)
 
 
 def test_trace_identities_random():

@@ -3,6 +3,7 @@
 import collections
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pathlib
 import pickle
 import time
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from absspectra import (
     run_check,
     run_suite,
 )
-from absspectra import NoConvergenceError, graphs, linalg, spectra, verifier
-from absspectra.verifier import has_key_failure, report_to_dict
+from absspectra import NoConvergenceError, cli, graphs, linalg, spectra, verifier
+from absspectra.verifier import _round15, has_key_failure
 
 from conftest import gnp_graphs, small_graphs
 
@@ -278,7 +280,7 @@ def test_report_serialization():
     rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
     assert rows[0][0] == "check"
     assert rows[1][0] == "THM_CYCLE"
-    assert report_to_dict(reports[0])["verdict"] == "pass"
+    assert data[0]["verdict"] == "pass"
 
 
 def test_csv_floats_print_at_15_digits():
@@ -290,7 +292,35 @@ def test_csv_floats_print_at_15_digits():
 def test_csv_header_is_the_report_fields():
     header = reports_to_csv([]).rstrip("\n").split(",")
     assert header == [field.name for field in dataclasses.fields(CheckReport)]
-    assert header == list(report_to_dict(run_check(CheckId.THM_CYCLE, generate("cycle", 5))[0]))
+    assert header == list(json.loads(reports_to_json(run_check(CheckId.THM_CYCLE, generate("cycle", 5))))[0])
+
+
+def _reports_json_reference(reports):
+    rounded = [
+        {**vars(r), "max_deviation": _round15(r.max_deviation), "tolerance": _round15(r.tolerance)} for r in reports
+    ]
+    return json.dumps(rounded, indent=2)
+
+
+def _cli_stdout_md5(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return hashlib.md5(out.getvalue().encode()).hexdigest()
+
+
+def test_reports_to_json_bytes():
+    """``reports_to_json`` is ``json.dumps(..., indent=2)`` of the report fields, the two floats at 15 digits."""
+    suite = run_suite(default_suite())
+    errors = run_check(CheckId.THM_SPLIT_ENERGY, generate("cycle", 5), {"k": 2.7})
+    inapplicable = run_check(CheckId.THM_CYCLE, generate("path", 5))
+    unicode = [CheckReport("THM_CYCLE", "single", "C₅ ü", True, "pass", -0.0, 1.0 / 3.0, "ü \"q\"\n")]
+    assert {r.verdict for r in errors} == {"error"} and {r.verdict for r in inapplicable} == {"inapplicable"}
+    for reports in (suite, errors, inapplicable, unicode, []):
+        assert reports_to_json(reports) == _reports_json_reference(reports)
+    # the bytes of this build's default-suite reports, JSON and CSV
+    assert _cli_stdout_md5("verify", "--suite", "default") == "0a5b139e13f3664e84a637472c6fb30c"
+    assert _cli_stdout_md5("verify", "--suite", "default", "--csv") == "5c3dded66818d2da7d4b5c8cee6f8309"
 
 
 _CHECK_NAMES = (
