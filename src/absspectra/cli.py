@@ -24,7 +24,8 @@ from itertools import takewhile
 
 import numpy as np
 
-from .graphs import GENERATOR_KINDS, _text_integer, families, generate, load_graph, to_edge_list_text, to_json_text
+from .graphs import GENERATOR_KINDS, _integer, _text_integer, families, generate, load_graph
+from .graphs import to_edge_list_text, to_json_text
 from . import linalg
 from .indices import all_indices
 from .spectra import graph_matrix, path_abs_charpoly, spectrum_report
@@ -187,9 +188,7 @@ def _cmd_verify(args):
             k_checks = [c.value for c in K_CHECKS]
             if args.check in CheckId.__members__ and args.check not in k_checks:  # run_check names unknown ids
                 raise ValueError(f"verify --check {args.check} takes no --k (only {' and '.join(k_checks)} do)")
-            if args.k < 1:
-                raise ValueError(f"verify --k needs k >= 1, got {args.k}")
-            params["k"] = args.k
+            params["k"] = _integer(args.k, "verify --k", 1)
         reports = run_check(args.check, parse_graph_spec(args.graph), params, tol)
     else:
         raise ValueError("verify needs --suite default or --check ID")

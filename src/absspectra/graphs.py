@@ -42,14 +42,17 @@ def check_dense_budget(rows, cols, what):
         raise ValueError(f"{what} would have {rows} x {cols} entries, over the budget of {DENSE_BUDGET}")
 
 
-def _integer(value, what):
-    """The one reader of a passed count or vertex id: ``operator.index(value)``, not a bool, else ``ValueError``."""
+def _integer(value, what, least=None):
+    """The one reader of a passed count or vertex id: ``operator.index(value)``, not a bool, >= ``least``."""
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        index = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        pass
-    raise ValueError(f"{what} must be integers, got {value!r}")
+        index = None
+    if index is None:
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    if least is not None and index < least:
+        raise ValueError(f"{what} >= {least} is required, got {index}")
+    return index
 
 
 class Graph:
@@ -73,9 +76,7 @@ class Graph:
     __slots__ = ("n", "edges", "degrees", "_colouring")
 
     def __init__(self, n, pairs=()):
-        n = _integer(n, "vertex counts")
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        n = _integer(n, "vertex counts", 0)
         check_budget(0, n, "graph")
         try:
             pairs = iter(pairs)
@@ -156,22 +157,16 @@ def generate(kind, *params):
     if kind == "complete_bipartite":
         if len(params) != 2:
             raise ValueError("complete_bipartite takes two part sizes")
-        a, b = _integer(params[0], f"{kind} sizes"), _integer(params[1], f"{kind} sizes")
-        if a < 1 or b < 1:
-            raise ValueError(f"complete_bipartite part sizes must be >= 1, got ({a}, {b})")
+        a, b = (_integer(size, f"{kind} part sizes", 1) for size in params)
         check_budget(a * b, a + b, f"complete_bipartite({a}, {b})")
         return Graph._canonical(a + b, [(i, a + j) for i in range(a) for j in range(b)], [b] * a + [a] * b)
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
-    n = _integer(params[0], f"{kind} sizes")
-    if n < 1:
-        raise ValueError(f"{kind} needs n >= 1, got {n}")
+    n = _integer(params[0], f"{kind} sizes n", 3 if kind == "cycle" else 1)
     check_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), n, f"{kind}({n})")
     if kind == "complete":
         return Graph._canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)], [n - 1] * n)
     if kind == "cycle":
-        if n < 3:
-            raise ValueError(f"cycle needs n >= 3, got {n}")
         return Graph._canonical(n, [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)], [2] * n)
     if kind == "path":
         return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)], [1] + [2] * (n - 2) + [1] if n > 1 else [0])

@@ -15,7 +15,9 @@ from .graphs import _integer, adjacency_matrix, check_dense_budget
 from .indices import _EDGE_TERMS, degree_index
 from .transforms import K_KINDS, TRANSFORM_KINDS
 
-CLOSED_FORM_KINDS = ("complete", "cycle", "star", "complete_bipartite")
+# Each closed-form kind and the least size the paper states it for.
+_CLOSED_FORM_LEAST = {"complete": 2, "cycle": 3, "star": 2, "complete_bipartite": 1}
+CLOSED_FORM_KINDS = tuple(_CLOSED_FORM_LEAST)
 LIFT_KINDS = tuple(kind for kind in TRANSFORM_KINDS if kind not in K_KINDS)
 
 
@@ -54,24 +56,16 @@ def energy(spectrum):
     return math.fsum(abs(x) for x in np.asarray(spectrum, dtype=float).tolist())
 
 
-def _at_least_1(value, name, what):
-    """``value``, the ``name`` that ``what`` takes, read by ``graphs._integer`` and refused below 1."""
-    value = _integer(value, f"{name} for {what}")
-    if value < 1:
-        raise ValueError(f"{what} needs {name} >= 1, got {value}")
-    return value
-
-
 def regular_abs_factor(r):
     """Scale factor sqrt(r^2 - r) / r turning adjacency into ABS data for r-regular graphs."""
-    r = _at_least_1(r, "degree r", "regular scaling")
+    r = _integer(r, "regular scaling degree r", 1)
     return math.sqrt(r * r - r) / r
 
 
 def closed_form_abs_spectrum(kind, *params):
     """Closed-form ABS spectrum of a named family, sorted ascending.
 
-    Kinds and integer parameters (read by ``graphs._integer``):
+    Kinds and integer parameters (read by ``graphs._integer`` with the least value given):
 
     * ``complete`` (n >= 2): one eigenvalue ``(n-1)*sqrt((n-2)/(n-1))`` and
       ``-sqrt((n-2)/(n-1))`` with multiplicity n-1;
@@ -82,27 +76,19 @@ def closed_form_abs_spectrum(kind, *params):
     """
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError(f"unknown closed-form kind {kind!r}; expected one of {CLOSED_FORM_KINDS}")
-    sizes = [_integer(size, f"{kind} closed-form sizes") for size in params]
+    sizes = [_integer(size, f"{kind} closed-form sizes", _CLOSED_FORM_LEAST[kind]) for size in params]
     if kind == "complete":
         (n,) = sizes
-        if n < 2:
-            raise ValueError(f"complete closed form needs n >= 2, got {n}")
         w = math.sqrt((n - 2.0) / (n - 1.0))
         return np.sort(np.array([(n - 1) * w] + [-w] * (n - 1)))
     if kind == "cycle":
         (n,) = sizes
-        if n < 3:
-            raise ValueError(f"cycle closed form needs n >= 3, got {n}")
         return np.sort(np.array([math.sqrt(2.0) * math.cos(2.0 * math.pi * i / n) for i in range(n)]))
     if kind == "star":
         (n,) = sizes
-        if n < 2:
-            raise ValueError(f"star closed form needs n >= 2, got {n}")
         w = math.sqrt((n - 1.0) * (n - 2.0) / n)
         return np.sort(np.array([w, -w] + [0.0] * (n - 2)))
     a, b = sizes  # complete_bipartite
-    if a < 1 or b < 1:
-        raise ValueError(f"complete_bipartite closed form needs part sizes >= 1, got ({a}, {b})")
     w = math.sqrt(a * b * (a + b - 2.0) / (a + b))
     return np.sort(np.array([w, -w] + [0.0] * (a + b - 2)))
 
@@ -116,9 +102,7 @@ def path_abs_charpoly(n):
     Omega_0 = 1 is forced by consistency with the determinant recurrence of
     tridiagonal matrices; it is needed exactly when n = 5.
     """
-    n = _integer(n, "path orders")
-    if n < 5:
-        raise ValueError(f"path recurrence is defined for n >= 5, got {n}")
+    n = _integer(n, "path recurrence orders n", 5)
     omegas = [np.array([1.0]), np.array([0.0, 1.0])]
     for m in range(2, n - 1):
         coeffs = np.zeros(m + 1)
@@ -147,7 +131,7 @@ def lift_coefficients(kind, r):
     ``phi(x) = (u*x + v) * x^s * psi((x^2 - w) / (u*x + v))`` with psi the
     base characteristic polynomial and s the zero surplus.
     """
-    r = _at_least_1(r, "degree r", "lift")
+    r = _integer(r, "lift degree r", 1)
     if kind == "subdivision":
         return 0.0, r / (r + 2.0), r * r / (r + 2.0)
     if kind == "semitotal_point":
@@ -167,9 +151,7 @@ def predicted_transform_spectrum(kind, r, base_spectrum, order):
     the near-zero values are dropped.
     """
     u, v, w = lift_coefficients(kind, r)
-    order = _integer(order, "transform orders")
-    if order < 0:
-        raise ValueError(f"transform order must be >= 0, got {order}")
+    order = _integer(order, "transform orders", 0)
     values = []
     for lam in np.asarray(base_spectrum, dtype=float).tolist():
         b, c = u * lam, v * lam + w
@@ -201,8 +183,8 @@ def splitting_energy_radicands(r, k):
     ``(5rk^2 + 15rk - 9k + 10r - 10) / (r(k+1)(k+2))``; the two agree exactly
     at k = 1 and differ for k >= 2.
     """
-    r = _at_least_1(r, "degree r", "splitting radicands")
-    k = _at_least_1(k, "k", "splitting radicands")
+    r = _integer(r, "splitting degree r", 1)
+    k = _integer(k, "splitting copy counts k", 1)
     a2 = 1.0 - 1.0 / (r * (k + 1.0))
     b2 = 1.0 - 2.0 / (r * (k + 2.0))
     corrected = a2 + 4.0 * k * b2
@@ -221,8 +203,8 @@ def predicted_energy(kind, r, k, base_energy, transformed_energy):
     """
     if kind not in K_KINDS:
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
-    k = _at_least_1(k, "k", "energy prediction")
-    r = _at_least_1(r, "degree r", f"{kind} energy prediction")
+    k = _integer(k, f"{kind} copy counts k", 1)
+    r = _integer(r, f"{kind} degree r", 1)
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
         return factor * base_energy, factor * transformed_energy

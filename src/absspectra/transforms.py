@@ -88,9 +88,7 @@ def splitting(graph, k):
     (k+1)n vertices and (2k+1)m edges; original degrees scale by k+1, copies
     keep the base degree. A k that is a bool or not integral raises ``ValueError``.
     """
-    k = _integer(k, "splitting copy counts k")
-    if k < 1:
-        raise ValueError(f"splitting needs k >= 1, got {k}")
+    k = _integer(k, "splitting copy counts k", 1)
     check_budget((2 * k + 1) * graph.m, (k + 1) * graph.n, f"splitting with k={k}")
     n, degs = graph.n, graph.degrees
     higher = [[] for _ in range(n)]  # copies join only originals, which have the lower ids
@@ -104,9 +102,7 @@ def shadow(graph, k):
     kn vertices, k^2 m edges, every degree scales by k. ``shadow(G, 1)`` is G
     itself. ``k`` is read as in :func:`splitting`.
     """
-    k = _integer(k, "shadow copy counts k")
-    if k < 1:
-        raise ValueError(f"shadow needs k >= 1, got {k}")
+    k = _integer(k, "shadow copy counts k", 1)
     if k == 1:
         return graph
     check_budget(k * k * graph.m, k * graph.n, f"shadow with k={k}")

@@ -340,7 +340,8 @@ def _lift_check(kind):
 def _chk_path_recurrence(graph, params, memo):
     if not ("path" in families(graph) and graph.n >= 5):
         return False, 0.0, "needs a path on n >= 5 vertices"
-    dev = linalg.poly_deviation(path_abs_charpoly(graph.n), memo.charpoly(graph, "abs"))
+    phi = memo.charpoly(graph, "abs")  # first, so FL's order cap refuses before the recurrence overflows
+    dev = linalg.poly_deviation(path_abs_charpoly(graph.n), phi)
     return True, dev, f"recurrence coefficients vs Faddeev-LeVerrier, n={graph.n}"
 
 

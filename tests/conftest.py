@@ -5,6 +5,15 @@ import random
 
 import pytest
 
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # every property test runs the same examples on every run, with no time limit per example
+    hypothesis.settings.register_profile("deterministic", derandomize=True, deadline=None)
+    hypothesis.settings.load_profile("deterministic")
+
 from absspectra import (
     Graph,
     adjacency_spectrum,

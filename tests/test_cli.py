@@ -569,7 +569,6 @@ def test_graph_spec_fuzz_exits_0_or_2(tmp_path, monkeypatch):
     mutated = st.tuples(spec, st.lists(st.tuples(st.integers(0, 7), token), max_size=2)).map(replace)
     tokens = st.one_of(spec, mutated, st.lists(token, min_size=1, max_size=6))
 
-    @hyp.settings(derandomize=True, deadline=None)
     @hyp.given(tokens.map(":".join))
     def check(text):
         code, out, err = run_cli("indices", "--graph", text)
@@ -599,7 +598,6 @@ def test_graph_spec_matches_direct_calls(tmp_path, monkeypatch):
     # (kind, k) transform layers, outermost first; k means nothing to the lifts
     layers = st.lists(st.tuples(st.sampled_from(TRANSFORM_KINDS), st.integers(1, 2)), max_size=3)
 
-    @hyp.settings(derandomize=True, deadline=None)
     @hyp.given(base, layers)
     def check(base, layers):
         head, *params = base

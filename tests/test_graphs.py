@@ -2,10 +2,12 @@
 
 import copy
 import functools
+import io
 import json
 import pickle
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, permutations
 
 import numpy as np
@@ -16,6 +18,7 @@ from absspectra import (
     abs_matrix,
     adjacency_matrix,
     apply_transform,
+    closed_form_abs_spectrum,
     eigenvalues_symmetric,
     generate,
     incidence_matrix,
@@ -24,9 +27,15 @@ from absspectra import (
     line_graph,
     load_graph,
     parse_edge_list_text,
+    path_abs_charpoly,
+    predicted_energy,
+    predicted_transform_spectrum,
+    shadow,
+    splitting,
     to_edge_list_text,
 )
 from absspectra import graphs
+from absspectra.cli import main
 from absspectra.graphs import (
     GENERATOR_KINDS,
     connected_regular_degree,
@@ -35,6 +44,13 @@ from absspectra.graphs import (
     line_pairs,
     to_json_dict,
     to_json_text,
+)
+from absspectra.spectra import (
+    CLOSED_FORM_KINDS,
+    LIFT_KINDS,
+    lift_coefficients,
+    regular_abs_factor,
+    splitting_energy_radicands,
 )
 from absspectra.transforms import K_KINDS, TRANSFORM_KINDS, semitotal_line
 
@@ -147,6 +163,56 @@ def test_generate_complete_bipartite():
     assert g.degrees == (3, 3, 2, 2, 2)
 
 
+def _floors():
+    """(name, call of one count, least legal count) of every count read with a floor by ``graphs._integer``."""
+    c4 = generate("cycle", 4)
+    closed_least = {"complete": 2, "cycle": 3, "star": 2, "complete_bipartite": 1}  # as the paper states them
+    assert tuple(closed_least) == CLOSED_FORM_KINDS
+    rows = [("Graph n", Graph, 0), ("path_abs_charpoly n", path_abs_charpoly, 5)]
+    for kind in ("complete", "cycle", "path", "star"):
+        rows.append((f"generate {kind}", functools.partial(generate, kind), 3 if kind == "cycle" else 1))
+    for kind in ("complete", "cycle", "star"):
+        rows.append((f"closed form {kind}", functools.partial(closed_form_abs_spectrum, kind), closed_least[kind]))
+    for name, read in (("generate", generate), ("closed form", closed_form_abs_spectrum)):
+        rows.append((f"{name} complete_bipartite m", lambda m, read=read: read("complete_bipartite", m, 2), 1))
+        rows.append((f"{name} complete_bipartite n", lambda n, read=read: read("complete_bipartite", 2, n), 1))
+    rows.append(("regular_abs_factor r", regular_abs_factor, 1))
+    for kind in LIFT_KINDS:
+        rows.append((f"lift_coefficients {kind} r", functools.partial(lift_coefficients, kind), 1))
+        rows.append((f"transform {kind} r", lambda r, kind=kind: predicted_transform_spectrum(kind, r, [], 0), 1))
+    rows.append(("transform order", functools.partial(predicted_transform_spectrum, "subdivision", 2, []), 0))
+    rows.append(("splitting_energy_radicands r", lambda r: splitting_energy_radicands(r, 2), 1))
+    rows.append(("splitting_energy_radicands k", lambda k: splitting_energy_radicands(2, k), 1))
+    for kind in K_KINDS:
+        rows.append((f"predicted_energy {kind} r", lambda r, kind=kind: predicted_energy(kind, r, 2, 1.0, 1.0), 1))
+        rows.append((f"predicted_energy {kind} k", lambda k, kind=kind: predicted_energy(kind, 2, k, 1.0, 1.0), 1))
+    rows.append(("splitting k", functools.partial(splitting, c4), 1))
+    rows.append(("shadow k", functools.partial(shadow, c4), 1))
+    return rows
+
+
+@pytest.mark.parametrize("call,least", [pytest.param(call, least, id=name) for name, call, least in _floors()])
+def test_every_floor_at_its_edge(call, least):
+    call(least)
+    with pytest.raises(ValueError, match=f">= {least} is required, got {least - 1}$"):
+        call(least - 1)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=f"must be integers, got {bad!r}$"):
+            call(bad)
+
+
+def test_verify_k_floor_at_its_edge():
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--check", "THM_SPLIT_ENERGY", "--graph", "cycle:4", "--k"]
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv + ["1"]) == 0
+    assert json.loads(out.getvalue()) and err.getvalue() == ""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv + ["0"]) == 2
+    assert out.getvalue() == "" and "verify --k >= 1 is required, got 0" in err.getvalue()
+
+
 def test_generated_degrees_match_reference():
     # the generators state their degrees by formula; sizes 1-7 include path:1,
     # star:1, complete:1, complete_bipartite:1:b and cycle:3
@@ -254,7 +320,6 @@ def _graph_strategy(st, max_n=10):
 def test_degrees_match_reference():
     hyp = pytest.importorskip("hypothesis")
 
-    @hyp.settings(derandomize=True, deadline=None)
     @hyp.given(_graph_strategy(hyp.strategies))
     def check(g):
         assert g.degrees == degrees_reference(g)
@@ -316,7 +381,6 @@ def _assert_connectivity_matches_reference(g):
 def test_connectivity_matches_union_find():
     hyp = pytest.importorskip("hypothesis")
 
-    @hyp.settings(derandomize=True, deadline=None)
     @hyp.given(_graph_strategy(hyp.strategies))
     def check(g):
         _assert_connectivity_matches_reference(g)
@@ -371,7 +435,6 @@ def test_families_invariant_under_relabelling():
         lambda g: st.tuples(st.just(g), st.permutations(range(g.n)))
     )
 
-    @hyp.settings(derandomize=True, deadline=None)
     @hyp.given(graph_and_perm)
     def check(case):
         g, perm = case
@@ -620,7 +683,7 @@ def test_graph_text_layer_matches_its_per_edge_forms(monkeypatch):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
-    @hyp.settings(derandomize=True, deadline=None, max_examples=40)
+    @hyp.settings(max_examples=40)
     @hyp.given(spread_graphs(st), st.integers(0, 3))
     def check(g, offset):
         expected_json, expected_text = json.dumps(to_json_dict(g), indent=2), _per_edge_edge_list_text(g)

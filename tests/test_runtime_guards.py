@@ -1,4 +1,8 @@
-"""Guards on the runtime routes: no numpy.linalg call, no numpy.polynomial import, and the tracer's hooks resolve."""
+"""Guards on the runtime routes and the source.
+
+No numpy.linalg call, no numpy.polynomial import, the tracer's hooks resolve,
+and no count's floor is written out beside ``graphs._integer``.
+"""
 
 import ast
 import importlib
@@ -97,3 +101,34 @@ def test_tracer_targets_resolve():
     for module, attribute in targets:
         owner = importlib.import_module(f"absspectra.{module}")
         assert callable(getattr(owner, attribute, None)), f"{module}.{attribute}"
+
+
+def _below_an_int(node):
+    """Whether ``node`` is a comparison with a ``<`` whose right side is an int literal."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, ast.Lt) and isinstance(right, ast.Constant) and type(right.value) is int
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
+def _hand_written_floors(source):
+    """Lines of each ``if`` whose test compares a value ``<`` an int literal and whose body raises."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If)
+        and any(map(_below_an_int, ast.walk(node.test)))
+        and any(isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt))
+    ]
+
+
+def test_every_floor_is_read_by_graphs_integer():
+    # a count's least value is the ``least`` of graphs._integer, the one place that refuses it
+    assert _hand_written_floors("if n < 3:\n    raise ValueError(n)\nif a < 1 or b:\n    f()\n    raise E") == [1, 3]
+    assert _hand_written_floors("if n < 3:\n    return 0\nif x < 1e-10:\n    raise E\nif n < m:\n    raise E") == []
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "absspectra").glob("*.py"))
+        for line in _hand_written_floors(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, f"hand-written lower bounds: {found}"

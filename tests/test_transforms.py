@@ -348,7 +348,7 @@ def test_producers_emit_canonical_pairs_on_random_graphs(monkeypatch):
     hyp = pytest.importorskip("hypothesis")
     builds = _core_builds(monkeypatch)
 
-    @hyp.settings(derandomize=True, deadline=None, max_examples=60)
+    @hyp.settings(max_examples=60)
     @hyp.given(small_graphs(hyp.strategies))
     @hyp.example(Graph(0))
     @hyp.example(Graph(4))

@@ -120,6 +120,17 @@ def test_schur_overflow_is_an_error_whatever_the_warning_filter():
         assert r.details == "ValueError: a determinant overflows: block det inf vs |M||Q - P M^-1 N| inf"
 
 
+def test_path_recurrence_past_the_charpoly_cap_is_refused_whatever_the_warning_filter():
+    # The recurrence's coefficients overflow from n = 2289 on; FL's order cap
+    # must refuse the path before the recurrence runs, so no warning is raised.
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            (r,) = run_check(CheckId.THM_PATH_RECURRENCE, generate("path", 2300))
+        assert caught == []
+        assert r.verdict == "error" and r.details == "ValueError: matrix order 2300 exceeds char_poly cap 64"
+
+
 def test_schur_order_cap():
     cap = verifier._SCHUR_ORDER_CAP
     assert cap >= 500  # test_verify_schur_overflow_prints_valid_json runs C500
@@ -536,7 +547,7 @@ def test_spectral_plan_on_random_graphs(monkeypatch):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
-    @hyp.settings(derandomize=True, deadline=None, max_examples=60)
+    @hyp.settings(max_examples=60)
     @hyp.given(small_graphs(st), st.integers(1, 3))
     def check(graph, k):
         _assert_plan_is_exact(monkeypatch, graph, {"k": k})
@@ -551,7 +562,7 @@ _ANY_GRAPH_CHECKS = ("LEM_INCIDENCE_REG", "LEM_INCIDENCE_LINE", "LEM_SCHUR", "TH
 def test_any_graph_checks_hold_on_random_graphs():
     hyp = pytest.importorskip("hypothesis")
 
-    @hyp.settings(derandomize=True, deadline=None, max_examples=200)
+    @hyp.settings(max_examples=200)
     @hyp.given(gnp_graphs(hyp.strategies))
     def check(graph):
         memo = verifier._Spectra()
