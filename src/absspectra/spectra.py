@@ -104,15 +104,18 @@ def path_abs_charpoly(n):
     """
     n = _integer(n, "path recurrence orders n", 5)
     omegas = [np.array([1.0]), np.array([0.0, 1.0])]
-    for m in range(2, n - 1):
-        coeffs = np.zeros(m + 1)
-        coeffs[1:] = omegas[m - 1]
-        coeffs[: m - 1] -= 0.5 * omegas[m - 2]
-        omegas.append(coeffs)
-    result = np.zeros(n + 1)
-    result[2:] += omegas[n - 2]
-    result[1 : n - 1] += -2.0 / 3.0 * omegas[n - 3]
-    result[: n - 3] += 1.0 / 9.0 * omegas[n - 4]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, whatever the warning filter
+        for m in range(2, n - 1):
+            coeffs = np.zeros(m + 1)
+            coeffs[1:] = omegas[m - 1]
+            coeffs[: m - 1] -= 0.5 * omegas[m - 2]
+            omegas.append(coeffs)
+        result = np.zeros(n + 1)
+        result[2:] += omegas[n - 2]
+        result[1 : n - 1] += -2.0 / 3.0 * omegas[n - 3]
+        result[: n - 3] += 1.0 / 9.0 * omegas[n - 4]
+    if not np.isfinite(result).all():
+        raise ValueError(f"path recurrence coefficients overflow float64 at n={n}")
     return result
 
 

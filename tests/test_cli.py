@@ -618,6 +618,15 @@ def test_charpoly_recurrence_requires_abs_path():
     assert code == 2 and "path" in err
 
 
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_charpoly_recurrence_refuses_an_overflowing_path(action):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        code, out, err = run_cli("charpoly", "--abs", "--graph", "path:2300", "--via", "recurrence")
+    assert (code, out, caught) == (2, "", [])
+    assert err == "error: path recurrence coefficients overflow float64 at n=2300\n"
+
+
 def test_verify_single_check_pass():
     code, out, _ = run_cli("verify", "--check", "THM_PATH_RECURRENCE", "--graph", "path:5")
     assert code == 0

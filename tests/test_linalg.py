@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -403,7 +404,49 @@ def _bit_identity_inputs():
         stack = np.stack([m, big[::2, ::2], np.diag(np.diag(other)), other])
         stacks += [stack.transpose(0, 2, 1), np.asfortranarray(stack), stack[::-1, ::-1, ::-1], stack[:, ::2, ::2]]
     stacks += [_stack_at_its_targets(rng, 24, 4) for _ in range(4)]
+    # Dense members of even order rotate every pair in their first rounds, those
+    # of odd order never rotate the padding pair; a diagonal member settles at
+    # once, so beside live ones its pairs are skipped in every round.
+    rng = random.Random(4444)
+    for n in (2, 3, 4, 7, 16, 17, 32, 33, 44):
+        dense = [_random_symmetric(rng, n, scale=3.0) for _ in range(3)]
+        signed = _signed_zeros(rng, n)
+        singles += [dense[0], signed]
+        stacks += [np.stack(dense), np.stack([dense[1], signed]), np.stack([dense[2], np.diag(np.diag(signed))])]
     return singles, stacks
+
+
+def _signed_zeros(rng, n):
+    """A symmetric matrix with +0.0, -0.0 pairs on its diagonal and -0.0 for a third of its off-diagonal entries.
+
+    The first round pairs (0, 1), (2, 3), ..., and their pivots are kept live,
+    so d = a_qq - a_pp = -0.0 at a rotating pair and the angle's sign comes
+    from copysign; an off-diagonal -0.0 is a skipped pivot.
+    """
+    m = _random_symmetric(rng, n, scale=3.0)
+    m[np.diag_indices(n)] = [(0.0, -0.0)[i % 2] if i % 6 < 4 else m[i, i] for i in range(n)]
+    for p, q in zip(*np.triu_indices(n, 1)):
+        if (p % 2, q) != (0, p + 1) and rng.random() < 1 / 3:
+            m[p, q] = m[q, p] = -0.0
+    return m
+
+
+def test_bit_identity_inputs_drive_every_round_form(monkeypatch):
+    # Each round counts its rotating pairs once: none (the permutation alone),
+    # some (masked divide and write) or all (unmasked).
+    forms = set()
+    count_nonzero = np.count_nonzero
+
+    def counted(active):
+        rotating = count_nonzero(active)
+        forms.add("none" if not rotating else "all" if rotating == active.size else "some")
+        return rotating
+
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    singles, stacks = _bit_identity_inputs()
+    for m in singles + stacks:
+        eigenvalues_symmetric(m)
+    assert forms == {"none", "some", "all"}
 
 
 def test_eigenvalues_bit_identical_to_seed_round_loop():
@@ -479,6 +522,34 @@ def test_eigenvalues_match_numpy_and_trace():
         np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvalsh(m)), atol=1e-10)
         trace_tol = 1e-9 * n * np.max(np.abs(m))
         assert abs(math.fsum(eigs.tolist()) - math.fsum(np.diag(m).tolist())) <= trace_tol
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_complex_and_text_input_is_refused_whatever_the_warning_filter(action):
+    # casting to float would drop the imaginary part: the eigenvalues of this matrix are -1 and 1
+    hermitian = np.array([[0, 1j], [-1j, 0]])
+    text = [["1", "0"], ["0", "1"]]
+    calls = [
+        (eigenvalues_symmetric, hermitian),
+        (eigenvalues_symmetric, np.stack([hermitian, hermitian])),
+        (char_poly, hermitian),
+        (det_lu, hermitian),
+        (det_lu, text),
+        (linalg.solve_lu, hermitian, np.eye(2)),
+        (linalg.solve_lu, 2.0 * np.eye(2), np.eye(2) + 1j),
+        (linalg.solve_lu, 2.0 * np.eye(2), text),
+        (multiset_deviation, [1.0, 2j], [1.0, 0.0]),
+        (poly_deviation, [1.0, 0.0], [1.0, 1j]),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        for f, *args in calls:
+            with pytest.raises(ValueError, match=r"must be real numbers, got dtype (complex128|<U1)$"):
+                f(*args)
+        # real input of any numeric dtype is still read as float
+        assert det_lu(np.array([[2, 1], [1, 2]], dtype=np.int8)) == pytest.approx(3.0)
+        assert linalg.solve_lu(np.eye(2, dtype=bool), [[3], [4]])[1].tolist() == [[3.0], [4.0]]
+    assert caught == []
 
 
 def test_char_poly_k3():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ def test_path_charpoly_rejects_small_n():
         path_abs_charpoly(4)
     with pytest.raises(ValueError, match="must be integers"):
         path_abs_charpoly(5.0)
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_path_charpoly_refuses_overflow_whatever_the_warning_filter(action):
+    # the recurrence's coefficients stay finite up to n = 2288
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert np.isfinite(path_abs_charpoly(2288)).all()
+        for n in (2289, 2300):
+            with pytest.raises(ValueError, match=f"overflow float64 at n={n}$"):
+                path_abs_charpoly(n)
+    assert caught == []
 
 
 def test_predicted_subdivision_of_c3_is_c6_spectrum():
