@@ -8,6 +8,7 @@ ascending.
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -27,8 +28,22 @@ class NoConvergenceError(RuntimeError):
 
 
 def _real_array(values, what):
-    """``values`` as a float array; complex or non-numeric input is refused, never cast."""
+    """``values`` as a float array; complex or non-numeric input is refused, never cast.
+
+    An object array (integers past 64 bits, fractions, decimals) is read when
+    each element is a real number that ``float`` takes.
+    """
     a = np.asarray(values)
+    if a.dtype.kind == "O":
+        for v in a.flat:
+            if not hasattr(type(v), "__float__") or (
+                isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real)
+            ):
+                raise ValueError(f"{what} must be real numbers, got an element of type {type(v).__name__}")
+        try:
+            return a.astype(float)
+        except OverflowError:
+            raise ValueError(f"{what} has an element beyond the float range") from None
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
     return a.astype(float, copy=False)
@@ -88,9 +103,8 @@ def eigenvalues_symmetric(matrix):
     At small orders numpy dispatch rather than arithmetic sets a round's
     cost, so a round is 18 calls to functions bound once per call, each
     writing in place; when some pairs are skipped, the rotation tangents and
-    the zeroed pivots are masked, one call more. At orders 16-44 a round on
-    one matrix costs 13-20 us and a round on a stack of eight 2-3.5 times
-    that, not eight (2-vCPU Xeon).
+    the zeroed pivots are masked, one call more. The members of a stack
+    share each call.
 
     Raises :class:`NoConvergenceError` if ``_JACOBI_SWEEP_CAP`` (100) sweeps
     do not bring every member to its target (does not happen for finite

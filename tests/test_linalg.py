@@ -3,6 +3,8 @@
 import math
 import random
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -549,6 +551,24 @@ def test_complex_and_text_input_is_refused_whatever_the_warning_filter(action):
         # real input of any numeric dtype is still read as float
         assert det_lu(np.array([[2, 1], [1, 2]], dtype=np.int8)) == pytest.approx(3.0)
         assert linalg.solve_lu(np.eye(2, dtype=bool), [[3], [4]])[1].tolist() == [[3.0], [4.0]]
+    assert caught == []
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_object_input_of_real_numbers_is_read_as_float(action):
+    decimals = [[Decimal(2), Decimal(1)], [Decimal(1), Decimal(2)]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert multiset_deviation([2**64], [2.0**64]) == 0.0
+        assert poly_deviation([Fraction(1, 2)], [0.5]) == 0.0
+        assert det_lu(decimals) == pytest.approx(3.0)
+        assert eigenvalues_symmetric(decimals).tolist() == pytest.approx([1.0, 3.0])
+        # a complex or text element in an object array is refused like a complex dtype
+        for values in ([Fraction(1, 2), 1j], [2**64, np.complex128(1)], [2**64, "1"], [2**64, None]):
+            with pytest.raises(ValueError, match=r"must be real numbers, got an element of type \w+$"):
+                multiset_deviation(values, [0.0, 0.0])
+        with pytest.raises(ValueError, match="beyond the float range"):
+            poly_deviation([10**400], [0.0])
     assert caught == []
 
 
