@@ -52,8 +52,11 @@ def abs_spectrum(graph):
 
 
 def energy(spectrum):
-    """Sum of absolute eigenvalues: the ABS energy of an ABS spectrum, the graph energy of an adjacency one."""
-    return math.fsum(abs(x) for x in np.asarray(spectrum, dtype=float).tolist())
+    """Sum of absolute eigenvalues: the ABS energy of an ABS spectrum, the graph energy of an adjacency one.
+
+    The spectrum is read by ``linalg._real_array``: complex or non-numeric values are refused.
+    """
+    return math.fsum(abs(x) for x in linalg._real_array(spectrum, "spectrum").tolist())
 
 
 def regular_abs_factor(r):
@@ -156,7 +159,7 @@ def predicted_transform_spectrum(kind, r, base_spectrum, order):
     u, v, w = lift_coefficients(kind, r)
     order = _integer(order, "transform orders", 0)
     values = []
-    for lam in np.asarray(base_spectrum, dtype=float).tolist():
+    for lam in linalg._real_array(base_spectrum, "base spectrum").tolist():
         b, c = u * lam, v * lam + w
         disc = b * b + 4.0 * c
         # A base eigenvalue at -r makes the subdivision quadratic a double
@@ -195,6 +198,14 @@ def splitting_energy_radicands(r, k):
     return corrected, printed
 
 
+def _real_number(value, what):
+    """``value`` as one float, read by ``linalg._real_array``; arrays of any other shape are refused."""
+    a = linalg._real_array(value, what)
+    if a.ndim:
+        raise ValueError(f"{what} must be one real number, got shape {a.shape}")
+    return float(a)
+
+
 def predicted_energy(kind, r, k, base_energy, transformed_energy):
     """(corrected, as printed) ABS energy of the k-splitting or k-shadow of a connected r-regular graph.
 
@@ -208,6 +219,8 @@ def predicted_energy(kind, r, k, base_energy, transformed_energy):
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
     k = _integer(k, f"{kind} copy counts k", 1)
     r = _integer(r, f"{kind} degree r", 1)
+    base_energy = _real_number(base_energy, "base energy")
+    transformed_energy = _real_number(transformed_energy, "transformed energy")
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
         return factor * base_energy, factor * transformed_energy

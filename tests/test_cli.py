@@ -1,6 +1,7 @@
 """Command-line behavior: output schemas, graph grammar, exit codes, round-trips."""
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -289,6 +290,91 @@ def test_cached_parser_prints_what_a_fresh_one_prints(monkeypatch):
     fresh = [run_cli(*argv) for argv in sequence]
     assert [code for code, _, _ in fresh] == [2, 0, 2, 0]
     assert cached == fresh * 2
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(monkeypatch, caller_enabled):
+    seen = []
+
+    def raising(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("not a usage error")
+
+    exits = [
+        (("indices", "--graph", "cycle:4"), 0),
+        (("verify", "--check", "THM_TRACE_HARMONIC", "--graph", "complete:5", "--tol", "1e-30"), 1),
+        (("gen", "cycle", "2"), 2),
+        (("matrix", "--abs"), 2),  # argparse usage error, before the command runs
+    ]
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        for argv, code in exits:
+            assert run_cli(*argv)[0] == code
+            assert gc.isenabled() is caller_enabled
+        monkeypatch.setattr(cli, "generate", raising)
+        with pytest.raises(RuntimeError, match="not a usage error"):
+            run_cli("gen", "cycle", "4")
+        assert gc.isenabled() is caller_enabled
+        assert seen == [False]
+    finally:
+        gc.enable()
+
+
+def _collections():
+    return [stats["collections"] for stats in gc.get_stats()]
+
+
+def test_large_transform_makes_no_collections(monkeypatch):
+    # counted when the command has written its graph: once main returns, the
+    # collector may run one generation-0 pass over what the command allocated
+    counts = []
+    emit = cli._emit_graph
+
+    def counting_emit(graph, csv_mode):
+        emit(graph, csv_mode)
+        counts.append(_collections())
+
+    monkeypatch.setattr(cli, "_emit_graph", counting_emit)
+    build_parser()
+    gc.collect()
+    before = _collections()
+    code, out, _ = run_cli("transform", "semitotal_line", "--graph", "complete:60")
+    assert counts == [before]
+    assert code == 0 and len(json.loads(out)["edges"]) == 106_200
+
+
+# The pause in main is safe only while a command leaves no reference cycles:
+# every command kind of the benchmark's build and spectrum workloads, on
+# generator and file specs, the default suite, a key failure and two errors.
+_ACYCLIC_COMMANDS = [
+    (("transform", "subdivision", "--graph", "complete:12"), 0),
+    (("transform", "semitotal_point", "--graph", "file:{tmp}/g.txt"), 0),
+    (("transform", "semitotal_line", "--graph", "complete:12"), 0),
+    (("transform", "splitting", "--k", "2", "--graph", "file:{tmp}/g.txt"), 0),
+    (("transform", "shadow", "--k", "3", "--graph", "complete:12"), 0),
+    (("matrix", "--abs", "--graph", "file:{tmp}/g.txt"), 0),
+    (("indices", "--graph", "complete:12"), 0),
+    (("charpoly", "--abs", "--via", "fl", "--graph", "file:{tmp}/g.txt"), 0),
+    (("spectrum", "--abs", "--graph", "file:{tmp}/g.txt"), 0),
+    (("energy", "--abs", "--graph", "shadow:complete:8:k=4"), 0),
+    (("verify", "--suite", "default"), 0),
+    (("verify", "--check", "THM_TRACE_HARMONIC", "--graph", "complete:5", "--tol", "1e-30"), 1),
+    (("transform", "shadow", "--k", "0", "--graph", "cycle:4"), 2),
+    (("spectrum", "--abs", "--graph", "file:{tmp}/missing.txt"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", _ACYCLIC_COMMANDS, ids=[f"{' '.join(argv[:2])} exit {code}" for argv, code in _ACYCLIC_COMMANDS]
+)
+def test_commands_leave_no_cyclic_garbage(tmp_path, argv, code):
+    (tmp_path / "g.txt").write_text(to_edge_list_text(generate("cycle", 20)))
+    argv = [token.format(tmp=tmp_path) for token in argv]
+    build_parser()
+    gc.collect()
+    result = run_cli(*argv)
+    assert gc.collect() == 0
+    assert result[0] == code
 
 
 @pytest.mark.parametrize(

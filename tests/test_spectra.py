@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -335,3 +336,39 @@ def test_energy_reports():
     assert report["trace_sq"] == pytest.approx(report["harmonic_check"], abs=1e-10)
     with pytest.raises(ValueError):
         spectrum_report(g, "laplacian")
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_spectra_and_energies_are_read_as_real_numbers_whatever_the_warning_filter(action):
+    calls = [
+        # casting to float would drop the imaginary part and report 3.0
+        (energy, np.array([1 + 1j, -2]), r"spectrum must be real numbers, got dtype complex128$"),
+        (energy, ["1", "-2"], r"spectrum must be real numbers, got dtype <U2$"),
+        (
+            lambda s: predicted_transform_spectrum("subdivision", 2, s, 4),
+            ["2", "-2"],
+            r"base spectrum must be real numbers, got dtype <U2$",
+        ),
+        (lambda e: predicted_energy("shadow", 2, 2, e, 1.0), 3 + 1j, r"base energy must be real numbers"),
+        (lambda e: predicted_energy("shadow", 2, 2, e, 1.0), "3", r"base energy must be real numbers"),
+        (lambda e: predicted_energy("splitting", 2, 2, 1.0, e), np.array([1.0, 2.0]), r"got shape \(2,\)$"),
+        (lambda e: predicted_energy("splitting", 2, 2, 1.0, e), [3.0], r"one real number, got shape \(1,\)$"),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        for f, value, message in calls:
+            with pytest.raises(ValueError, match=message):
+                f(value)
+        # real input keeps its bits, whatever its type
+        spectrum = adjacency_spectrum(generate("cycle", 5))
+        assert energy(spectrum) == math.fsum(abs(x) for x in spectrum.tolist())
+        assert energy([Fraction(1, 2), -2]) == 2.5
+        assert predicted_transform_spectrum("subdivision", 2, spectrum, 10).tolist() == (
+            predicted_transform_spectrum("subdivision", 2, spectrum.tolist(), 10).tolist()
+        )
+        factor = 2 * math.sqrt(1.0 - 1.0 / 4)
+        base, transformed = energy(spectrum), math.pi
+        assert predicted_energy("shadow", 2, 2, base, transformed) == (factor * base, factor * transformed)
+        assert predicted_energy("shadow", 2, 2, np.float64(base), Fraction(1, 2)) == (factor * base, factor * 0.5)
+        assert type(predicted_energy("shadow", 2, 2, np.array(base), 1)[0]) is float
+    assert caught == []
