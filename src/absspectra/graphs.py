@@ -63,12 +63,13 @@ class Graph:
     pair to ``(min, max)`` and rejects self-loops, out-of-range ids
     (``IndexError``), items that are not pairs, ``pairs`` that is not
     iterable, and a vertex count below 0 or over VERTEX_BUDGET; then it sorts the edges and counts the
-    degrees. Every graph read from outside the package goes through it: :func:`load_graph`,
-    :func:`parse_edge_list_text`, :func:`from_json_dict`, unpickling and any
-    direct call. The graphs the package derives from a valid graph, those of
-    :func:`generate`, :func:`line_graph` and the five transforms, skip all of
-    that: their producers emit distinct in-range ``(min, max)`` pairs in ascending order and the
-    degrees by construction and pass both to the private core, :meth:`_canonical`.
+    degrees. Every graph read from outside the package goes through it: :func:`from_json_dict`,
+    unpickling, any direct call and edge-list text (:func:`parse_edge_list_text`, :func:`load_graph`)
+    outside the writer's form. Text in that form goes to :meth:`_from_ids`, which makes the same
+    checks on the whole id array and hands input that fails one to ``Graph(n, pairs)``. The graphs
+    the package derives from a valid graph, those of :func:`generate`, :func:`line_graph` and the
+    five transforms, skip all of that: their producers emit distinct in-range ``(min, max)`` pairs
+    in ascending order and the degrees by construction and pass both to the private core, :meth:`_canonical`.
     Instances hold ``n``, the sorted ``edges``, the tuple of vertex ``degrees`` and, once
     :func:`_two_colouring` has run, its result; they are immutable, and all operations return new graphs.
     """
@@ -104,6 +105,26 @@ class Graph:
             degrees[u] += 1
             degrees[v] += 1
         self._fill(n, edges, degrees)
+
+    @classmethod
+    def _from_ids(cls, n, ids):
+        """``Graph(n, pairs)`` for the int64 array ``ids`` of the pairs laid end to end, built in array operations.
+
+        Ids that fail a check go to ``Graph(n, pairs)``, which raises its error for the first bad pair.
+        """
+        n = _integer(n, "vertex counts", 0)
+        check_budget(0, n, "graph")
+        u, v = ids[0::2], ids[1::2]
+        low, high = np.minimum(u, v), np.maximum(u, v)
+        # a self-loop is a zero difference: an int64 == would page in 128 KB more of numpy's code
+        if ids.size and (low.min() < 0 or high.max() >= n or (high - low).min() == 0):
+            ids = ids.tolist()
+            return cls(n, zip(ids[0::2], ids[1::2]))
+        # np.unique or an int64 np.sort would raise the peak resident memory of a fresh process
+        keys = np.array(sorted(set((low * n + high).tolist())), dtype=np.int64)
+        low, high = np.divmod(keys, n)
+        degrees = np.bincount(np.concatenate((low, high)), minlength=n)
+        return cls._canonical(n, list(zip(low.tolist(), high.tolist())), degrees.tolist())
 
     @classmethod
     def _canonical(cls, n, edges, degrees):
@@ -342,9 +363,10 @@ def to_edge_list_text(graph):
 # An id or count token is ASCII decimal digits with an optional leading '-', so
 # that a negative id still reaches Graph's range check.
 _INT_TOKEN = re.compile(r"-?[0-9]+")
-# Every data row of an edge list at once: rows are joined by newlines, and a row
-# matches when it is two such tokens around whitespace (the whitespace str.split takes).
-_EDGE_ROWS = re.compile(r"^(-?[0-9]+)[^\S\n]+(-?[0-9]+)$", re.M)
+# The text to_edge_list_text writes: a header row "n m", then the edge rows, each
+# row two ASCII decimal tokens, one space and "\n". A token of at most 18 digits
+# fits int64, and the whole match rules out the partial read np.fromstring warns of.
+_WRITER_FORM = re.compile(r"[0-9]{1,18} [0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
 
 
 def _text_integer(token, what):
@@ -362,8 +384,22 @@ def _int_pair(line, shape):
     return tuple(_text_integer(token, "vertex ids and counts") for token in row)
 
 
+def _check_edge_count(m, rows):
+    """Raise ``ValueError`` unless the header's edge count ``m`` equals the number of edge ``rows``."""
+    if rows != m:
+        raise ValueError(f"header declares {m} edges but {rows} lines follow")
+
+
 def parse_edge_list_text(text):
-    """Parse the edge-list text format into a graph."""
+    """Parse the edge-list text format into a graph.
+
+    Text in the writer's form is read in one ``np.fromstring`` pass; any other text row by row.
+    """
+    if _WRITER_FORM.fullmatch(text) is not None:
+        ids = np.fromstring(text, dtype=np.int64, sep=" ")
+        n, m = ids[:2].tolist()
+        _check_edge_count(m, ids.size // 2 - 1)
+        return Graph._from_ids(n, ids[2:])
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -372,13 +408,8 @@ def parse_edge_list_text(text):
     if not rows:
         raise ValueError("empty edge-list input")
     n, m = _int_pair(rows[0], "header must be 'n m'")
-    if len(rows) - 1 != m:
-        raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    ids = _EDGE_ROWS.findall("\n".join(rows[1:]))
-    if len(ids) != m:  # some row is not two integers: read row by row to name the first
-        ids = [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]]
-    ids = map(int, chain.from_iterable(ids))
-    return Graph(n, zip(ids, ids))  # consecutive ids pair up
+    _check_edge_count(m, len(rows) - 1)
+    return Graph(n, [_int_pair(row, "edge line must be 'u v'") for row in rows[1:]])
 
 
 def to_json_dict(graph):

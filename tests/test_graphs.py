@@ -8,7 +8,7 @@ import pickle
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
@@ -725,16 +725,68 @@ def test_graph_text_layer_matches_its_per_edge_forms(monkeypatch):
         "3 0\n",
         "0 0\n",
         "",
+        # texts in the writer's form, read in one pass, and texts just outside it
+        "4 5\n0 1\n1 0\n3 2\n2 3\n0 1\n",  # duplicate and reversed pairs
+        "04 2\n00 01\n002 3\n",  # leading zeros
+        "3 1\n-0 1\n",
+        "3 1\n0 999999999999999999\n",  # 18 digits
+        "3 1\n0 1000000000000000000\n",  # 19 digits
+        "1000000000000000000 0\n",
+        f"{graphs.VERTEX_BUDGET + 1} 0\n",
+        f"{graphs.VERTEX_BUDGET + 1} 1\n",  # the count is checked before the budget
+        f"{graphs.VERTEX_BUDGET} 1\n0 {graphs.VERTEX_BUDGET - 1}\n",
+        "3 2\n0 1\n2 2\n",  # a self-loop
+        "3 2\n0 1\n0 3\n",  # an out-of-range id
+        "3 3\n0 5\n1 1\n2 2\n",  # the first bad pair is named
+        "3 3\n1 1\n0 5\n2 2\n",
+        "0 1\n0 0\n",
+        "3 3\n0 1\n1 2\n",  # m too high
+        "3 1\n0 1\n1 2\n0 2\n",  # m too low
+        "3 1\n0 1",  # no final newline
+        "3 1\n0 1\n\n",  # a trailing blank line
+        "3 1\n 0 1\n",
+        "3 1\n0  1\n",
+        "5 0\n",
+        "5 0",
+        "0 0",
     ],
 )
 def test_edge_list_reader_matches_the_row_by_row_reader(text):
     def outcome(read):
         try:
-            return read(text)
+            g = read(text)
         except (ValueError, IndexError) as exc:
             return type(exc), str(exc)
+        assert all(type(i) is int for i in (g.n, *chain.from_iterable(g.edges), *g.degrees))
+        return g, g.degrees
 
     assert outcome(parse_edge_list_text) == outcome(_row_by_row_reader)
+
+
+class _GraphInitCalled(Exception):
+    pass
+
+
+def test_writer_form_text_is_read_without_graph_init(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def refuse(self, n, pairs=()):
+        raise _GraphInitCalled
+
+    @hyp.settings(max_examples=40)
+    @hyp.given(spread_graphs(st))
+    def check(g):
+        text = to_edge_list_text(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "__init__", refuse)
+            read = parse_edge_list_text(text)
+            assert read == g and read.degrees == g.degrees
+            # a comment row takes the text out of the writer's form, to the row reader and Graph(n, pairs)
+            with pytest.raises(_GraphInitCalled):
+                parse_edge_list_text(text.replace("\n", "\n# comment\n", 1))
+
+    check()
 
 
 def test_text_integer_is_ascii_decimal_with_minus():

@@ -353,6 +353,16 @@ def test_spectra_and_energies_are_read_as_real_numbers_whatever_the_warning_filt
         (lambda e: predicted_energy("shadow", 2, 2, e, 1.0), "3", r"base energy must be real numbers"),
         (lambda e: predicted_energy("splitting", 2, 2, 1.0, e), np.array([1.0, 2.0]), r"got shape \(2,\)$"),
         (lambda e: predicted_energy("splitting", 2, 2, 1.0, e), [3.0], r"one real number, got shape \(1,\)$"),
+        # a spectrum is one 1-D sequence: a matrix or a lone number is refused by its shape
+        (energy, np.eye(2), r"^spectrum must be a 1-D sequence of real numbers, got shape \(2, 2\)$"),
+        (energy, 3.0, r"^spectrum must be a 1-D sequence of real numbers, got shape \(\)$"),
+        (energy, [[1.0], [-2.0]], r"got shape \(2, 1\)$"),
+        (
+            lambda s: predicted_transform_spectrum("subdivision", 2, s, 8),
+            np.eye(2),
+            r"^base spectrum must be a 1-D sequence of real numbers, got shape \(2, 2\)$",
+        ),
+        (lambda s: predicted_transform_spectrum("subdivision", 2, s, 8), 2.0, r"got shape \(\)$"),
     ]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
@@ -363,6 +373,8 @@ def test_spectra_and_energies_are_read_as_real_numbers_whatever_the_warning_filt
         spectrum = adjacency_spectrum(generate("cycle", 5))
         assert energy(spectrum) == math.fsum(abs(x) for x in spectrum.tolist())
         assert energy([Fraction(1, 2), -2]) == 2.5
+        assert energy([]) == 0.0
+        assert energy(np.float32([0.5, -0.25])) == 0.75
         assert predicted_transform_spectrum("subdivision", 2, spectrum, 10).tolist() == (
             predicted_transform_spectrum("subdivision", 2, spectrum.tolist(), 10).tolist()
         )
