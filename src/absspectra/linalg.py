@@ -27,11 +27,12 @@ class NoConvergenceError(RuntimeError):
     """Jacobi iteration failed to reach the off-diagonal target within the sweep cap."""
 
 
-def _real_array(values, what):
+def _real_array(values, what, ndim=None):
     """``values`` as a float array; complex or non-numeric input is refused, never cast.
 
     An object array (integers past 64 bits, fractions, decimals) is read when
-    each element is a real number that ``float`` takes.
+    each element is a real number that ``float`` takes. Then a shape of other
+    than ``ndim`` dimensions (0 or 1, when given) is refused, naming the shape.
     """
     a = np.asarray(values)
     if a.dtype.kind == "O":
@@ -41,11 +42,14 @@ def _real_array(values, what):
             ):
                 raise ValueError(f"{what} must be real numbers, got an element of type {type(v).__name__}")
         try:
-            return a.astype(float)
+            a = a.astype(float)
         except OverflowError:
             raise ValueError(f"{what} has an element beyond the float range") from None
-    if a.dtype.kind not in "biuf":
+    elif a.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
+    if ndim is not None and a.ndim != ndim:
+        expected = "a 1-D sequence of real numbers" if ndim else "one real number"
+        raise ValueError(f"{what} must be {expected}, got shape {a.shape}")
     return a.astype(float, copy=False)
 
 
@@ -287,9 +291,9 @@ def solve_lu(matrix, rhs):
 
 
 def multiset_deviation(a, b):
-    """Max elementwise gap between two equal-size multisets after sorting."""
-    av = np.sort(_real_array(a, "multiset"))
-    bv = np.sort(_real_array(b, "multiset"))
+    """Max elementwise gap between two equal-size multisets, each a 1-D sequence, after sorting."""
+    av = np.sort(_real_array(a, "multiset", 1))
+    bv = np.sort(_real_array(b, "multiset", 1))
     if av.shape != bv.shape:
         raise ValueError(f"multiset length mismatch: {av.size} vs {bv.size}")
     if av.size == 0:

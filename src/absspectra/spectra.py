@@ -51,24 +51,12 @@ def abs_spectrum(graph):
     return linalg.eigenvalues_symmetric(abs_matrix(graph))
 
 
-def _real_values(values, what, ndim):
-    """``values`` read by ``linalg._real_array``: one float when ``ndim`` is 0, a list of floats when it is 1.
-
-    An array of any other number of dimensions is refused with ``ValueError`` naming its shape.
-    """
-    a = linalg._real_array(values, what)
-    if a.ndim != ndim:
-        expected = "a 1-D sequence of real numbers" if ndim else "one real number"
-        raise ValueError(f"{what} must be {expected}, got shape {a.shape}")
-    return a.tolist()
-
-
 def energy(spectrum):
     """Sum of absolute eigenvalues: the ABS energy of an ABS spectrum, the graph energy of an adjacency one.
 
-    The spectrum is read by :func:`_real_values`: complex or non-numeric values and shapes other than 1-D are refused.
+    The spectrum is read by ``linalg._real_array``: complex or non-numeric values and shapes other than 1-D are refused.
     """
-    return math.fsum(abs(x) for x in _real_values(spectrum, "spectrum", 1))
+    return math.fsum(abs(x) for x in linalg._real_array(spectrum, "spectrum", 1).tolist())
 
 
 def regular_abs_factor(r):
@@ -101,8 +89,7 @@ def closed_form_abs_spectrum(kind, *params):
         return np.sort(np.array([math.sqrt(2.0) * math.cos(2.0 * math.pi * i / n) for i in range(n)]))
     if kind == "star":
         (n,) = sizes
-        w = math.sqrt((n - 1.0) * (n - 2.0) / n)
-        return np.sort(np.array([w, -w] + [0.0] * (n - 2)))
+        sizes = (1, n - 1)  # S_n is K_{1,n-1}
     a, b = sizes  # complete_bipartite
     w = math.sqrt(a * b * (a + b - 2.0) / (a + b))
     return np.sort(np.array([w, -w] + [0.0] * (a + b - 2)))
@@ -171,7 +158,7 @@ def predicted_transform_spectrum(kind, r, base_spectrum, order):
     u, v, w = lift_coefficients(kind, r)
     order = _integer(order, "transform orders", 0)
     values = []
-    for lam in _real_values(base_spectrum, "base spectrum", 1):
+    for lam in linalg._real_array(base_spectrum, "base spectrum", 1).tolist():
         b, c = u * lam, v * lam + w
         disc = b * b + 4.0 * c
         # A base eigenvalue at -r makes the subdivision quadratic a double
@@ -223,8 +210,8 @@ def predicted_energy(kind, r, k, base_energy, transformed_energy):
         raise ValueError(f"unknown energy prediction kind {kind!r}; expected one of {K_KINDS}")
     k = _integer(k, f"{kind} copy counts k", 1)
     r = _integer(r, f"{kind} degree r", 1)
-    base_energy = _real_values(base_energy, "base energy", 0)
-    transformed_energy = _real_values(transformed_energy, "transformed energy", 0)
+    base_energy = linalg._real_array(base_energy, "base energy", 0).tolist()
+    transformed_energy = linalg._real_array(transformed_energy, "transformed energy", 0).tolist()
     if kind == "shadow":
         factor = k * math.sqrt(1.0 - 1.0 / (k * r))
         return factor * base_energy, factor * transformed_energy

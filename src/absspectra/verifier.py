@@ -59,8 +59,8 @@ DEFAULT_TOL = 1e-8
 # The tolerance eigensolver checks relax to on large graphs (see _tolerance).
 RELAXED_TOL = 1e-6
 
-# Fixed evaluation points for pointwise identity checks (all nonzero, so
-# negative powers of the variable are well defined).
+# Fixed evaluation points for pointwise identity checks: nonzero, for negative
+# powers of x, and where |u*x + v| >= 1/3 for every lift's prefactor.
 _SAMPLE_POINTS = (
     0.6180339887498949,
     1.3247179572447460,
@@ -319,17 +319,12 @@ def _lift_check(kind):
             return True, dev, f"predicted lift spectrum vs eigensolver, r={r}"
 
         def as_printed():
-            points = [x for x in _SAMPLE_POINTS if abs(u * x + v) >= 1e-9]  # away from the prefactor's pole
             # np.polyval takes the highest power first
-            lhs = np.polyval(memo.charpoly(transformed, "abs")[::-1], points).tolist()
-            args = [(x * x - w) / (u * x + v) for x in points]
+            lhs = np.polyval(memo.charpoly(transformed, "abs")[::-1], _SAMPLE_POINTS).tolist()
+            args = [(x * x - w) / (u * x + v) for x in _SAMPLE_POINTS]
             psi = np.polyval(memo.charpoly(base, "adjacency")[::-1], args).tolist()
-            devs = []
-            for x, lhs_x, psi_x in zip(points, lhs, psi):
-                rhs = (u * x + v) * x**surplus * psi_x
-                if math.isfinite(rhs):
-                    devs.append(_scalar_deviation(lhs_x, rhs))
-            dev = max(devs)
+            rhs = [(u * x + v) * x**surplus * psi_x for x, psi_x in zip(_SAMPLE_POINTS, psi)]
+            dev = max(map(_scalar_deviation, lhs, rhs))
             return True, dev, f"pointwise char poly vs printed prefactor identity, r={r}"
 
         return corrected, as_printed

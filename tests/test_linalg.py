@@ -609,6 +609,15 @@ def test_multiset_close():
     with pytest.raises(ValueError, match="mismatch"):
         multiset_deviation([0.0], [0.0, 1.0])
     assert multiset_deviation([], []) == 0.0
+    # a multiset is one 1-D sequence: a matrix or a lone number is refused by its shape
+    with pytest.raises(ValueError, match=r"^multiset must be a 1-D sequence of real numbers, got shape \(2, 2\)$"):
+        multiset_deviation([[1, 2], [3, 4]], [[3, 4], [1, 2]])
+    with pytest.raises(ValueError, match=r"^multiset must be a 1-D sequence of real numbers, got shape \(\)$"):
+        multiset_deviation(3.0, 3.0)
+    # 1-D input keeps its values, whatever its element type
+    assert multiset_deviation([3, 1, 2], [1.0, 2.0, 3.5]) == 0.5
+    thirds = np.array([Fraction(1, 3), Fraction(-2, 3)], dtype=object)
+    assert multiset_deviation(thirds, [-2 / 3, 1 / 3]) == 0.0
 
 
 def test_poly_close_padding_and_scale():

@@ -132,3 +132,12 @@ def test_every_floor_is_read_by_graphs_integer():
         for line in _hand_written_floors(path.read_text(encoding="utf-8"))
     ]
     assert not found, f"hand-written lower bounds: {found}"
+
+
+def test_package_source_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10. This reads grammar only (and ast's
+    # feature_version is best effort), not library features such as possessive regex quantifiers.
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted((ROOT / "src" / "absspectra").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -94,6 +94,13 @@ def test_closed_form_star_and_bipartite_agree():
     np.testing.assert_allclose(
         closed_form_abs_spectrum("star", 4), closed_form_abs_spectrum("complete_bipartite", 1, 3), atol=1e-15
     )
+    # the star is read as K_{1,n-1}: the same bits as its own formula, +/- sqrt((n-1)(n-2)/n) and n-2 zeros
+    for n in range(2, 5001):
+        w = math.sqrt((n - 1.0) * (n - 2.0) / n)
+        expected = np.sort(np.array([w, -w] + [0.0] * (n - 2)))
+        assert closed_form_abs_spectrum("star", n).tobytes() == expected.tobytes(), n
+    with pytest.raises(ValueError):
+        closed_form_abs_spectrum("star", 3, 4)
 
 
 def test_closed_form_cycle3():

@@ -86,6 +86,17 @@ def test_transform_checks_pass_corrected_fail_printed():
         assert _single(reports, "as_printed").verdict == "fail"
 
 
+def test_sample_points_stay_away_from_every_lift_pole():
+    # as_printed divides by the prefactor u*x + v at every sample point, with no guard;
+    # the bound 1/3 is reached at r = 1 for subdivision (u = 0, v = 1/3)
+    degrees = [*range(1, 2001), 10**4, 10**5, 2 * 10**5]
+    for kind in spectra.LIFT_KINDS:
+        for r in degrees:
+            u, v, _ = spectra.lift_coefficients(kind, r)
+            nearest = min(abs(u * x + v) for x in verifier._SAMPLE_POINTS)
+            assert nearest >= 1 / 3, (kind, r, nearest)
+
+
 def test_reg_scaling_on_k2_degenerate_pass():
     reports = run_check(CheckId.THM_REG_SCALING, generate("complete", 2))
     corrected = _single(reports, "corrected")
