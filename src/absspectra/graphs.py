@@ -279,7 +279,13 @@ def line_graph_edge_count(graph):
 
 
 def _incidence(graph, offset):
-    """Each vertex's incident edge ids ``offset + j`` in ascending lists, and ``line_pairs(graph, offset)``."""
+    """Each vertex's incident edge ids ``offset + j`` in ascending lists, and the line graph's edges.
+
+    The edges are the ascending ``(offset + i, offset + j)`` pairs, i < j, of edges sharing an endpoint.
+    Edge i = uv (u < v) meets the later edges at u, the edges uw with w > v, then the later edges at v,
+    whose other ends are above u; so the ids ascend, and no sort is needed. Two edges of a simple graph
+    share at most one endpoint, so no pair repeats.
+    """
     incident = [[] for _ in range(graph.n)]
     later = []  # (i, the list at one end of edge i, the position after i in it), u's end first
     for i, (u, v) in enumerate(graph.edges, offset):
@@ -290,21 +296,11 @@ def _incidence(graph, offset):
     return incident, [(i, j) for i, ids, p in later for j in ids[p:]]
 
 
-def line_pairs(graph, offset=0):
-    """Edges of the line graph as ascending ``(offset + i, offset + j)`` pairs of edge indices, i < j.
-
-    Edge i = uv (u < v) meets the later edges at u, the edges uw with w > v, then the later edges at v,
-    whose other ends are above u; so the ids ascend, and no sort is needed. Two edges of a simple graph
-    share at most one endpoint, so no pair repeats.
-    """
-    return _incidence(graph, offset)[1]
-
-
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
     check_budget(line_graph_edge_count(graph), graph.m, "line graph")
     degs = graph.degrees
-    return Graph._canonical(graph.m, line_pairs(graph), [degs[u] + degs[v] - 2 for u, v in graph.edges])
+    return Graph._canonical(graph.m, _incidence(graph, 0)[1], [degs[u] + degs[v] - 2 for u, v in graph.edges])
 
 
 def incidence_matrix(graph):

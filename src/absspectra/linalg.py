@@ -32,7 +32,7 @@ def _real_array(values, what, ndim=None):
 
     An object array (integers past 64 bits, fractions, decimals) is read when
     each element is a real number that ``float`` takes. Then a shape of other
-    than ``ndim`` dimensions (0 or 1, when given) is refused, naming the shape.
+    than ``ndim`` dimensions (0, 1 or 2, when given) is refused, naming the shape.
     """
     a = np.asarray(values)
     if a.dtype.kind == "O":
@@ -48,7 +48,7 @@ def _real_array(values, what, ndim=None):
     elif a.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
     if ndim is not None and a.ndim != ndim:
-        expected = "a 1-D sequence of real numbers" if ndim else "one real number"
+        expected = ("one real number", "a 1-D sequence of real numbers", "a 2-D array of real numbers")[ndim]
         raise ValueError(f"{what} must be {expected}, got shape {a.shape}")
     return a.astype(float, copy=False)
 
@@ -278,7 +278,7 @@ def solve_lu(matrix, rhs):
     for bit. Raises ``ValueError`` when elimination meets an exactly zero pivot.
     """
     a = _as_square_matrix(matrix)
-    aug = np.hstack([a, _real_array(rhs, "rhs")])
+    aug = np.hstack([a, _real_array(rhs, "rhs", 2)])
     det = _eliminate(aug)
     if det is None:
         raise ValueError("matrix is singular")
@@ -296,19 +296,12 @@ def multiset_deviation(a, b):
     bv = np.sort(_real_array(b, "multiset", 1))
     if av.shape != bv.shape:
         raise ValueError(f"multiset length mismatch: {av.size} vs {bv.size}")
-    if av.size == 0:
-        return 0.0
-    return float(np.max(np.abs(av - bv)))
+    return float(np.abs(av - bv).max(initial=0.0))
 
 
 def poly_deviation(p, q):
-    """Max coefficient gap scaled by max(1, largest |coefficient| on either side)."""
-    pv = _real_array(p, "polynomial coefficients")
-    qv = _real_array(q, "polynomial coefficients")
-    size = max(pv.size, qv.size, 1)
-    pp = np.zeros(size)
-    qq = np.zeros(size)
-    pp[: pv.size] = pv
-    qq[: qv.size] = qv
-    scale = max(1.0, float(np.max(np.abs(pp))), float(np.max(np.abs(qq))))
-    return float(np.max(np.abs(pp - qq))) / scale
+    """Max coefficient gap, the shorter side zero-padded, scaled by max(1, largest |coefficient| on either side)."""
+    pv = _real_array(np.atleast_1d(p), "polynomial coefficients", 1)
+    qv = _real_array(np.atleast_1d(q), "polynomial coefficients", 1)
+    scale = max(1.0, float(np.abs(pv).max(initial=0.0)), float(np.abs(qv).max(initial=0.0)))
+    return float(np.abs(np.polysub(pv[::-1], qv[::-1])).max(initial=0.0)) / scale

@@ -228,7 +228,7 @@ def _chk_incidence_reg(graph, params, memo):
     f = incidence_matrix(graph)
     lhs = f @ f.T
     rhs = adjacency_matrix(graph).astype(np.int64) + r * np.eye(graph.n, dtype=np.int64)
-    dev = float(np.max(np.abs(lhs - rhs))) if graph.n else 0.0
+    dev = float(np.abs(lhs - rhs).max(initial=0))
     return True, dev, f"F F^t vs A + {r}I, integer arithmetic"
 
 
@@ -237,7 +237,7 @@ def _chk_incidence_line(graph, params, memo):
     f = incidence_matrix(graph)
     lhs = f.T @ f
     rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(memo.transform("line_graph", graph)).astype(np.int64)
-    dev = float(np.max(np.abs(lhs - rhs))) if graph.m else 0.0
+    dev = float(np.abs(lhs - rhs).max(initial=0))
     return True, dev, "F^t F vs 2I + A(L(G)), integer arithmetic"
 
 

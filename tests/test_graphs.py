@@ -41,7 +41,6 @@ from absspectra.graphs import (
     connected_regular_degree,
     families,
     from_json_dict,
-    line_pairs,
     to_json_dict,
     to_json_text,
 )
@@ -533,11 +532,11 @@ def test_line_graph_matches_set_reference():
         assert line_graph(g) == Graph(g.m, line_graph_pairs_reference(g))
 
 
-def test_line_pairs_distinct_ascending_and_offset():
+def test_incidence_line_pairs_distinct_ascending_and_offset():
     for g in _line_graph_cases(47):
         reference = line_graph_pairs_reference(g)
         for offset in (0, 5):
-            pairs = list(line_pairs(g, offset))
+            pairs = list(graphs._incidence(g, offset)[1])
             assert all(i < j for i, j in pairs)
             assert pairs == [(offset + i, offset + j) for i, j in reference]
 
@@ -693,7 +692,7 @@ def test_graph_text_layer_matches_its_per_edge_forms(monkeypatch):
             assert to_json_text(g) == expected_json
             assert to_edge_list_text(g) == expected_text
         assert parse_edge_list_text(expected_text) == g
-        assert list(line_pairs(g, offset)) == sorted(_generator_line_pairs(g, offset))
+        assert list(graphs._incidence(g, offset)[1]) == sorted(_generator_line_pairs(g, offset))
 
     check()
 

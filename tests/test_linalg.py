@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -542,6 +543,8 @@ def test_complex_and_text_input_is_refused_whatever_the_warning_filter(action):
         (linalg.solve_lu, 2.0 * np.eye(2), text),
         (multiset_deviation, [1.0, 2j], [1.0, 0.0]),
         (poly_deviation, [1.0, 0.0], [1.0, 1j]),
+        # a 1-D complex right-hand side has the wrong shape too, but its dtype is named
+        (linalg.solve_lu, 2.0 * np.eye(2), [1.0, 1j]),
     ]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
@@ -625,6 +628,53 @@ def test_poly_close_padding_and_scale():
     # deviation is measured relative to the largest coefficient magnitude
     assert poly_deviation([1e6, 0.0, 1.0], [1e6 + 0.5, 0.0, 1.0]) <= 1e-6
     assert poly_deviation([1.0], [2.0]) > 1e-9
+    # a bare number is a constant polynomial, and two empty sequences do not differ
+    assert poly_deviation(3.0, [3.0]) == 0.0
+    assert poly_deviation([], []) == 0.0
+    # input of 2 or more dimensions is refused by its shape, not read as a polynomial
+    expected = r"^polynomial coefficients must be a 1-D sequence of real numbers, got shape "
+    with pytest.raises(ValueError, match=expected + r"\(1, 2\)$"):
+        poly_deviation([[1, 2]], [1, 2])
+    with pytest.raises(ValueError, match=expected + r"\(2, 2\)$"):
+        poly_deviation([[1, 2], [3, 4]], [[3, 4], [1, 2]])
+
+
+def _zero_padded_poly_deviation(p, q):
+    """poly_deviation as it was written before it padded through np.polysub."""
+    pv = np.asarray(p, dtype=float)
+    qv = np.asarray(q, dtype=float)
+    size = max(pv.size, qv.size, 1)
+    pp = np.zeros(size)
+    qq = np.zeros(size)
+    pp[: pv.size] = pv
+    qq[: qv.size] = qv
+    scale = max(1.0, float(np.max(np.abs(pp))), float(np.max(np.abs(qq))))
+    return float(np.max(np.abs(pp - qq))) / scale
+
+
+def test_poly_deviation_matches_zero_padding_bit_for_bit():
+    rng = np.random.default_rng(61)
+    # signed zeros, subnormals, values near the float range and the non-finite values
+    specials = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    )
+
+    def side():
+        if rng.random() < 0.1:
+            return float(rng.choice(specials)) if rng.random() < 0.5 else float(rng.standard_normal())
+        size = int(rng.integers(0, 71))
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+        picks = rng.random(size) < 0.3
+        values[picks] = rng.choice(specials, int(picks.sum()))
+        return values.tolist()
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2000):
+            p = side()
+            q = p if rng.random() < 0.1 else side()
+            got, want = poly_deviation(p, q), _zero_padded_poly_deviation(p, q)
+            assert type(got) is type(want) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, q)
 
 
 def test_two_charpoly_routes_agree():
@@ -701,6 +751,11 @@ def test_solve_lu_against_numpy():
         linalg.solve_lu(np.ones((3, 3)), np.ones((3, 1)))
     with pytest.raises(ValueError):
         linalg.solve_lu(np.eye(3), np.ones((2, 1)))
+    # the right-hand side is a matrix of columns: any other shape is refused by name
+    for rhs in ([1.0, 2.0], 5.0, np.ones((2, 2, 1))):
+        shape = re.escape(str(np.shape(rhs)))
+        with pytest.raises(ValueError, match=rf"^rhs must be a 2-D array of real numbers, got shape {shape}$"):
+            linalg.solve_lu(np.eye(2), rhs)
 
 
 def test_kron_examples():
