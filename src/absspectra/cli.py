@@ -152,13 +152,12 @@ def _cmd_indices(args):
 
 def _cmd_charpoly(args):
     graph = parse_graph_spec(args.graph)
-    matrix = graph_matrix(graph, args.matrix)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, whatever the warning filter
         if args.via == "fl":
-            coeffs = linalg.char_poly(matrix)
+            coeffs = linalg.char_poly(graph_matrix(graph, args.matrix))
         elif args.via == "roots":
             # np.poly gives the highest power first, and a scalar for no roots
-            coeffs = np.atleast_1d(np.poly(linalg.eigenvalues_symmetric(matrix)))[::-1]
+            coeffs = np.atleast_1d(np.poly(linalg.eigenvalues_symmetric(graph_matrix(graph, args.matrix))))[::-1]
         else:  # recurrence
             if args.matrix != "abs":
                 raise ValueError("--via recurrence only applies to the ABS matrix (--abs)")

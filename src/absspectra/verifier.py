@@ -20,7 +20,6 @@ import contextlib
 import csv
 import dataclasses
 import enum
-import functools
 import io
 import json
 import math
@@ -129,7 +128,8 @@ class _Spectra:
     read-only, since every check that asks gets the same array. A computation
     that raises is not stored, so it raises again for each caller: an oracle
     error private to one variant stays private. ``run_suite`` has
-    :meth:`prefetch` solve its one plan first; the rest is solved on request.
+    :meth:`prefetch` solve its one plan first; a spectrum not prefetched is
+    solved alone, as a stack of one, through the same :meth:`_solve`.
     """
 
     def __init__(self):
@@ -146,41 +146,42 @@ class _Spectra:
             built = self._graphs[key] = line_graph(graph) if kind == "line_graph" else apply_transform(kind, graph, k)
         return built
 
-    def _lookup(self, table, graph, kind, solve):
-        key = (graph, kind)
-        value = table.get(key)
-        if value is None:
-            value = solve(graph_matrix(graph, kind))
-            value.flags.writeable = False
-            table[key] = value
-        return value
+    def _solve(self, keys):
+        """Solve the same-order (graph, kind) ``keys`` in one stacked eigensolve and store their read-only rows."""
+        rows = linalg.eigenvalues_symmetric(np.stack([graph_matrix(*key) for key in keys]))
+        rows.flags.writeable = False
+        self._spectra.update(zip(keys, rows))
 
     def spectrum(self, graph, kind):
         """Eigenvalues of the graph's ``kind`` matrix, ascending."""
-        return self._lookup(self._spectra, graph, kind, linalg.eigenvalues_symmetric)
+        row = self._spectra.get((graph, kind))
+        if row is None:
+            self._solve([(graph, kind)])
+            row = self._spectra[graph, kind]
+        return row
 
     def charpoly(self, graph, kind):
         """Faddeev-LeVerrier characteristic polynomial of the graph's ``kind`` matrix."""
-        return self._lookup(self._charpolys, graph, kind, linalg.char_poly)
+        poly = self._charpolys.get((graph, kind))
+        if poly is None:
+            poly = self._charpolys[graph, kind] = linalg.char_poly(graph_matrix(graph, kind))
+            poly.flags.writeable = False
+        return poly
 
     def prefetch(self, keys):
-        """Solve and store the spectra of the (graph, kind) ``keys``, one stacked eigensolve per order.
+        """Solve and store the spectra of the (graph, kind) ``keys``, one :meth:`_solve` per order.
 
         A Jacobi round costs about as much for a stack of small matrices as
         for one, and each member's eigenvalues are bit for bit those of its
         own solve. A group whose solve raises stores nothing, so each caller
-        meets the error on its own solve.
+        meets the error when :meth:`spectrum` solves its key alone.
         """
         groups = {}
         for key in dict.fromkeys(keys):
             groups.setdefault(key[0].n, []).append(key)
         for group in groups.values():
-            try:
-                rows = linalg.eigenvalues_symmetric(np.stack([graph_matrix(*key) for key in group]))
-            except Exception:  # left to the lazy path, which reports it per caller
-                continue
-            rows.flags.writeable = False
-            self._spectra.update(zip(group, rows))
+            with contextlib.suppress(Exception):  # left to spectrum, which reports it per caller
+                self._solve(group)
 
 
 def _spectral_plan(graph, params, memo):
@@ -217,7 +218,7 @@ def _spectral_plan(graph, params, memo):
 # details). A two-variant check first does the work both variants need, then
 # returns one outcome per variant, in the order _CHECKS names them: the result
 # itself, or a zero-argument function computing it when that variant has
-# oracle work of its own (see run_check).
+# oracle work of its own (see _settle).
 
 
 def _chk_incidence_reg(graph, params, memo):
@@ -425,10 +426,6 @@ CheckId = enum.Enum("CheckId", [(name, name) for name in _CHECKS], module=__name
 K_CHECKS = tuple(CheckId[name] for name, (_, _, rule) in _CHECKS.items() if rule in K_KINDS)
 
 
-def _error(exc, tol):
-    return True, "error", 0.0, tol, f"{type(exc).__name__}: {exc}"
-
-
 def _tolerance(rule, graph, params, tol, memo, applicable):
     """(tolerance, details suffix) of one variant under its check's ``rule``.
 
@@ -446,15 +443,17 @@ def _tolerance(rule, graph, params, tol, memo, applicable):
     return tol, ""
 
 
-def _settle(outcome, tolerance, tol):
-    """(applicable, verdict, deviation, tolerance, details) of one variant's outcome, judged by ``tolerance``."""
+def _settle(outcome, rule, graph, params, tol, memo):
+    """(applicable, verdict, deviation, tolerance, details) of a variant's outcome or the shared work's exception."""
     try:
+        if isinstance(outcome, Exception):
+            raise outcome
         applicable, deviation, details = outcome() if callable(outcome) else outcome
-        vtol, note = tolerance(applicable)
+        vtol, note = _tolerance(rule, graph, params, tol, memo, applicable)
         if not math.isfinite(deviation):
             raise ValueError(f"deviation is {deviation}: {details}")
     except Exception as exc:  # oracle failure -> recorded, not raised
-        return _error(exc, tol)
+        return True, "error", 0.0, tol, f"{type(exc).__name__}: {exc}"
     if not applicable:
         return False, "inapplicable", 0.0, vtol, details
     return True, "pass" if deviation <= vtol else "fail", deviation, vtol, details + note
@@ -482,17 +481,14 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     variants, func, rule = _CHECKS[name]
     memo = _Spectra() if _memo is None else _memo
     try:
-        outcomes = func(graph, params, memo)
+        outcome = func(graph, params, memo)
+        outcomes = [outcome] if variants == _SINGLE else outcome
     except Exception as exc:  # shared work failed -> every variant records it
-        rows = [_error(exc, tol)] * len(variants)
-    else:
-        if variants == _SINGLE:
-            outcomes = (outcomes,)
-        tolerance = functools.partial(_tolerance, rule, graph, params, tol, memo)
-        rows = [_settle(outcome, tolerance, tol) for outcome in outcomes]
+        outcomes = [exc] * len(variants)
     return [
         CheckReport(name, variant, descriptor, applicable, verdict, float(deviation), float(vtol), details)
-        for variant, (applicable, verdict, deviation, vtol, details) in zip(variants, rows)
+        for variant, outcome in zip(variants, outcomes)
+        for applicable, verdict, deviation, vtol, details in [_settle(outcome, rule, graph, params, tol, memo)]
     ]
 
 

@@ -36,6 +36,11 @@ def predicted_lift(kind, graph):
     return predicted_transform_spectrum(kind, is_regular(graph), adjacency_spectrum(base), graph.n + graph.m)
 
 
+def circulant(n, steps):
+    """The circulant graph C_n(steps): vertex i joined to i + s and i - s (mod n) for each step s."""
+    return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
 def degrees_reference(graph):
     """Per-vertex degrees as a tuple, counted from the edge list alone."""
     return tuple(sum(x in edge for edge in graph.edges) for x in range(graph.n))

@@ -457,6 +457,12 @@ def test_graph_spec_grammar():
         parse_graph_spec("cycle:4:junk")
     with pytest.raises(GraphSpecError):
         parse_graph_spec("wat:3")
+    for spec in ("", "subdivision"):
+        with pytest.raises(GraphSpecError, match="empty graph spec"):
+            parse_graph_spec(spec)
+    for spec in ("file", "splitting:file:k=2"):
+        with pytest.raises(GraphSpecError, match="file: needs a path"):
+            parse_graph_spec(spec)
 
 
 def _documented_graph_specs():
@@ -698,19 +704,32 @@ def test_graph_spec_matches_direct_calls(tmp_path, monkeypatch):
 
 
 def test_charpoly_recurrence_requires_abs_path():
-    code, _, err = run_cli("charpoly", "--adjacency", "--graph", "path:6", "--via", "recurrence")
-    assert code == 2 and "ABS" in err
+    for spec in ("path:6", "path:5000"):  # path:5000's adjacency matrix is over the dense budget, and never built
+        code, _, err = run_cli("charpoly", "--adjacency", "--graph", spec, "--via", "recurrence")
+        assert code == 2 and err == "error: --via recurrence only applies to the ABS matrix (--abs)\n"
     code, _, err = run_cli("charpoly", "--abs", "--graph", "cycle:6", "--via", "recurrence")
     assert code == 2 and "path" in err
 
 
+def test_charpoly_recurrence_builds_no_matrix(monkeypatch):
+    expected = run_cli("charpoly", "--abs", "--graph", "path:6", "--via", "recurrence")
+    assert expected[0] == 0 and json.loads(expected[1])["order"] == 6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph_matrix called on the recurrence route")
+
+    monkeypatch.setattr(cli, "graph_matrix", refuse)
+    assert run_cli("charpoly", "--abs", "--graph", "path:6", "--via", "recurrence") == expected
+
+
 @pytest.mark.parametrize("action", ["always", "error"])
 def test_charpoly_recurrence_refuses_an_overflowing_path(action):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter(action)
-        code, out, err = run_cli("charpoly", "--abs", "--graph", "path:2300", "--via", "recurrence")
-    assert (code, out, caught) == (2, "", [])
-    assert err == "error: path recurrence coefficients overflow float64 at n=2300\n"
+    for n in (2300, 5000):  # path:5000's ABS matrix would be over the dense budget, and is never built
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code, out, err = run_cli("charpoly", "--abs", "--graph", f"path:{n}", "--via", "recurrence")
+        assert (code, out, caught) == (2, "", [])
+        assert err == f"error: path recurrence coefficients overflow float64 at n={n}\n"
 
 
 def test_verify_single_check_pass():

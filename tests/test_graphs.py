@@ -223,12 +223,22 @@ def test_generated_degrees_match_reference():
             assert g.degrees == degrees_reference(g)
 
 
-@pytest.mark.parametrize(
-    "kind,params",
-    [("cycle", (2,)), ("cycle", (0,)), ("path", (0,)), ("complete", (-1,)), ("complete_bipartite", (0, 3))],
-)
+# (kind, sizes) -> the error text each bad call names
+_BAD_SIZES = {
+    ("cycle", (2,)): "n >= 3",
+    ("cycle", (0,)): "n >= 3",
+    ("path", (0,)): "n >= 1",
+    ("complete", (-1,)): "n >= 1",
+    ("complete_bipartite", (0, 3)): "part sizes >= 1",
+    ("wheel", (5,)): "unknown generator kind",
+    ("complete_bipartite", (3,)): "takes two part sizes",
+    ("cycle", (3, 4)): "takes one size parameter",
+}
+
+
+@pytest.mark.parametrize("kind,params", list(_BAD_SIZES))
 def test_generate_rejects_bad_sizes(kind, params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_BAD_SIZES[kind, params]):
         generate(kind, *params)
 
 

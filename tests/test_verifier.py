@@ -31,7 +31,7 @@ from absspectra import (
 from absspectra import NoConvergenceError, cli, graphs, linalg, spectra, verifier
 from absspectra.verifier import _round15, has_key_failure
 
-from conftest import gnp_graphs, small_graphs
+from conftest import circulant, gnp_graphs, small_graphs
 
 GOLDEN_SUITE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden_suite.json"
 
@@ -151,12 +151,27 @@ def test_schur_order_cap():
     assert r.verdict == "error" and r.details == f"ValueError: graph order {cap + 1} exceeds LEM_SCHUR cap {cap}"
 
 
-def test_nonfinite_deviation_is_an_error():
+def test_nonfinite_deviation_is_an_error(monkeypatch):
     for deviation in (math.nan, math.inf):
-        outcome = (True, deviation, "lhs vs rhs")
-        applicable, verdict, dev, _, details = verifier._settle(outcome, lambda applicable: (1e-8, ""), 1e-8)
-        assert (applicable, verdict, dev) == (True, "error", 0.0)
-        assert details == f"ValueError: deviation is {deviation}: lhs vs rhs"
+        row = (verifier._SINGLE, lambda graph, params, memo: (True, deviation, "lhs vs rhs"), "graph")
+        monkeypatch.setitem(verifier._CHECKS, "THM_TRACE_HARMONIC", row)
+        (r,) = run_check(CheckId.THM_TRACE_HARMONIC, generate("cycle", 5))
+        assert (r.applicable, r.verdict, r.max_deviation) == (True, "error", 0.0)
+        assert r.details == f"ValueError: deviation is {deviation}: lhs vs rhs"
+
+
+def test_reports_keep_float_types_whatever_the_tolerance_type():
+    reports = run_suite(default_suite(), 1)
+    # the 10^6-splitting is over the edge budget: the shared work fails, both variants are errors
+    reports += run_check(CheckId.THM_SPLIT_ENERGY, generate("cycle", 5), {"k": 10**6}, 1)
+    # order 80 is over char_poly's cap: as_printed alone is an error, corrected passes
+    reports += run_check(CheckId.THM_SUBDIVISION, generate("cycle", 40), None, 1)
+    assert {r.verdict for r in reports} == {"pass", "fail", "inapplicable", "error"}
+    assert [r.verdict for r in reports[-4:]] == ["error", "error", "pass", "error"]
+    for r in reports:
+        assert type(r.max_deviation) is float and type(r.tolerance) is float, r
+    text = reports_to_json(reports)
+    assert '"tolerance": 1.0,' in text and '"tolerance": 1,' not in text
 
 
 @pytest.mark.parametrize(
@@ -494,16 +509,23 @@ def test_one_run_reports_what_its_entries_report_alone(monkeypatch):
     alone = [run_suite([entry]) for entry in entries]
     split_rows = [r for r in alone[-1] if r.check == "THM_SPLIT_ENERGY"]
     assert len(split_rows) == 2 and all(r.verdict == "error" and "budget" in r.details for r in split_rows)
-    ndims = []
-    real = linalg.eigenvalues_symmetric
+    prefetching, outside = [False], []
+    real, real_prefetch = linalg.eigenvalues_symmetric, verifier._Spectra.prefetch
+
+    def prefetch(self, keys):
+        prefetching[0] = True
+        real_prefetch(self, keys)
+        prefetching[0] = False
 
     def eigenvalues(matrix, *args, **kwargs):
-        ndims.append(np.ndim(matrix))
+        if not prefetching[0]:
+            outside.append(np.shape(matrix))
         return real(matrix, *args, **kwargs)
 
+    monkeypatch.setattr(verifier._Spectra, "prefetch", prefetch)
     monkeypatch.setattr(linalg, "eigenvalues_symmetric", eigenvalues)
     assert run_suite(entries) == [r for reports in alone for r in reports]
-    assert set(ndims) == {3}  # every spectrum asked for was prefetched
+    assert outside == []  # every spectrum asked for was prefetched
 
 
 def test_nothing_outlives_a_run(monkeypatch):
@@ -550,6 +572,12 @@ def test_spectral_plan_is_what_the_checks_ask_for(monkeypatch):
     entries += [(graph, {"k": k}) for graph, _ in default_suite() for k in (1, 3)]
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # regular, not connected
     entries += [(two_triangles, None), (Graph(0), None), (Graph(3), None), (generate("cycle", 4), {"k": -2})]
+    # 4-regular C8(1,2), C9(1,3) and C12(2,3), 3-regular C10(1,5), 6-regular C11(1,2,4), C10(2,4), which is
+    # regular but not connected, and C7(1,2,3), which is K7
+    circulants = [(8, (1, 2)), (9, (1, 3)), (12, (2, 3)), (10, (1, 5)), (11, (1, 2, 4)), (10, (2, 4)), (7, (1, 2, 3))]
+    entries += [(circulant(n, steps), {"k": 2}) for n, steps in circulants]
+    # their 10^6-splittings and 10^6-shadows are over the edge budget
+    entries += [(generate(kind, 5), {"k": 10**6}) for kind in ("cycle", "complete")]
     for graph, params in entries:
         _assert_plan_is_exact(monkeypatch, graph, params)
 
@@ -595,7 +623,7 @@ def test_failed_stacked_solve_leaves_the_lazy_path(monkeypatch, order_cap):
     real = linalg.eigenvalues_symmetric
 
     def solo_only(matrix, *args, **kwargs):
-        if np.ndim(matrix) == 3:
+        if len(matrix) > 1:  # a spectrum solved alone is a stack of one
             raise NoConvergenceError("stacked solve refused")
         return real(matrix, *args, **kwargs)
 
