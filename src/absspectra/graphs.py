@@ -9,6 +9,7 @@ its two-colouring; that one search, :func:`_two_colouring`, builds its own neigh
 
 import json
 import operator
+import os
 import re
 from itertools import chain, groupby
 
@@ -430,8 +431,8 @@ def from_json_dict(data):
 
 
 def load_graph(path):
-    """Load a graph from a file in either the JSON or edge-list text format."""
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+    """Load a graph from the file at ``path`` (not a file descriptor), in the JSON or edge-list text format."""
+    with open(os.fspath(path), "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:

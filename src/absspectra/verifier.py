@@ -52,7 +52,7 @@ from .spectra import (
     predicted_transform_spectrum,
     regular_abs_factor,
 )
-from .transforms import K_KINDS, apply_transform
+from .transforms import K_KINDS, TRANSFORM_KINDS, apply_transform
 
 DEFAULT_TOL = 1e-8
 # The tolerance eigensolver checks relax to on large graphs (see _tolerance).
@@ -187,14 +187,14 @@ class _Spectra:
 def _spectral_plan(graph, params, memo):
     """The (graph, kind) spectra the checks ask of one suite entry, in a fixed order.
 
-    It follows the checks: the ABS spectrum of every graph (trace, bound and
-    closed-form checks); the adjacency spectrum of an r-regular graph with
-    r >= 1 (regular scaling); and for a connected one also the adjacency
-    spectrum of L(G) (semitotal line), the ABS spectra of the subdivision and
-    the semitotal point graph (their lifts), and both spectra of the
-    k-splitting and the k-shadow when they build (energy checks). A key may
-    repeat: L(C3) is C3, and the 1-shadow is the graph itself. The transformed
-    graphs come from ``memo``, the run's _Spectra, where the checks find them.
+    It follows the checks: the ABS spectrum of every graph; the adjacency
+    spectrum of an r-regular graph with r >= 1 (regular scaling); and for a
+    connected one, for each transform that ``memo`` builds, what its check
+    reads: the ABS spectrum of the subdivision or the semitotal point graph,
+    L(G)'s adjacency spectrum for the semitotal line graph, both spectra of
+    the k-splitting or the k-shadow. A transform that cannot be built adds
+    nothing, and only the checks that build it report the error. A key may
+    repeat: L(C3) is C3, and the 1-shadow is the graph itself.
     """
     keys = [(graph, "abs")]
     if not is_regular(graph):
@@ -202,12 +202,13 @@ def _spectral_plan(graph, params, memo):
     keys.append((graph, "adjacency"))
     if not is_connected(graph):
         return keys
-    keys.append((memo.transform("line_graph", graph), "adjacency"))
-    keys += [(memo.transform(kind, graph), "abs") for kind in ("subdivision", "semitotal_point")]
-    for kind in K_KINDS:
-        with contextlib.suppress(ValueError):  # k < 1 or over budget: the energy check asks for nothing
+    for kind in TRANSFORM_KINDS:
+        with contextlib.suppress(ValueError):  # not built: the checks that build it report the error
             transformed = memo.transform(kind, graph, params)
-            keys += [(transformed, "abs"), (transformed, "adjacency")]
+            if kind == "semitotal_line":
+                keys.append((memo.transform("line_graph", graph), "adjacency"))
+            else:
+                keys += [(transformed, "abs")] + [(transformed, "adjacency")] * (kind in K_KINDS)
     return keys
 
 
@@ -474,6 +475,7 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     name = check.value if isinstance(check, CheckId) else str(check)
     if name not in _CHECKS:
         raise ValueError(f"unknown check id {check!r}")
+    tol = float(linalg._real_array(tol, "tolerance", 0))
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     params = dict(params or {})
@@ -486,7 +488,7 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     except Exception as exc:  # shared work failed -> every variant records it
         outcomes = [exc] * len(variants)
     return [
-        CheckReport(name, variant, descriptor, applicable, verdict, float(deviation), float(vtol), details)
+        CheckReport(name, variant, descriptor, applicable, verdict, float(deviation), vtol, details)
         for variant, outcome in zip(variants, outcomes)
         for applicable, verdict, deviation, vtol, details in [_settle(outcome, rule, graph, params, tol, memo)]
     ]
@@ -502,11 +504,7 @@ def run_suite(entries, tol=DEFAULT_TOL):
     """
     memo = _Spectra()
     entries = [entry if isinstance(entry, tuple) else (entry, None) for entry in entries]
-    plan = []
-    for graph, params in entries:
-        with contextlib.suppress(Exception):  # a transform failed; the checks that build it report that
-            plan += _spectral_plan(graph, params, memo)
-    memo.prefetch(plan)
+    memo.prefetch([key for graph, params in entries for key in _spectral_plan(graph, params, memo)])
     runs = (run_check(check, graph, params, tol, _memo=memo) for graph, params in entries for check in CheckId)
     return [r for reports in runs for r in reports]
 

@@ -4,6 +4,7 @@ import copy
 import functools
 import io
 import json
+import os
 import pickle
 import random
 import re
@@ -825,3 +826,18 @@ def test_load_graph_drops_a_byte_order_mark(tmp_path):
         marked.write_text("\ufeff" + text, encoding="utf-8")
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_graph(marked) == load_graph(plain) == g
+
+
+def test_load_graph_takes_a_path_not_a_file_descriptor():
+    # open() takes an int too, and would read that descriptor to its end and close it: load_graph(0) would
+    # consume and close stdin
+    text = to_edge_list_text(generate("cycle", 5)).encode()
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, text)
+    os.close(write_fd)
+    try:
+        with pytest.raises(TypeError, match="PathLike"):
+            load_graph(read_fd)
+        assert os.read(read_fd, len(text) + 1) == text  # still open, nothing read
+    finally:
+        os.close(read_fd)

@@ -1,7 +1,8 @@
 """Guards on the runtime routes and the source.
 
 No numpy.linalg call, no numpy.polynomial import, the tracer's hooks resolve,
-and no count's floor is written out beside ``graphs._integer``.
+no count's floor is written out beside ``graphs._integer``, and no blanket
+catch sits outside the verifier's three places that make an error a report row.
 """
 
 import ast
@@ -132,6 +133,66 @@ def test_every_floor_is_read_by_graphs_integer():
         for line in _hand_written_floors(path.read_text(encoding="utf-8"))
     ]
     assert not found, f"hand-written lower bounds: {found}"
+
+
+_BLANKET = {"Exception", "BaseException"}
+
+_BLANKET_PROBE = """
+class A:
+    def f(self):
+        try:
+            g()
+        except (ValueError, Exception):
+            pass
+def h():
+    with contextlib.suppress(Exception):
+        g()
+    try:
+        g()
+    except:
+        pass
+def ok():
+    with suppress(ValueError):
+        g()
+    try:
+        g()
+    except TypeError:
+        pass
+"""
+
+
+def _blanket_catches(source):
+    """(qualified function name, line) of each bare ``except``, ``except Exception`` and ``suppress(Exception)``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = [] if child.type is None else getattr(child.type, "elts", [child.type])
+                if child.type is None or {getattr(name, "id", None) for name in caught} & _BLANKET:
+                    found.append((scope, child.lineno))
+            elif isinstance(child, ast.Call):
+                callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if callee == "suppress" and {getattr(arg, "id", None) for arg in child.args} & _BLANKET:
+                    found.append((scope, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_every_blanket_catch_makes_a_report_row():
+    # three places turn an error into a report row or leave it to the caller that does;
+    # a blanket catch anywhere else would hide a bug
+    assert _blanket_catches(_BLANKET_PROBE) == [("A.f", 6), ("h", 9), ("h", 13)]
+    found = {
+        (path.name, scope)
+        for path in sorted((ROOT / "src" / "absspectra").glob("*.py"))
+        for scope, _ in _blanket_catches(path.read_text(encoding="utf-8"))
+    }
+    allowed = {("verifier.py", "_Spectra.prefetch"), ("verifier.py", "_settle"), ("verifier.py", "run_check")}
+    assert found <= allowed, f"blanket catches outside the report rows: {sorted(found - allowed)}"
 
 
 def test_package_source_parses_as_python_3_10():

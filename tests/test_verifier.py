@@ -9,6 +9,7 @@ import json
 import math
 import pathlib
 import pickle
+import random
 import time
 import warnings
 from contextlib import redirect_stdout
@@ -239,6 +240,13 @@ def test_run_check_accepts_string_ids_and_rejects_unknown():
     for tol in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             run_check(CheckId.THM_CYCLE, generate("cycle", 5), tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["1e-8", None, 1e-8j, [1e-8]])
+def test_run_check_reads_the_tolerance_as_one_real_number(tol):
+    # read by linalg._real_array, as every real value a caller passes: a ValueError, never a TypeError
+    with pytest.raises(ValueError, match="^tolerance must be"):
+        run_check(CheckId.THM_CYCLE, generate("cycle", 5), tol=tol)
 
 
 def test_error_captured_in_report():
@@ -525,6 +533,11 @@ def test_one_run_reports_what_its_entries_report_alone(monkeypatch):
     monkeypatch.setattr(verifier._Spectra, "prefetch", prefetch)
     monkeypatch.setattr(linalg, "eigenvalues_symmetric", eigenvalues)
     assert run_suite(entries) == [r for reports in alone for r in reports]
+    # at an edge budget of 11, K4 builds no transform and not L(K4), and C5 its subdivision alone
+    monkeypatch.setattr(graphs, "EDGE_BUDGET", 11)
+    small = [(generate("complete", 4), {"k": 2}), (generate("cycle", 5), {"k": 2})]
+    alone = [run_suite([entry]) for entry in small]
+    assert run_suite(small) == [r for reports in alone for r in reports]
     assert outside == []  # every spectrum asked for was prefetched
 
 
@@ -580,6 +593,16 @@ def test_spectral_plan_is_what_the_checks_ask_for(monkeypatch):
     entries += [(generate(kind, 5), {"k": 10**6}) for kind in ("cycle", "complete")]
     for graph, params in entries:
         _assert_plan_is_exact(monkeypatch, graph, params)
+    # under a smaller edge budget some transforms cannot be built: at 11, K4 builds none, nor L(K4); at 35,
+    # L(K5) fits but T2 does not; at 9, C5 builds none; then 60 seeded draws of a graph, k and budget
+    budgets = [(generate("complete", 4), 2, 11), (generate("complete", 5), 2, 35), (generate("cycle", 5), 2, 9)]
+    bases = [generate("cycle", n) for n in range(3, 9)] + [generate("complete", n) for n in range(2, 7)]
+    bases += [generate("path", 5), generate("star", 5)] + [circulant(n, steps) for n, steps in circulants[:3]]
+    rng = random.Random(20261020)
+    budgets += [(g, rng.randint(1, 3), rng.randint(g.m, 8 * g.m + 10)) for g in rng.choices(bases, k=60)]
+    for graph, k, budget in budgets:
+        monkeypatch.setattr(graphs, "EDGE_BUDGET", budget)
+        _assert_plan_is_exact(monkeypatch, graph, {"k": k})
 
 
 def test_spectral_plan_on_random_graphs(monkeypatch):
