@@ -105,17 +105,17 @@ def path_abs_charpoly(n):
     tridiagonal matrices; it is needed exactly when n = 5.
     """
     n = _integer(n, "path recurrence orders n", 5)
-    omegas = [np.array([1.0]), np.array([0.0, 1.0])]
+    omegas = [np.array([1.0]), np.array([0.0, 1.0])]  # only the newest three Omega_m, newest last
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, whatever the warning filter
         for m in range(2, n - 1):
             coeffs = np.zeros(m + 1)
-            coeffs[1:] = omegas[m - 1]
-            coeffs[: m - 1] -= 0.5 * omegas[m - 2]
-            omegas.append(coeffs)
+            coeffs[1:] = omegas[-1]
+            coeffs[: m - 1] -= 0.5 * omegas[-2]
+            omegas = omegas[-2:] + [coeffs]
         result = np.zeros(n + 1)
-        result[2:] += omegas[n - 2]
-        result[1 : n - 1] += -2.0 / 3.0 * omegas[n - 3]
-        result[: n - 3] += 1.0 / 9.0 * omegas[n - 4]
+        result[2:] += omegas[-1]
+        result[1 : n - 1] += -2.0 / 3.0 * omegas[-2]
+        result[: n - 3] += 1.0 / 9.0 * omegas[-3]
     if not np.isfinite(result).all():
         raise ValueError(f"path recurrence coefficients overflow float64 at n={n}")
     return result
@@ -150,10 +150,10 @@ def predicted_transform_spectrum(kind, r, base_spectrum, order):
     """Predicted ABS spectrum, ascending, of the ``order`` = n + m vertex lift of a connected r-regular graph.
 
     Each base eigenvalue (see :func:`lift_coefficients`) gives the two roots of
-    its lift quadratic, and ``order - 2 * |base|`` zeros are left over: m - n
-    for subdivision and semitotal point, n - m for semitotal line. A negative
-    surplus means that many structurally exact zero roots cancel instead, so
-    the near-zero values are dropped.
+    its lift quadratic. With ``order - 2 * |base|`` zeros added (m - n for
+    subdivision and semitotal point, n - m for semitotal line; none when that
+    is negative), the ``order`` values of largest magnitude are kept: a negative
+    surplus drops that many roots nearest zero, the structural zeros that cancel.
     """
     u, v, w = lift_coefficients(kind, r)
     order = _integer(order, "transform orders", 0)
@@ -168,15 +168,9 @@ def predicted_transform_spectrum(kind, r, base_spectrum, order):
         root = math.sqrt(disc)
         values.append((b + root) / 2.0)
         values.append((b - root) / 2.0)
-    surplus = order - len(values)
-    if surplus >= 0:
-        values.extend([0.0] * surplus)
-        out = np.array(values)
-    else:
-        arr = np.array(values)
-        keep = np.argsort(np.abs(arr), kind="stable")[-surplus:]
-        out = arr[np.sort(keep)]
-    return np.sort(out)
+    arr = np.array(values + [0.0] * (order - len(values)))
+    keep = np.argsort(np.abs(arr), kind="stable")[len(arr) - order :]
+    return np.sort(arr[np.sort(keep)])
 
 
 def splitting_energy_radicands(r, k):

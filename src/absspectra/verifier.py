@@ -444,6 +444,13 @@ def _tolerance(rule, graph, params, tol, memo, applicable):
     return tol, ""
 
 
+def _read_tol(tol):
+    tol = float(linalg._real_array(tol, "tolerance", 0))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
 def _settle(outcome, rule, graph, params, tol, memo):
     """(applicable, verdict, deviation, tolerance, details) of a variant's outcome or the shared work's exception."""
     try:
@@ -475,9 +482,7 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     name = check.value if isinstance(check, CheckId) else str(check)
     if name not in _CHECKS:
         raise ValueError(f"unknown check id {check!r}")
-    tol = float(linalg._real_array(tol, "tolerance", 0))
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    tol = _read_tol(tol)
     params = dict(params or {})
     descriptor = params.get("descriptor") or describe_graph(graph)
     variants, func, rule = _CHECKS[name]
@@ -497,11 +502,12 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
 def run_suite(entries, tol=DEFAULT_TOL):
     """Run every check on every entry; order is graph x check x variant.
 
-    Entries are graphs or (graph, params) pairs. Per-check errors are captured
-    in the reports, never raised. Each spectrum and characteristic polynomial
-    is computed once per call: the entries' plans (see ``_spectral_plan``) are
-    joined into one, solved in one stacked eigensolve per order first.
+    Entries are graphs or (graph, params) pairs. A bad ``tol`` is refused as by ``run_check``, before
+    anything is solved; per-check errors are captured in the reports, never raised. Each spectrum and
+    characteristic polynomial is computed once per call: the entries' plans (see ``_spectral_plan``)
+    are joined into one, solved in one stacked eigensolve per order first.
     """
+    tol = _read_tol(tol)
     memo = _Spectra()
     entries = [entry if isinstance(entry, tuple) else (entry, None) for entry in entries]
     memo.prefetch([key for graph, params in entries for key in _spectral_plan(graph, params, memo)])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -32,7 +33,14 @@ from absspectra import (
     subdivision,
 )
 from absspectra.linalg import multiset_deviation, poly_deviation
-from absspectra.spectra import lift_coefficients, regular_abs_factor, spectrum_report, splitting_energy_radicands
+from absspectra.graphs import line_graph
+from absspectra.spectra import (
+    LIFT_KINDS,
+    lift_coefficients,
+    regular_abs_factor,
+    spectrum_report,
+    splitting_energy_radicands,
+)
 
 from conftest import predicted_lift, random_graph, regular_corpus
 
@@ -199,6 +207,74 @@ def test_path_charpoly_refuses_overflow_whatever_the_warning_filter(action):
             with pytest.raises(ValueError, match=f"overflow float64 at n={n}$"):
                 path_abs_charpoly(n)
     assert caught == []
+
+
+def _path_charpoly_keeping_every_omega(n):
+    # the recurrence with every Omega_m kept in one list, O(n^2) memory
+    omegas = [np.array([1.0]), np.array([0.0, 1.0])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(2, n - 1):
+            coeffs = np.zeros(m + 1)
+            coeffs[1:] = omegas[m - 1]
+            coeffs[: m - 1] -= 0.5 * omegas[m - 2]
+            omegas.append(coeffs)
+        result = np.zeros(n + 1)
+        result[2:] += omegas[n - 2]
+        result[1 : n - 1] += -2.0 / 3.0 * omegas[n - 3]
+        result[: n - 3] += 1.0 / 9.0 * omegas[n - 4]
+    return result
+
+
+def test_path_charpoly_keeps_only_three_omegas():
+    for n in [*range(5, 120), *range(1000, 2300, 97), 2288, 2289, 2300]:
+        want = _path_charpoly_keeping_every_omega(n)
+        if np.isfinite(want).all():
+            got = path_abs_charpoly(n)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), n
+        else:
+            with pytest.raises(ValueError, match=f"overflow float64 at n={n}$"):
+                path_abs_charpoly(n)
+    # every Omega_m kept would peak at about 21 MB here, the largest order answered
+    tracemalloc.start()
+    try:
+        path_abs_charpoly(2288)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def _two_branch_lift(kind, r, base, order):
+    # the lift with its zero surplus in two branches: pad when it is not negative, else drop the smallest roots
+    u, v, w = lift_coefficients(kind, r)
+    values = []
+    for lam in np.asarray(base, dtype=float).tolist():
+        b, c = u * lam, v * lam + w
+        disc = b * b + 4.0 * c
+        root = math.sqrt(0.0 if disc < 1e-10 else disc)
+        values += [(b + root) / 2.0, (b - root) / 2.0]
+    surplus = order - len(values)
+    if surplus >= 0:
+        return np.sort(np.array(values + [0.0] * surplus))
+    arr = np.array(values)
+    keep = np.argsort(np.abs(arr), kind="stable")[-surplus:]
+    return np.sort(arr[np.sort(keep)])
+
+
+def test_lift_keeps_the_order_largest_roots_as_the_two_branch_form_did():
+    k2 = generate("complete", 2)
+    # K2's lifts have order 3: surplus -1 for subdivision and semitotal point, +1 for semitotal line
+    cases = [(kind, 1, adjacency_spectrum(line_graph(k2) if kind == "semitotal_line" else k2), 3) for kind in LIFT_KINDS]
+    rng = random.Random(3301)
+    for _ in range(3000):
+        r, n = rng.randint(1, 6), rng.randint(0, 9)
+        special = [0.0, -0.0, r, -r, 1e-17, -1e-17]
+        base = [rng.choice(special) if rng.random() < 0.5 else rng.uniform(-r, r) for _ in range(n)]
+        cases.append((rng.choice(LIFT_KINDS), r, base, rng.randint(0, 3 * n + 3)))
+    assert {(order > 2 * len(base)) - (order < 2 * len(base)) for _, _, base, order in cases} == {-1, 0, 1}
+    for kind, r, base, order in cases:
+        got, want = predicted_transform_spectrum(kind, r, base, order), _two_branch_lift(kind, r, base, order)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (kind, r, base, order)
 
 
 def test_predicted_subdivision_of_c3_is_c6_spectrum():

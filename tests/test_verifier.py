@@ -249,6 +249,16 @@ def test_run_check_reads_the_tolerance_as_one_real_number(tol):
         run_check(CheckId.THM_CYCLE, generate("cycle", 5), tol=tol)
 
 
+def test_run_suite_refuses_a_bad_tolerance_before_it_solves(monkeypatch, capsys):
+    eigensolves = _count_calls(monkeypatch, linalg, "eigenvalues_symmetric")
+    for tol in (-1, math.nan, "1e-8"):
+        with pytest.raises(ValueError, match="^tolerance must be"):
+            run_suite(default_suite(), tol=tol)
+    assert cli.main(["verify", "--suite", "default", "--tol", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: tolerance must be positive and finite, got -1.0\n")
+    assert eigensolves == []
+
+
 def test_error_captured_in_report():
     reports = run_check(CheckId.THM_SPLIT_ENERGY, generate("cycle", 4), {"k": -2})
     assert all(r.verdict == "error" for r in reports)
@@ -303,6 +313,14 @@ def test_suite_with_k2_degenerate_graph():
     assert by_check[("THM_TRACE_HARMONIC", "single")].verdict == "pass"
     assert by_check[("THM_REG_SCALING", "corrected")].verdict == "pass"
     assert not has_key_failure(reports)
+    # P3 and K3 have 3 vertices, and K2's base spectrum lifts to 4 roots: the one nearest zero is dropped
+    for check in ("THM_SUBDIVISION", "THM_SEMITOTAL_POINT"):
+        lift = by_check[(check, "corrected")]
+        assert (lift.verdict, lift.details) == ("pass", "predicted lift spectrum vs eigensolver, r=1")
+        assert lift.max_deviation <= 1e-15
+        assert run_check(check, generate("complete", 2)) == [r for r in reports if r.check == check]
+    assert by_check[("THM_SUBDIVISION", "as_printed")].max_deviation == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert by_check[("THM_SEMITOTAL_POINT", "as_printed")].max_deviation == pytest.approx(1.924950591148529, rel=1e-12)
 
 
 def test_default_suite_all_key_variants_pass():
