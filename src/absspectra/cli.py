@@ -287,7 +287,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     enabled = gc.isenabled()
     gc.disable()
     # LookupError covers KeyError and the IndexError of an edge outside 0..n-1

@@ -305,12 +305,12 @@ def line_graph(graph):
 
 
 def incidence_matrix(graph):
-    """n x m 0/1 incidence matrix (integer dtype); column j marks the endpoints of edge j."""
+    """Dense n x m 0/1 incidence matrix as float64; column j marks the endpoints of edge j."""
     check_dense_budget(graph.n, graph.m, "incidence matrix")
-    f = np.zeros((graph.n, graph.m), dtype=np.int64)
+    f = np.zeros((graph.n, graph.m))
     for j, (u, v) in enumerate(graph.edges):
-        f[u, j] = 1
-        f[v, j] = 1
+        f[u, j] = 1.0
+        f[v, j] = 1.0
     return f
 
 

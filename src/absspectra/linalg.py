@@ -58,7 +58,7 @@ def _as_square_matrix(matrix, stacked=False):
     if a.ndim not in ((2, 3) if stacked else (2,)) or a.shape[-1] != a.shape[-2]:
         what = "square or a stack of square matrices" if stacked else "square"
         raise ValueError(f"matrix must be {what}, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
@@ -122,7 +122,7 @@ def eigenvalues_symmetric(matrix):
         raise ValueError(f"matrix order {n} exceeds eigensolver cap {_JACOBI_ORDER_CAP}")
     if not np.array_equal(a, a.swapaxes(-1, -2)):
         raise ValueError("matrix is not symmetric")
-    if n < 2 or a.size == 0:
+    if n < 2:
         return a.diagonal(axis1=-2, axis2=-1).copy()
     stack = a.reshape(-1, n, n)
     k = stack.shape[0]

@@ -102,23 +102,27 @@ def path_abs_charpoly(n):
     Omega_m = x*Omega_{m-1} - (1/2)*Omega_{m-2}, so Omega_2 = x^2 - 1/2, the
     polynomial is ``x^2*Omega_{n-2} - (2/3)*x*Omega_{n-3} + (1/9)*Omega_{n-4}``.
     Omega_0 = 1 is forced by consistency with the determinant recurrence of
-    tridiagonal matrices; it is needed exactly when n = 5.
+    tridiagonal matrices; it is needed exactly when n = 5. From n = 2289 a
+    coefficient overflows float64, and the step that overflows raises ``ValueError``.
     """
     n = _integer(n, "path recurrence orders n", 5)
     omegas = [np.array([1.0]), np.array([0.0, 1.0])]  # only the newest three Omega_m, newest last
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, whatever the warning filter
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at its first step, whatever the filter
         for m in range(2, n - 1):
             coeffs = np.zeros(m + 1)
             coeffs[1:] = omegas[-1]
             coeffs[: m - 1] -= 0.5 * omegas[-2]
+            if not np.isfinite(coeffs).all():
+                break
             omegas = omegas[-2:] + [coeffs]
-        result = np.zeros(n + 1)
-        result[2:] += omegas[-1]
-        result[1 : n - 1] += -2.0 / 3.0 * omegas[-2]
-        result[: n - 3] += 1.0 / 9.0 * omegas[-3]
-    if not np.isfinite(result).all():
-        raise ValueError(f"path recurrence coefficients overflow float64 at n={n}")
-    return result
+        else:
+            result = np.zeros(n + 1)
+            result[2:] += omegas[-1]
+            result[1 : n - 1] += -2.0 / 3.0 * omegas[-2]
+            result[: n - 3] += 1.0 / 9.0 * omegas[-3]
+            if np.isfinite(result).all():
+                return result
+    raise ValueError(f"path recurrence coefficients overflow float64 at n={n}")
 
 
 def lift_coefficients(kind, r):

@@ -229,7 +229,7 @@ def _chk_incidence_reg(graph, params, memo):
     check_dense_budget(graph.n, graph.n, "F F^t")
     f = incidence_matrix(graph)
     lhs = f @ f.T
-    rhs = adjacency_matrix(graph).astype(np.int64) + r * np.eye(graph.n, dtype=np.int64)
+    rhs = adjacency_matrix(graph) + r * np.eye(graph.n)
     dev = float(np.abs(lhs - rhs).max(initial=0))
     return True, dev, f"F F^t vs A + {r}I, integer arithmetic"
 
@@ -238,7 +238,7 @@ def _chk_incidence_line(graph, params, memo):
     check_dense_budget(graph.m, graph.m, "F^t F")
     f = incidence_matrix(graph)
     lhs = f.T @ f
-    rhs = 2 * np.eye(graph.m, dtype=np.int64) + adjacency_matrix(memo.transform("line_graph", graph)).astype(np.int64)
+    rhs = 2 * np.eye(graph.m) + adjacency_matrix(memo.transform("line_graph", graph))
     dev = float(np.abs(lhs - rhs).max(initial=0))
     return True, dev, "F^t F vs 2I + A(L(G)), integer arithmetic"
 
@@ -295,43 +295,47 @@ def _chk_reg_scaling(graph, params, memo):
     return corrected, as_printed
 
 
-def _lift_check(kind):
+def _transform_check(kind, variants):
+    """Check of a ``kind`` transform theorem: both variants skip unless the graph is connected and r-regular, r >= 1."""
     def check(graph, params, memo):
         r = connected_regular_degree(graph)
         if r is None:
             skip = (False, 0.0, "needs a connected regular graph with r >= 1")
             return skip, skip
-        transformed = memo.transform(kind, graph)
-        u, v, w = lift_coefficients(kind, r)
-        base = memo.transform("line_graph", graph) if kind == "semitotal_line" else graph
-        surplus = transformed.n - 2 * base.n  # zero roots beyond the lifted pairs
-
-        def corrected():
-            if kind == "semitotal_line":
-                # polynomial route: x^max(0,-s) * phi(T2) == x^max(0,s) * prod(x^2 - u*lam*x - (v*lam + w))
-                lhs = np.concatenate([np.zeros(max(0, -surplus)), memo.charpoly(transformed, "abs")])
-                rhs = np.concatenate([np.zeros(max(0, surplus)), [1.0]])
-                for lam in memo.spectrum(base, "adjacency").tolist():
-                    rhs = np.convolve(rhs, [-(v * lam + w), -u * lam, 1.0])
-                dev = linalg.poly_deviation(lhs, rhs)
-                return True, dev, f"zero-padded char poly vs product of lift quadratics, r={r}"
-            predicted = predicted_transform_spectrum(kind, r, memo.spectrum(base, "adjacency"), transformed.n)
-            actual = memo.spectrum(transformed, "abs")
-            dev = linalg.multiset_deviation(predicted, actual)
-            return True, dev, f"predicted lift spectrum vs eigensolver, r={r}"
-
-        def as_printed():
-            # np.polyval takes the highest power first
-            lhs = np.polyval(memo.charpoly(transformed, "abs")[::-1], _SAMPLE_POINTS).tolist()
-            args = [(x * x - w) / (u * x + v) for x in _SAMPLE_POINTS]
-            psi = np.polyval(memo.charpoly(base, "adjacency")[::-1], args).tolist()
-            rhs = [(u * x + v) * x**surplus * psi_x for x, psi_x in zip(_SAMPLE_POINTS, psi)]
-            dev = max(map(_scalar_deviation, lhs, rhs))
-            return True, dev, f"pointwise char poly vs printed prefactor identity, r={r}"
-
-        return corrected, as_printed
+        return variants(kind, graph, params, memo, r, memo.transform(kind, graph, params))
 
     return check
+
+
+def _lift_variants(kind, graph, params, memo, r, transformed):
+    u, v, w = lift_coefficients(kind, r)
+    base = memo.transform("line_graph", graph) if kind == "semitotal_line" else graph
+    surplus = transformed.n - 2 * base.n  # zero roots beyond the lifted pairs
+
+    def corrected():
+        if kind == "semitotal_line":
+            # polynomial route: x^max(0,-s) * phi(T2) == x^max(0,s) * prod(x^2 - u*lam*x - (v*lam + w))
+            lhs = np.concatenate([np.zeros(max(0, -surplus)), memo.charpoly(transformed, "abs")])
+            rhs = np.concatenate([np.zeros(max(0, surplus)), [1.0]])
+            for lam in memo.spectrum(base, "adjacency").tolist():
+                rhs = np.convolve(rhs, [-(v * lam + w), -u * lam, 1.0])
+            dev = linalg.poly_deviation(lhs, rhs)
+            return True, dev, f"zero-padded char poly vs product of lift quadratics, r={r}"
+        predicted = predicted_transform_spectrum(kind, r, memo.spectrum(base, "adjacency"), transformed.n)
+        actual = memo.spectrum(transformed, "abs")
+        dev = linalg.multiset_deviation(predicted, actual)
+        return True, dev, f"predicted lift spectrum vs eigensolver, r={r}"
+
+    def as_printed():
+        # np.polyval takes the highest power first
+        lhs = np.polyval(memo.charpoly(transformed, "abs")[::-1], _SAMPLE_POINTS).tolist()
+        args = [(x * x - w) / (u * x + v) for x in _SAMPLE_POINTS]
+        psi = np.polyval(memo.charpoly(base, "adjacency")[::-1], args).tolist()
+        rhs = [(u * x + v) * x**surplus * psi_x for x, psi_x in zip(_SAMPLE_POINTS, psi)]
+        dev = max(map(_scalar_deviation, lhs, rhs))
+        return True, dev, f"pointwise char poly vs printed prefactor identity, r={r}"
+
+    return corrected, as_printed
 
 
 def _chk_path_recurrence(graph, params, memo):
@@ -373,27 +377,19 @@ def _chk_r1_bound(graph, params, memo):
     return bound, (True, _scalar_deviation(lhs, rhs), details + " (equality is observed exactly for complete graphs)")
 
 
-def _energy_check(kind):
-    def check(graph, params, memo):
-        r = connected_regular_degree(graph)
-        if r is None:
-            skip = (False, 0.0, "needs a connected regular graph with r >= 1")
-            return skip, skip
-        k = _copies(params)
-        transformed = memo.transform(kind, graph, params)
-        lhs = energy(memo.spectrum(transformed, "abs"))
-        base_energy, transformed_energy = (energy(memo.spectrum(g, "adjacency")) for g in (graph, transformed))
-        corrected, as_printed = predicted_energy(kind, r, k, base_energy, transformed_energy)
+def _energy_variants(kind, graph, params, memo, r, transformed):
+    k = _copies(params)
+    lhs = energy(memo.spectrum(transformed, "abs"))
+    base_energy, transformed_energy = (energy(memo.spectrum(g, "adjacency")) for g in (graph, transformed))
+    corrected, as_printed = predicted_energy(kind, r, k, base_energy, transformed_energy)
 
-        def outcome(rhs, side):
-            return True, _scalar_deviation(lhs, rhs), f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}"
+    def outcome(rhs, side):
+        return True, _scalar_deviation(lhs, rhs), f"k={k}, r={r}: E_ABS = {_fmt(lhs)} vs {side} {_fmt(rhs)}"
 
-        return (
-            outcome(corrected, "base-graph energy"),
-            outcome(as_printed, "transformed-graph energy, printed factor"),
-        )
-
-    return check
+    return (
+        outcome(corrected, "base-graph energy"),
+        outcome(as_printed, "transformed-graph energy, printed factor"),
+    )
 
 
 _SINGLE = ("single",)
@@ -406,9 +402,9 @@ _CHECKS = {
     "LEM_INCIDENCE_LINE": (_SINGLE, _chk_incidence_line, "exact"),
     "LEM_SCHUR": (_SINGLE, _chk_schur, "fixed"),
     "THM_REG_SCALING": (_BOTH, _chk_reg_scaling, "graph"),
-    "THM_SUBDIVISION": (_BOTH, _lift_check("subdivision"), "subdivision"),
-    "THM_SEMITOTAL_POINT": (_BOTH, _lift_check("semitotal_point"), "semitotal_point"),
-    "THM_SEMITOTAL_LINE": (_BOTH, _lift_check("semitotal_line"), "semitotal_line"),
+    "THM_SUBDIVISION": (_BOTH, _transform_check("subdivision", _lift_variants), "subdivision"),
+    "THM_SEMITOTAL_POINT": (_BOTH, _transform_check("semitotal_point", _lift_variants), "semitotal_point"),
+    "THM_SEMITOTAL_LINE": (_BOTH, _transform_check("semitotal_line", _lift_variants), "semitotal_line"),
     "THM_PATH_RECURRENCE": (_SINGLE, _chk_path_recurrence, "fixed"),
     "THM_COMPLETE": (_SINGLE, _closed_form_check("complete"), "graph"),
     "THM_CYCLE": (_SINGLE, _closed_form_check("cycle"), "graph"),
@@ -416,8 +412,8 @@ _CHECKS = {
     "THM_STAR": (_SINGLE, _closed_form_check("star"), "graph"),
     "THM_TRACE_HARMONIC": (_SINGLE, _chk_trace_harmonic, "graph"),
     "THM_R1_BOUND": (_BOTH, _chk_r1_bound, "graph"),
-    "THM_SPLIT_ENERGY": (_BOTH, _energy_check("splitting"), "splitting"),
-    "THM_SHADOW_ENERGY": (_BOTH, _energy_check("shadow"), "shadow"),
+    "THM_SPLIT_ENERGY": (_BOTH, _transform_check("splitting", _energy_variants), "splitting"),
+    "THM_SHADOW_ENERGY": (_BOTH, _transform_check("shadow", _energy_variants), "shadow"),
 }
 
 CheckId = enum.Enum("CheckId", [(name, name) for name in _CHECKS], module=__name__)

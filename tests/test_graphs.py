@@ -572,6 +572,19 @@ def test_line_graph_invariant_under_relabeling():
 def test_incidence_matrix_examples():
     np.testing.assert_array_equal(incidence_matrix(generate("path", 3)), [[1, 0], [1, 1], [0, 1]])
     np.testing.assert_array_equal(incidence_matrix(generate("complete", 2)), [[1], [1]])
+    assert incidence_matrix(generate("path", 3)).dtype == np.float64
+
+
+def test_incidence_gram_products_in_float64_are_the_integer_products():
+    # Every entry and partial sum of F F^t and F^t F is an integer no larger than the
+    # largest degree, so BLAS's float64 products are exact in any summation order.
+    rng = random.Random(34)
+    completes = [generate("complete", n) for n in (2, 7, 20, 41, 60)]
+    for g in completes + [random_graph(rng, n) for n in (1, 5, 12, 30, 45, 60)]:
+        f = incidence_matrix(g)
+        exact = f.astype(np.int64)
+        np.testing.assert_array_equal(f @ f.T, exact @ exact.T)
+        np.testing.assert_array_equal(f.T @ f, exact.T @ exact)
 
 
 def test_incidence_matrix_sums():

@@ -1,8 +1,9 @@
 """Guards on the runtime routes and the source.
 
-No numpy.linalg call, no numpy.polynomial import, the tracer's hooks resolve,
-no count's floor is written out beside ``graphs._integer``, and no blanket
-catch sits outside the verifier's three places that make an error a report row.
+No numpy.linalg call, no numpy.polynomial import, large CLI inputs answer in
+seconds, the tracer's hooks resolve, no count's floor is written out beside
+``graphs._integer``, and no blanket catch sits outside the verifier's three
+places that make an error a report row.
 """
 
 import ast
@@ -89,6 +90,30 @@ assert "numpy.polynomial" not in sys.modules, "numpy.polynomial imported on a ru
         [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Inputs at the edges of the caps and budgets, with their exit codes. Each answers in well
+# under a second, so the 20 s timeout leaves a margin of 20x for the host's speed drift.
+_FAIL_FAST = [
+    (["verify", "--check", "LEM_INCIDENCE_LINE", "--graph", "cycle:1600"], 0),
+    (["verify", "--check", "LEM_INCIDENCE_REG", "--graph", "cycle:1600"], 0),
+    (["charpoly", "--abs", "--via", "recurrence", "--graph", "path:200000"], 2),
+    (["spectrum", "--abs", "--graph", "cycle:1000"], 2),
+    (["verify", "--check", "LEM_SCHUR", "--graph", "cycle:501"], 1),
+]
+
+
+def test_large_inputs_answer_fast():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys; from absspectra.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, exit_code in _FAIL_FAST:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=20,
+        )
+        assert proc.returncode == exit_code, (argv, proc.stderr)
 
 
 def test_tracer_targets_resolve():

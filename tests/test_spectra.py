@@ -209,6 +209,22 @@ def test_path_charpoly_refuses_overflow_whatever_the_warning_filter(action):
     assert caught == []
 
 
+def test_path_charpoly_refuses_at_its_first_overflowing_step(monkeypatch):
+    # Omega_m first overflows at m = 2288, so the refusal of n = 100000 costs
+    # about 2300 of the recurrence's steps, one np.zeros each, not 100000.
+    steps = []
+    zeros = np.zeros
+
+    def counting_zeros(*args, **kwargs):
+        steps.append(args)
+        return zeros(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counting_zeros)
+    with pytest.raises(ValueError, match="overflow float64 at n=100000$"):
+        path_abs_charpoly(100_000)
+    assert 2000 < len(steps) < 2300
+
+
 def _path_charpoly_keeping_every_omega(n):
     # the recurrence with every Omega_m kept in one list, O(n^2) memory
     omegas = [np.array([1.0]), np.array([0.0, 1.0])]

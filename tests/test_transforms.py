@@ -51,7 +51,7 @@ def test_subdivision_counts_and_adjacency_block():
         g = random_graph(rng, rng.randint(1, 8))
         s = subdivision(g)
         assert s.n == g.n + g.m and s.m == 2 * g.m
-        f = incidence_matrix(g).astype(float)
+        f = incidence_matrix(g)
         expected = np.block(
             [[np.zeros((g.n, g.n)), f], [f.T, np.zeros((g.m, g.m))]]
         )

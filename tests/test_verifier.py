@@ -276,6 +276,32 @@ def test_energy_checks_refuse_a_non_integral_k(check):
     assert run_check(check, c4, {"k": np.int64(3)}) == run_check(check, c4, {"k": 3})
 
 
+_TRANSFORM_CHECKS = ("THM_SUBDIVISION", "THM_SEMITOTAL_POINT", "THM_SEMITOTAL_LINE", "THM_SPLIT_ENERGY", "THM_SHADOW_ENERGY")
+
+
+@pytest.mark.parametrize("check", _TRANSFORM_CHECKS)
+def test_transform_checks_skip_a_graph_not_connected_regular_unbuilt(check):
+    two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])  # 2-regular, disconnected
+    for graph in (generate("path", 5), two_triangles, Graph(5, [])):
+        memo = verifier._Spectra()
+        reports = run_check(check, graph, _memo=memo)
+        assert [(r.variant, r.verdict, r.details) for r in reports] == [
+            (variant, "inapplicable", "needs a connected regular graph with r >= 1")
+            for variant in ("corrected", "as_printed")
+        ]
+        assert memo._graphs == {}
+
+
+def test_a_bad_k_errors_only_the_energy_checks():
+    c4 = generate("cycle", 4)
+    for check in _TRANSFORM_CHECKS:
+        reports = run_check(check, c4, {"k": 2.7})
+        if CheckId[check] in verifier.K_CHECKS:
+            assert all(r.verdict == "error" and "copy counts k must be integers" in r.details for r in reports)
+        else:
+            assert reports == run_check(check, c4)
+
+
 def test_describe_graph_names():
     assert describe_graph(generate("complete", 4)) == "K4"
     assert describe_graph(generate("cycle", 6)) == "C6"
