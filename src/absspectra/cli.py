@@ -290,10 +290,10 @@ def main(argv=None):
         return exc.code
     enabled = gc.isenabled()
     gc.disable()
-    # LookupError covers KeyError and the IndexError of an edge outside 0..n-1
+    # GraphSpecError is a ValueError; LookupError covers KeyError and the IndexError of an edge outside 0..n-1
     try:
         return args.handler(args)
-    except (GraphSpecError, ValueError, LookupError, OSError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -220,22 +220,17 @@ def eigenvalues_symmetric(matrix):
 def char_poly(matrix):
     """Monic characteristic polynomial det(xI - M) via the Faddeev-LeVerrier recurrence.
 
-    Trace accumulation uses compensated summation (``math.fsum``). Limited to
-    order 64; the method is O(n^4) and loses accuracy well before memory does.
+    From M_0 = 0 and c_n = 1, step k = 1..n takes M_k = M (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k,
+    the trace by ``math.fsum``. Limited to order 64: O(n^4), it loses accuracy well before memory runs out.
     """
     a = _as_square_matrix(matrix)
     n = a.shape[0]
     if n > _CHARPOLY_ORDER_CAP:
         raise ValueError(f"matrix order {n} exceeds char_poly cap {_CHARPOLY_ORDER_CAP}")
     coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    if n == 0:
-        return coeffs
-    mk = a.copy()
-    c = -math.fsum(mk.diagonal().tolist())
-    coeffs[n - 1] = c
-    eye = np.eye(n)
-    for k in range(2, n + 1):
+    coeffs[n] = c = 1.0
+    mk, eye = np.zeros((n, n)), np.eye(n)
+    for k in range(1, n + 1):
         mk = a @ (mk + c * eye)
         c = -math.fsum(mk.diagonal().tolist()) / k
         coeffs[n - k] = c

@@ -187,28 +187,25 @@ class _Spectra:
 def _spectral_plan(graph, params, memo):
     """The (graph, kind) spectra the checks ask of one suite entry, in a fixed order.
 
-    It follows the checks: the ABS spectrum of every graph; the adjacency
-    spectrum of an r-regular graph with r >= 1 (regular scaling); and for a
-    connected one, for each transform that ``memo`` builds, what its check
-    reads: the ABS spectrum of the subdivision or the semitotal point graph,
-    L(G)'s adjacency spectrum for the semitotal line graph, both spectra of
-    the k-splitting or the k-shadow. A transform that cannot be built adds
-    nothing, and only the checks that build it report the error. A key may
-    repeat: L(C3) is C3, and the 1-shadow is the graph itself.
+    It asks what the checks ask: the ABS spectrum of every graph; the adjacency spectrum of an
+    r-regular graph with r >= 1 (regular scaling); and, for a graph that ``connected_regular_degree``
+    admits as ``_transform_check`` does, what the check of each transform that ``memo`` builds reads:
+    the ABS spectrum of the subdivision or the semitotal point graph, L(G)'s adjacency spectrum for
+    the semitotal line graph, both spectra of the k-splitting or the k-shadow. A transform that cannot
+    be built adds nothing, and only the checks that build it report the error. A key may repeat: L(C3)
+    is C3, and the 1-shadow is the graph itself.
     """
     keys = [(graph, "abs")]
-    if not is_regular(graph):
-        return keys
-    keys.append((graph, "adjacency"))
-    if not is_connected(graph):
-        return keys
-    for kind in TRANSFORM_KINDS:
-        with contextlib.suppress(ValueError):  # not built: the checks that build it report the error
-            transformed = memo.transform(kind, graph, params)
-            if kind == "semitotal_line":
-                keys.append((memo.transform("line_graph", graph), "adjacency"))
-            else:
-                keys += [(transformed, "abs")] + [(transformed, "adjacency")] * (kind in K_KINDS)
+    if is_regular(graph):
+        keys.append((graph, "adjacency"))
+    if connected_regular_degree(graph) is not None:
+        for kind in TRANSFORM_KINDS:
+            with contextlib.suppress(ValueError):  # not built: the checks that build it report the error
+                transformed = memo.transform(kind, graph, params)
+                if kind == "semitotal_line":
+                    keys.append((memo.transform("line_graph", graph), "adjacency"))
+                else:
+                    keys += [(transformed, "abs")] + [(transformed, "adjacency")] * (kind in K_KINDS)
     return keys
 
 

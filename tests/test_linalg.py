@@ -606,6 +606,43 @@ def test_char_poly_small_orders():
     np.testing.assert_allclose(char_poly([[2.5]]), [-2.5, 1.0])
 
 
+def _char_poly_two_branch(matrix):
+    """Faddeev-LeVerrier with an order-0 return and its first step unrolled, M_1 = M."""
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    if n == 0:
+        return coeffs
+    mk = a.copy()
+    c = -math.fsum(mk.diagonal().tolist())
+    coeffs[n - 1] = c
+    eye = np.eye(n)
+    for k in range(2, n + 1):
+        mk = a @ (mk + c * eye)
+        c = -math.fsum(mk.diagonal().tolist()) / k
+        coeffs[n - k] = c
+    return coeffs
+
+
+def test_char_poly_from_its_initial_values_keeps_every_bit():
+    # M_1 = M (0 + 1 I) differs from M only in the signs of zeros, which no trace keeps
+    rng = np.random.default_rng(35)
+    matrices = []
+    for n in range(65):
+        general = rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-2, 3))
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
+        signed_zeros = rng.standard_normal((n, n))
+        signed_zeros[rng.random((n, n)) < 0.4] = -0.0
+        matrices += [general, (general + general.T) / 2.0, upper + upper.T, signed_zeros, np.full((n, n), -0.0)]
+    for kind, order in (("cycle", 16), ("path", 32), ("complete", 10), ("complete", 64)):
+        graph = generate(kind, order)
+        matrices += [abs_matrix(graph), adjacency_matrix(graph)]
+    for m in matrices:
+        got, want = char_poly(m), _char_poly_two_branch(m)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_multiset_close():
     assert multiset_deviation([0.0, 1.0], [1.0, 1e-13]) <= 1e-9
     assert multiset_deviation([0.0, 1.0], [1.0, 1e-3]) > 1e-9

@@ -629,6 +629,10 @@ def test_spectral_plan_is_what_the_checks_ask_for(monkeypatch):
     entries += [(graph, {"k": k}) for graph, _ in default_suite() for k in (1, 3)]
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # regular, not connected
     entries += [(two_triangles, None), (Graph(0), None), (Graph(3), None), (generate("cycle", 4), {"k": -2})]
+    # the edges of the transforms' precondition: K1 (0-regular), K2 (the one connected 1-regular graph) and
+    # S4 (connected, not regular)
+    precondition_edges = (Graph(1), generate("complete", 2), generate("star", 4))
+    entries += [(graph, {"k": k}) for graph in precondition_edges for k in (1, 2, 3)]
     # 4-regular C8(1,2), C9(1,3) and C12(2,3), 3-regular C10(1,5), 6-regular C11(1,2,4), C10(2,4), which is
     # regular but not connected, and C7(1,2,3), which is K7
     circulants = [(8, (1, 2)), (9, (1, 3)), (12, (2, 3)), (10, (1, 5)), (11, (1, 2, 4)), (10, (2, 4)), (7, (1, 2, 3))]
