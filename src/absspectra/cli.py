@@ -71,9 +71,10 @@ def parse_graph_spec(spec):
         path_end = len(rest)
         while path_end and _K_TOKEN.fullmatch(rest[path_end - 1]):
             path_end -= 1
-        if not path_end:
+        path = ":".join(rest[:path_end])
+        if not path:
             raise GraphSpecError("file: needs a path")
-        graph, rest = load_graph(":".join(rest[:path_end])), rest[path_end:]
+        graph, rest = load_graph(path), rest[path_end:]
     elif base in _GENERATOR_ARITY:
         arity = _GENERATOR_ARITY[base]
         params = []
@@ -279,7 +280,7 @@ def main(argv=None):
 
     The command runs with the cyclic garbage collector paused. The package
     builds no reference cycles, so reference counting frees everything a
-    command drops, and the collections that the 10^5 edge tuples of a large
+    command drops, and the collections that the lists and tuples of a large
     transform would set off find nothing (a tier-1 test runs each command
     kind and finds no cyclic garbage left). The caller's collector state
     comes back on every exit: 0, 1, 2 or an exception.

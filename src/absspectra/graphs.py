@@ -1,17 +1,19 @@
 """Immutable simple undirected graphs, named-family generators and structural queries.
 
-Vertices are ``0..n-1``. Edges are stored sorted lexicographically as
-``(min, max)`` pairs; the position of an edge in that order is its edge index,
-which fixes the column order of the incidence matrix and the vertex order of
-the line graph. Beside them a graph keeps its vertex degrees and, once asked,
-its two-colouring; that one search, :func:`_two_colouring`, builds its own neighbour lists.
+Vertices are ``0..n-1``. A graph stores its edges as ``higher``: for each
+vertex, the ascending tuple of its neighbours with higher ids. Read in vertex
+order, these runs give the edges as ``(min, max)`` pairs in lexicographic
+order; the position of an edge in that order is its edge index, which fixes the
+column order of the incidence matrix and the vertex order of the line graph.
+Every reader walks the runs; ``Graph.edges`` builds the pairs for pickling and
+:func:`to_json_dict`. Beside the runs a graph keeps its vertex degrees and, once
+asked, its two-colouring; that one search, :func:`_two_colouring`, builds its own neighbour lists.
 """
 
 import json
 import operator
 import os
 import re
-from itertools import chain, groupby
 
 import numpy as np
 
@@ -63,19 +65,20 @@ class Graph:
     id through :func:`_integer`, collapses duplicate pairs, normalizes every
     pair to ``(min, max)`` and rejects self-loops, out-of-range ids
     (``IndexError``), items that are not pairs, ``pairs`` that is not
-    iterable, and a vertex count below 0 or over VERTEX_BUDGET; then it sorts the edges and counts the
-    degrees. Every graph read from outside the package goes through it: :func:`from_json_dict`,
-    unpickling, any direct call and edge-list text (:func:`parse_edge_list_text`, :func:`load_graph`)
-    outside the writer's form. Text in that form goes to :meth:`_from_ids`, which makes the same
+    iterable, and a vertex count below 0 or over VERTEX_BUDGET; then it sorts the edges, groups them
+    into runs and counts the degrees. Every graph read from outside the package goes through it:
+    :func:`from_json_dict`, unpickling, any direct call and edge-list text (:func:`parse_edge_list_text`,
+    :func:`load_graph`) outside the writer's form. Text in that form goes to :meth:`_from_ids`, which makes the same
     checks on the whole id array and hands input that fails one to ``Graph(n, pairs)``. The graphs
     the package derives from a valid graph, those of :func:`generate`, :func:`line_graph` and the
-    five transforms, skip all of that: their producers emit distinct in-range ``(min, max)`` pairs
-    in ascending order and the degrees by construction and pass both to the private core, :meth:`_canonical`.
-    Instances hold ``n``, the sorted ``edges``, the tuple of vertex ``degrees`` and, once
-    :func:`_two_colouring` has run, its result; they are immutable, and all operations return new graphs.
+    five transforms, skip all of that: their producers emit each vertex's run of distinct in-range
+    higher neighbours in ascending order and the degrees by construction and pass both to the private
+    core, :meth:`_canonical`. Instances hold ``n``, the runs ``higher`` (a tuple of tuples), the tuple
+    of vertex ``degrees`` and, once :func:`_two_colouring` has run, its result; they are immutable,
+    and all operations return new graphs.
     """
 
-    __slots__ = ("n", "edges", "degrees", "_colouring")
+    __slots__ = ("n", "higher", "degrees", "_colouring")
 
     def __init__(self, n, pairs=()):
         n = _integer(n, "vertex counts", 0)
@@ -100,12 +103,13 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
             norm.append((u, v) if u < v else (v, u))
-        edges = sorted(dict.fromkeys(norm))
+        higher = [[] for _ in range(n)]
         degrees = [0] * n
-        for u, v in edges:
+        for u, v in sorted(dict.fromkeys(norm)):
+            higher[u].append(v)
             degrees[u] += 1
             degrees[v] += 1
-        self._fill(n, edges, degrees)
+        self._fill(n, higher, degrees)
 
     @classmethod
     def _from_ids(cls, n, ids):
@@ -125,23 +129,27 @@ class Graph:
         keys = np.array(sorted(set((low * n + high).tolist())), dtype=np.int64)
         low, high = np.divmod(keys, n)
         degrees = np.bincount(np.concatenate((low, high)), minlength=n)
-        return cls._canonical(n, list(zip(low.tolist(), high.tolist())), degrees.tolist())
+        # the keys ascend, so each vertex's run is one slice of ``high``, a tuple that _fill keeps as it is
+        ends = np.cumsum(np.bincount(low, minlength=n)).tolist()
+        high = tuple(high.tolist())
+        return cls._canonical(n, [high[a:b] for a, b in zip([0, *ends], ends)], degrees.tolist())
 
     @classmethod
-    def _canonical(cls, n, edges, degrees):
-        """The graph on ``n`` vertices with ``edges`` and vertex ``degrees``, taken without checks.
+    def _canonical(cls, n, higher, degrees):
+        """The graph on ``n`` vertices with neighbour runs ``higher`` and vertex ``degrees``, taken without checks.
 
-        ``edges`` must be distinct in-range ``(min, max)`` pairs in ascending order and ``degrees`` the
-        degree of each vertex, as the package's own producers emit them; nothing is sorted or counted.
+        ``higher[x]`` must hold x's neighbours above x, distinct, ascending and below ``n``, for each of the
+        ``n`` vertices, and ``degrees`` the degree of each vertex, as the package's own producers emit them;
+        nothing is sorted or counted.
         """
         graph = object.__new__(cls)
-        graph._fill(n, edges, degrees)
+        graph._fill(n, higher, degrees)
         return graph
 
-    def _fill(self, n, edges, degrees):
-        """Store ``n``, the sorted ``edges`` and the per-vertex ``degrees`` as tuples."""
+    def _fill(self, n, higher, degrees):
+        """Store ``n``, the neighbour runs ``higher`` and the per-vertex ``degrees`` as tuples."""
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "higher", tuple(map(tuple, higher)))
         object.__setattr__(self, "degrees", tuple(degrees))
 
     def __setattr__(self, name, value):
@@ -152,15 +160,20 @@ class Graph:
         return (Graph, (self.n, self.edges))
 
     @property
+    def edges(self):
+        """The edges as ascending ``(u, v)`` pairs, u < v, built on each call from the runs of ``higher``."""
+        return tuple((u, v) for u, run in enumerate(self.higher) for v in run)
+
+    @property
     def m(self):
-        """Edge count."""
-        return len(self.edges)
+        """Edge count: half the degree sum."""
+        return sum(self.degrees) // 2
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.higher == other.higher
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.higher))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -181,18 +194,18 @@ def generate(kind, *params):
             raise ValueError("complete_bipartite takes two part sizes")
         a, b = (_integer(size, f"{kind} part sizes", 1) for size in params)
         check_budget(a * b, a + b, f"complete_bipartite({a}, {b})")
-        return Graph._canonical(a + b, [(i, a + j) for i in range(a) for j in range(b)], [b] * a + [a] * b)
+        return Graph._canonical(a + b, [range(a, a + b)] * a + [()] * b, [b] * a + [a] * b)
     if len(params) != 1:
         raise ValueError(f"{kind} takes one size parameter")
     n = _integer(params[0], f"{kind} sizes n", 3 if kind == "cycle" else 1)
     check_budget({"complete": n * (n - 1) // 2, "cycle": n}.get(kind, n - 1), n, f"{kind}({n})")
     if kind == "complete":
-        return Graph._canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)], [n - 1] * n)
+        return Graph._canonical(n, [range(i + 1, n) for i in range(n)], [n - 1] * n)
     if kind == "cycle":
-        return Graph._canonical(n, [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)], [2] * n)
+        return Graph._canonical(n, [(1, n - 1)] + [(i + 1,) for i in range(1, n - 1)] + [()], [2] * n)
     if kind == "path":
-        return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)], [1] + [2] * (n - 2) + [1] if n > 1 else [0])
-    return Graph._canonical(n, [(0, i) for i in range(1, n)], [n - 1] + [1] * (n - 1))  # star
+        return Graph._canonical(n, [(i + 1,) for i in range(n - 1)] + [()], [1] + [2] * (n - 2) + [1] if n > 1 else [0])
+    return Graph._canonical(n, [range(1, n)] + [()] * (n - 1), [n - 1] + [1] * (n - 1))  # star
 
 
 def is_regular(graph):
@@ -214,9 +227,10 @@ def _two_colouring(graph):
     if hasattr(graph, "_colouring"):
         return graph._colouring
     neighbours = [[] for _ in range(graph.n)]
-    for u, v in graph.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
+    for u, run in enumerate(graph.higher):
+        neighbours[u] += run  # after its lower neighbours, appended below by the earlier vertices
+        for v in run:
+            neighbours[v].append(u)
     colour = [0] + [-1] * (graph.n - 1)
     bipartite = True
     stack = [0]
@@ -280,37 +294,45 @@ def line_graph_edge_count(graph):
 
 
 def _incidence(graph, offset):
-    """Each vertex's incident edge ids ``offset + j`` in ascending lists, and the line graph's edges.
+    """Each vertex's incident edge ids ``offset + j`` in ascending tuples, and the line graph's runs.
 
-    The edges are the ascending ``(offset + i, offset + j)`` pairs, i < j, of edges sharing an endpoint.
-    Edge i = uv (u < v) meets the later edges at u, the edges uw with w > v, then the later edges at v,
-    whose other ends are above u; so the ids ascend, and no sort is needed. Two edges of a simple graph
-    share at most one endpoint, so no pair repeats.
+    The run of edge i = uv (u < v) holds the ids after i of the edges sharing an endpoint with it: the
+    later edges at u, the edges uw with w > v, then the later edges at v, whose other ends are above u;
+    so each run ascends, and no sort is needed. Two edges of a simple graph share at most one endpoint,
+    so no id repeats.
     """
     incident = [[] for _ in range(graph.n)]
-    later = []  # (i, the list at one end of edge i, the position after i in it), u's end first
-    for i, (u, v) in enumerate(graph.edges, offset):
-        a, b = incident[u], incident[v]
-        a.append(i)
-        b.append(i)
-        later += (i, a, len(a)), (i, b, len(b))
-    return incident, [(i, j) for i, ids, p in later for j in ids[p:]]
+    rows = []  # per edge i: its two ends and the position after i in each end's list, u's end first
+    i = offset
+    for u, run in enumerate(graph.higher):
+        a = incident[u]
+        for v in run:
+            b = incident[v]
+            a.append(i)
+            b.append(i)
+            rows.append((u, len(a), v, len(b)))
+            i += 1
+    incident = tuple(map(tuple, incident))  # so each run below is built as the tuple that _fill keeps
+    return incident, [incident[u][p:] + incident[v][q:] for u, p, v, q in rows]
 
 
 def line_graph(graph):
     """Line graph: one vertex per edge (canonical edge order), joined when edges share an endpoint."""
     check_budget(line_graph_edge_count(graph), graph.m, "line graph")
     degs = graph.degrees
-    return Graph._canonical(graph.m, _incidence(graph, 0)[1], [degs[u] + degs[v] - 2 for u, v in graph.edges])
+    edge_degrees = [degs[u] + degs[v] - 2 for u, run in enumerate(graph.higher) for v in run]
+    return Graph._canonical(len(edge_degrees), _incidence(graph, 0)[1], edge_degrees)
 
 
 def incidence_matrix(graph):
     """Dense n x m 0/1 incidence matrix as float64; column j marks the endpoints of edge j."""
     check_dense_budget(graph.n, graph.m, "incidence matrix")
     f = np.zeros((graph.n, graph.m))
-    for j, (u, v) in enumerate(graph.edges):
-        f[u, j] = 1.0
-        f[v, j] = 1.0
+    j = 0
+    for u, run in enumerate(graph.higher):
+        for v in run:
+            f[u, j] = f[v, j] = 1.0
+            j += 1
     return f
 
 
@@ -318,9 +340,9 @@ def adjacency_matrix(graph):
     """Dense 0/1 adjacency matrix as float64 (ready for the eigensolver)."""
     check_dense_budget(graph.n, graph.n, "adjacency matrix")
     a = np.zeros((graph.n, graph.n))
-    for u, v in graph.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    for u, run in enumerate(graph.higher):
+        for v in run:
+            a[u, v] = a[v, u] = 1.0
     return a
 
 
@@ -331,23 +353,30 @@ def adjacency_matrix(graph):
 
 
 # The writers below emit the text ``head % u + tail % v`` of each edge (u, v),
-# edges separated by ``sep``. Sorted edges from u to higher ids form one run, so
-# u's text can be formatted once per run and each v's once per call; a run costs
-# about as much as eight edges of one %-template over every id (timed on random
-# graphs with 1-16 edges per vertex), so sparser graphs take the template.
+# edges separated by ``sep``. The edges from u to higher ids are u's run in
+# ``graph.higher``, so u's text can be formatted once per run and each v's once
+# per call; a run costs about as much as eight edges of one %-template over every
+# id (timed on random graphs with 1-16 edges per vertex), so sparser graphs take
+# the template.
 _RUN_MIN_EDGES_PER_VERTEX = 8
 
 
 def _edge_texts(graph, head, tail, sep):
     """Texts whose concatenation is ``sep.join(head % u + tail % v for (u, v) in graph.edges)``."""
-    edges = graph.edges
-    if len(edges) <= _RUN_MIN_EDGES_PER_VERTEX * graph.n:
-        return [sep.join([head + tail] * len(edges)) % tuple(chain.from_iterable(edges))]
+    higher, m = graph.higher, graph.m
+    if m <= _RUN_MIN_EDGES_PER_VERTEX * graph.n:
+        ids = []
+        for u, run in enumerate(higher):
+            for v in run:
+                ids.append(u)
+                ids.append(v)
+        return [sep.join([head + tail] * m) % tuple(ids)]
     tails = [tail % v for v in range(graph.n)]
     texts = []
-    for u, run in groupby(edges, operator.itemgetter(0)):
-        text = sep + head % u
-        texts += text, text.join(map(tails.__getitem__, map(operator.itemgetter(1), run)))
+    for u, run in enumerate(higher):
+        if run:
+            text = sep + head % u
+            texts += text, text.join(map(tails.__getitem__, run))
     texts[0] = texts[0][len(sep) :]  # no separator before the first edge
     return texts
 
@@ -416,7 +445,7 @@ def to_json_dict(graph):
 
 def to_json_text(graph):
     """Serialize to JSON text, equal to ``json.dumps(to_json_dict(graph), indent=2)``."""
-    if not graph.edges:
+    if not graph.m:
         return '{\n  "n": %d,\n  "edges": []\n}' % graph.n
     edges = _edge_texts(graph, "\n    [\n      %d,\n      ", "%d\n    ]", ",")
     return "".join(['{\n  "n": %d,\n  "edges": [' % graph.n, *edges, "\n  ]\n}"])

@@ -26,7 +26,7 @@ def degree_index(graph, kind):
     except KeyError:
         raise ValueError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}") from None
     degs = graph.degrees
-    return math.fsum(term(degs[u], degs[v]) for u, v in graph.edges)
+    return math.fsum(term(degs[u], degs[v]) for u, run in enumerate(graph.higher) for v in run)
 
 
 def all_indices(graph):

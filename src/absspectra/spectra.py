@@ -27,8 +27,9 @@ def abs_matrix(graph):
     degs = graph.degrees
     term = _EDGE_TERMS["abs"]
     a = np.zeros((graph.n, graph.n))
-    for u, v in graph.edges:
-        a[u, v] = a[v, u] = term(degs[u], degs[v])
+    for u, run in enumerate(graph.higher):
+        for v in run:
+            a[u, v] = a[v, u] = term(degs[u], degs[v])
     return a
 
 

@@ -10,10 +10,11 @@ the resulting matrices is literal:
 * ``shadow(G, k)`` puts copy ``c in 0..k-1`` at ``c*n .. c*n + n - 1``.
 
 Each transform checks the edge and vertex counts of its result against the
-graph budgets before it builds anything. Each emits its edges as ascending
-``(min, max)`` pairs, vertex by vertex from lists of higher neighbours, and
-its degrees from the formula its docstring states, and builds its result
-through ``Graph._canonical``, which neither checks, sorts nor counts.
+graph budgets before it builds anything. Each reads the base graph's runs and
+emits one run per vertex of its result, the vertex's higher neighbours in
+ascending order, with its degrees from the formula its docstring states, and
+builds its result through ``Graph._canonical``, which neither checks, sorts
+nor counts.
 """
 
 from .graphs import Graph, _incidence, _integer, check_budget, line_graph_edge_count
@@ -23,24 +24,22 @@ TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splittin
 K_KINDS = ("splitting", "shadow")
 
 
-def _pairs(higher):
-    """The ascending edges ``(x, y)``, y in ``higher[x]``, from each vertex's ascending higher neighbours."""
-    return [(x, y) for x, ys in enumerate(higher) for y in ys]
-
-
-def _edge_vertex_pairs(graph, higher):
-    """Ascending edges from ``0..n-1``: each vertex's ``higher`` neighbours below n, then n + j for its edges j."""
-    for j, (u, v) in enumerate(graph.edges, graph.n):
-        higher[u].append(j)
-        higher[v].append(j)
-    return _pairs(higher)
+def _edge_vertex_runs(graph, higher):
+    """Runs of ``0..n+m-1``: x's ``higher`` neighbours below n, then n + j for its edges j; edge-vertices get none."""
+    j = graph.n
+    for u, run in enumerate(graph.higher):
+        for v in run:
+            higher[u].append(j)
+            higher[v].append(j)
+            j += 1
+    return higher + [()] * (j - graph.n)
 
 
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
-    check_budget(2 * graph.m, graph.n + graph.m, "subdivision")
-    edges = _edge_vertex_pairs(graph, [[] for _ in range(graph.n)])
-    return Graph._canonical(graph.n + graph.m, edges, graph.degrees + (2,) * graph.m)
+    n, m = graph.n, graph.m
+    check_budget(2 * m, n + m, "subdivision")
+    return Graph._canonical(n + m, _edge_vertex_runs(graph, [[] for _ in range(n)]), graph.degrees + (2,) * m)
 
 
 def semitotal_point(graph):
@@ -51,10 +50,8 @@ def semitotal_point(graph):
     """
     n, m = graph.n, graph.m
     check_budget(3 * m, n + m, "semitotal_point")
-    higher = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        higher[u].append(v)
-    return Graph._canonical(n + m, _edge_vertex_pairs(graph, higher), [2 * d for d in graph.degrees] + [2] * m)
+    higher = _edge_vertex_runs(graph, list(map(list, graph.higher)))
+    return Graph._canonical(n + m, higher, [2 * d for d in graph.degrees] + [2] * m)
 
 
 def semitotal_line(graph):
@@ -65,21 +62,22 @@ def semitotal_line(graph):
     """
     n, m = graph.n, graph.m
     check_budget(line_graph_edge_count(graph) + 2 * m, n + m, "semitotal_line")
-    incident, pairs = _incidence(graph, n)
-    edges = _pairs(incident)
-    edges += pairs  # the line-graph pairs, all above the vertex-to-edge pairs
+    incident, runs = _incidence(graph, n)  # the original vertices' runs, then the edge-vertices'
     degs = graph.degrees
-    return Graph._canonical(n + m, edges, degs + tuple(degs[u] + degs[v] for u, v in graph.edges))
+    edge_degrees = [degs[u] + degs[v] for u, run in enumerate(graph.higher) for v in run]
+    return Graph._canonical(n + m, [*incident, *runs], [*degs, *edge_degrees])
 
 
 def _lift(graph, higher, a, copies):
     """Append to ``higher[a + x]`` x's higher neighbours in copy ``a``, then its neighbours in each of ``copies``."""
-    for u, v in graph.edges:
-        higher[a + u].append(a + v)
+    for u, run in enumerate(graph.higher):
+        for v in run:
+            higher[a + u].append(a + v)
     for b in copies:  # outermost, so each list stays ascending
-        for u, v in graph.edges:
-            higher[a + u].append(b + v)
-            higher[a + v].append(b + u)
+        for u, run in enumerate(graph.higher):
+            for v in run:
+                higher[a + u].append(b + v)
+                higher[a + v].append(b + u)
 
 
 def splitting(graph, k):
@@ -93,7 +91,7 @@ def splitting(graph, k):
     n, degs = graph.n, graph.degrees
     higher = [[] for _ in range(n)]  # copies join only originals, which have the lower ids
     _lift(graph, higher, 0, range(n, (k + 1) * n, n) if graph.m else ())  # n = 0 has no copy step
-    return Graph._canonical((k + 1) * n, _pairs(higher), [(k + 1) * d for d in degs] + list(degs) * k)
+    return Graph._canonical((k + 1) * n, higher + [()] * (k * n), [(k + 1) * d for d in degs] + list(degs) * k)
 
 
 def shadow(graph, k):
@@ -112,7 +110,7 @@ def shadow(graph, k):
     copies = range(0, k * n, n) if graph.m else ()
     for c, a in enumerate(copies):
         _lift(graph, higher, a, copies[c + 1 :])
-    return Graph._canonical(k * n, _pairs(higher), [k * d for d in graph.degrees] * k)
+    return Graph._canonical(k * n, higher, [k * d for d in graph.degrees] * k)
 
 
 def apply_transform(kind, graph, k=None):

@@ -46,6 +46,11 @@ def degrees_reference(graph):
     return tuple(sum(x in edge for edge in graph.edges) for x in range(graph.n))
 
 
+def run_pairs(runs, offset=0):
+    """The pairs ``(offset + i, j)``, j in ``runs[i]``, read run by run."""
+    return [(offset + i, j) for i, run in enumerate(runs) for j in run]
+
+
 def line_graph_pairs_reference(graph):
     """Sorted line-graph pairs (i, j), i < j, collected through a set from the incident lists."""
     incident = [[] for _ in range(graph.n)]

@@ -460,7 +460,7 @@ def test_graph_spec_grammar():
     for spec in ("", "subdivision"):
         with pytest.raises(GraphSpecError, match="empty graph spec"):
             parse_graph_spec(spec)
-    for spec in ("file", "splitting:file:k=2"):
+    for spec in ("file", "file:", "file::k=2", "splitting:file:k=2"):
         with pytest.raises(GraphSpecError, match="file: needs a path"):
             parse_graph_spec(spec)
 

@@ -54,7 +54,7 @@ from absspectra.spectra import (
 )
 from absspectra.transforms import K_KINDS, TRANSFORM_KINDS, semitotal_line
 
-from conftest import degrees_reference, line_graph_pairs_reference, random_graph, spread_graphs
+from conftest import degrees_reference, line_graph_pairs_reference, random_graph, run_pairs, spread_graphs
 
 
 def test_from_edge_list_path():
@@ -547,7 +547,9 @@ def test_incidence_line_pairs_distinct_ascending_and_offset():
     for g in _line_graph_cases(47):
         reference = line_graph_pairs_reference(g)
         for offset in (0, 5):
-            pairs = list(graphs._incidence(g, offset)[1])
+            runs = graphs._incidence(g, offset)[1]
+            assert len(runs) == g.m
+            pairs = run_pairs(runs, offset)
             assert all(i < j for i, j in pairs)
             assert pairs == [(offset + i, offset + j) for i, j in reference]
 
@@ -716,7 +718,7 @@ def test_graph_text_layer_matches_its_per_edge_forms(monkeypatch):
             assert to_json_text(g) == expected_json
             assert to_edge_list_text(g) == expected_text
         assert parse_edge_list_text(expected_text) == g
-        assert list(graphs._incidence(g, offset)[1]) == sorted(_generator_line_pairs(g, offset))
+        assert run_pairs(graphs._incidence(g, offset)[1], offset) == sorted(_generator_line_pairs(g, offset))
 
     check()
 

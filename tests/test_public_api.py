@@ -41,9 +41,9 @@ def test_degree_sequence_and_neighbour_lists_are_gone():
     from absspectra import graphs
 
     assert not hasattr(graphs, "degree_sequence") and not hasattr(absspectra, "degree_sequence")
-    # line_graph reads its pairs straight from _incidence
+    # line_graph reads its runs straight from _incidence
     assert not hasattr(graphs, "line_pairs")
     # the colouring slot holds the one two-colouring search's result, not neighbour lists
-    assert absspectra.Graph.__slots__ == ("n", "edges", "degrees", "_colouring")
+    assert absspectra.Graph.__slots__ == ("n", "higher", "degrees", "_colouring")
     assert not hasattr(absspectra.Graph, "adjacency")
     assert not hasattr(absspectra.generate("cycle", 4), "adjacency")

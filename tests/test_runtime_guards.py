@@ -1,6 +1,7 @@
 """Guards on the runtime routes and the source.
 
-No numpy.linalg call, no numpy.polynomial import, large CLI inputs answer in
+No numpy.linalg call, no numpy.polynomial import, no read of a graph's edge
+pairs outside the three places that hand them out, large CLI inputs answer in
 seconds, the tracer's hooks resolve, no count's floor is written out beside
 ``graphs._integer``, and no blanket catch sits outside the verifier's three
 places that make an error a report row.
@@ -18,7 +19,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from absspectra import CheckId, cli, default_suite, reports_to_json, run_suite
+from absspectra import CheckId, cli, default_suite, generate, graphs, reports_to_json, run_suite
+from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -44,14 +46,20 @@ _CHECK_GRAPHS = {
 }
 
 
-def _outputs():
-    texts = [reports_to_json(run_suite(default_suite()))]
-    for check, spec in _CHECK_GRAPHS.items():
+def _command_outputs(argvs):
+    """(exit code, stdout, stderr) of ``cli.main`` on each argv."""
+    outputs = []
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["verify", "--check", check, "--graph", spec])
-        texts.append((code, out.getvalue(), err.getvalue()))
-    return texts
+            code = cli.main(argv)
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+def _outputs():
+    checks = [["verify", "--check", check, "--graph", spec] for check, spec in _CHECK_GRAPHS.items()]
+    return [reports_to_json(run_suite(default_suite())), *_command_outputs(checks)]
 
 
 def test_no_runtime_path_calls_numpy_linalg(monkeypatch):
@@ -69,6 +77,70 @@ def test_no_runtime_path_calls_numpy_linalg(monkeypatch):
     # the checks record an oracle failure as verdict "error", so compare whole outputs
     assert _outputs() == expected
     assert '"verdict": "error"' not in expected[0] + "".join(out for _, out, _ in expected[1:])
+
+
+def test_no_command_reads_the_edge_pairs(monkeypatch, tmp_path):
+    # the commands walk each graph's runs; Graph.edges builds the pairs anew for pickling and to_json_dict
+    text, data = tmp_path / "g.txt", tmp_path / "g.json"
+    text.write_text("7 5\n0 1\n0 4\n1 2\n2 4\n5 6\n", encoding="utf-8")  # the writer's form, vertex 3 isolated
+    data.write_text('{"n": 5, "edges": [[3, 1], [1, 0], [0, 1], [2, 4]]}', encoding="utf-8")
+    argvs = [["gen", "complete", "5"], ["gen", "cycle", "4"], ["load", str(text)], ["load", str(data)]]
+    for spec in ("complete_bipartite:2:3", f"file:{text}", f"file:{data}", "subdivision:shadow:complete:4:k=2"):
+        for kind in TRANSFORM_KINDS:
+            for k in ("2", "3") if kind in K_KINDS else (None,):
+                argvs.append(["transform", kind, "--graph", spec, *(["--k", k] if k else [])])
+        argvs += [
+            ["matrix", "--abs", "--graph", spec],
+            ["indices", "--graph", spec],
+            ["spectrum", "--abs", "--graph", spec],
+            ["charpoly", "--abs", "--via", "fl", "--graph", spec],
+        ]
+    argvs.append(["verify", "--suite", "default"])
+    argvs += [[*argv, "--csv"] for argv in argvs]
+    expected = _command_outputs(argvs)
+    assert {code for code, _, _ in expected} == {0}
+
+    def refuse(graph):
+        raise AssertionError("Graph.edges read on a command's path")
+
+    monkeypatch.setattr(graphs.Graph, "edges", property(refuse))
+    with pytest.raises(AssertionError):
+        generate("cycle", 3).edges
+    assert _command_outputs(argvs) == expected
+
+
+def _scoped_nodes(source):
+    """(qualified name of the enclosing functions and classes, node) of every node of ``source``, in preorder."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    return visit(ast.parse(source), "")
+
+
+def _edges_reads(source):
+    """(qualified function name, line) of each ``.edges`` attribute."""
+    return [
+        (scope, node.lineno)
+        for scope, node in _scoped_nodes(source)
+        if isinstance(node, ast.Attribute) and node.attr == "edges"
+    ]
+
+
+def test_edge_pairs_are_read_only_where_they_are_handed_out():
+    # a graph stores its runs; the pairs are built on each read, once per edge
+    probe = "class G:\n    def f(self):\n        return self.edges\ndef g(x):\n    return x.higher, x['edges'], x.edges\n"
+    assert _edges_reads(probe) == [("G.f", 3), ("g", 5)]
+    found = {
+        (path.name, scope)
+        for path in sorted((ROOT / "src" / "absspectra").glob("*.py"))
+        for scope, _ in _edges_reads(path.read_text(encoding="utf-8"))
+    }
+    allowed = {("graphs.py", "Graph.edges"), ("graphs.py", "Graph.__reduce__"), ("graphs.py", "to_json_dict")}
+    assert found <= allowed, f"edge pairs read outside {sorted(allowed)}: {sorted(found - allowed)}"
 
 
 def test_no_runtime_path_imports_numpy_polynomial():
@@ -189,21 +261,15 @@ def ok():
 def _blanket_catches(source):
     """(qualified function name, line) of each bare ``except``, ``except Exception`` and ``suppress(Exception)``."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler):
-                caught = [] if child.type is None else getattr(child.type, "elts", [child.type])
-                if child.type is None or {getattr(name, "id", None) for name in caught} & _BLANKET:
-                    found.append((scope, child.lineno))
-            elif isinstance(child, ast.Call):
-                callee = getattr(child.func, "attr", getattr(child.func, "id", None))
-                if callee == "suppress" and {getattr(arg, "id", None) for arg in child.args} & _BLANKET:
-                    found.append((scope, child.lineno))
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
-
-    visit(ast.parse(source), "")
+    for scope, child in _scoped_nodes(source):
+        if isinstance(child, ast.ExceptHandler):
+            caught = [] if child.type is None else getattr(child.type, "elts", [child.type])
+            if child.type is None or {getattr(name, "id", None) for name in caught} & _BLANKET:
+                found.append((scope, child.lineno))
+        elif isinstance(child, ast.Call):
+            callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if callee == "suppress" and {getattr(arg, "id", None) for arg in child.args} & _BLANKET:
+                found.append((scope, child.lineno))
     return found
 
 

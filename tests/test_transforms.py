@@ -26,7 +26,7 @@ from absspectra import (
 
 from absspectra import graphs, transforms
 
-from conftest import degrees_reference, line_graph_pairs_reference, random_graph, small_graphs
+from conftest import degrees_reference, line_graph_pairs_reference, random_graph, run_pairs, small_graphs
 
 
 def test_subdivision_of_triangle_is_hexagon():
@@ -301,14 +301,14 @@ def test_transform_degrees_match_reference():
 
 
 def _core_builds(monkeypatch):
-    """(n, edges, degrees, graph) of each later ``Graph._canonical`` build, edges and degrees as passed."""
+    """(n, higher, degrees, graph) of each later ``Graph._canonical`` build, runs and degrees as passed."""
     builds = []
     real = graphs.Graph._canonical.__func__
 
-    def canonical(cls, n, edges, degrees):
-        edges, degrees = list(edges), list(degrees)
-        graph = real(cls, n, edges, degrees)
-        builds.append((n, edges, degrees, graph))
+    def canonical(cls, n, higher, degrees):
+        higher, degrees = [list(run) for run in higher], list(degrees)
+        graph = real(cls, n, higher, degrees)
+        builds.append((n, higher, degrees, graph))
         return graph
 
     monkeypatch.setattr(graphs.Graph, "_canonical", classmethod(canonical))
@@ -323,14 +323,15 @@ def _derive_all(graph):
 
 
 def _assert_core_invariant(builds):
-    # what Graph._canonical takes on trust: the edges as passed strictly
-    # ascending with u < v < n, the degrees they give, and so the graph that
-    # validating the producer's own edges gives
-    for n, edges, degrees, graph in builds:
-        assert all(a < b for a, b in zip(edges, edges[1:]))
-        assert all(0 <= u < v < n for u, v in edges)
+    # what Graph._canonical takes on trust: one run per vertex, each run as
+    # passed strictly ascending with u < v < n for its vertex u, the degrees
+    # they give, and so the graph that validating the producer's own pairs gives
+    for n, higher, degrees, graph in builds:
+        assert len(higher) == n
+        assert all(a < b for run in higher for a, b in zip(run, run[1:]))
+        assert all(u < v < n for u, run in enumerate(higher) for v in run)
         assert tuple(degrees) == degrees_reference(graph)
-        assert graph == Graph(n, edges)
+        assert graph == Graph(n, run_pairs(higher))
 
 
 def test_producers_emit_canonical_pairs_on_the_default_corpus(monkeypatch):

@@ -509,9 +509,9 @@ def test_each_transformed_graph_is_built_once_per_run(monkeypatch):
     builds = []
     real_canonical = graphs.Graph._canonical.__func__
 
-    def canonical(cls, n, edges, degrees):
+    def canonical(cls, n, higher, degrees):
         builds.append(n)
-        return real_canonical(cls, n, edges, degrees)
+        return real_canonical(cls, n, higher, degrees)
 
     suite = default_suite()
     monkeypatch.setattr(verifier, "apply_transform", transform)
