@@ -321,7 +321,7 @@ def line_graph(graph):
     check_budget(line_graph_edge_count(graph), graph.m, "line graph")
     degs = graph.degrees
     edge_degrees = [degs[u] + degs[v] - 2 for u, run in enumerate(graph.higher) for v in run]
-    return Graph._canonical(len(edge_degrees), _incidence(graph, 0)[1], edge_degrees)
+    return Graph._canonical(graph.m, _incidence(graph, 0)[1], edge_degrees)
 
 
 def incidence_matrix(graph):
