@@ -17,7 +17,6 @@ errors.
 
 import argparse
 import functools
-import gc
 import os
 import re
 import sys
@@ -276,30 +275,17 @@ def build_parser():
 
 
 def main(argv=None):
-    """Entry point; returns the process exit code instead of raising SystemExit.
-
-    The command runs with the cyclic garbage collector paused. The package
-    builds no reference cycles, so reference counting frees everything a
-    command drops, and the collections that the lists and tuples of a large
-    transform would set off find nothing (a tier-1 test runs each command
-    kind and finds no cyclic garbage left). The caller's collector state
-    comes back on every exit: 0, 1, 2 or an exception.
-    """
+    """Entry point; returns the process exit code instead of raising SystemExit."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    enabled = gc.isenabled()
-    gc.disable()
     # GraphSpecError is a ValueError; LookupError covers KeyError and the IndexError of an edge outside 0..n-1
     try:
         return args.handler(args)
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def run():

@@ -355,9 +355,9 @@ def adjacency_matrix(graph):
 # The writers below emit the text ``head % u + tail % v`` of each edge (u, v),
 # edges separated by ``sep``. The edges from u to higher ids are u's run in
 # ``graph.higher``, so u's text can be formatted once per run and each v's once
-# per call; a run costs about as much as eight edges of one %-template over every
-# id (timed on random graphs with 1-16 edges per vertex), so sparser graphs take
-# the template.
+# per call. Against one %-template over every id, timed on random graphs with
+# 1-16 edges per vertex, the runs break even at 5-6 edges per vertex and take
+# 0.7-0.85x its time at 8; graphs with at most 8 take the template.
 _RUN_MIN_EDGES_PER_VERTEX = 8
 
 
