@@ -119,8 +119,9 @@ def _cmd_load(args):
 
 
 def _cmd_transform(args):
-    if args.k is not None and args.kind not in K_KINDS:
-        raise ValueError(f"transform {args.kind} takes no --k (only {' and '.join(K_KINDS)} do)")
+    if (args.k is None) == (args.kind in K_KINDS):
+        need = "needs" if args.k is None else "takes no"
+        raise ValueError(f"transform {args.kind} {need} --k (only {' and '.join(K_KINDS)} do)")
     _emit_graph(apply_transform(args.kind, parse_graph_spec(args.graph), args.k), args.csv)
     return 0
 

@@ -294,26 +294,34 @@ def line_graph_edge_count(graph):
 
 
 def _incidence(graph, offset):
-    """Each vertex's incident edge ids ``offset + j`` in ascending tuples, and the line graph's runs.
-
-    The run of edge i = uv (u < v) holds the ids after i of the edges sharing an endpoint with it: the
-    later edges at u, the edges uw with w > v, then the later edges at v, whose other ends are above u;
-    so each run ascends, and no sort is needed. Two edges of a simple graph share at most one endpoint,
-    so no id repeats.
-    """
+    """Each vertex's incident edge ids ``offset + j`` as ascending tuples: the one walk that numbers the edges."""
     incident = [[] for _ in range(graph.n)]
-    rows = []  # per edge i: its two ends and the position after i in each end's list, u's end first
     i = offset
     for u, run in enumerate(graph.higher):
         a = incident[u]
         for v in run:
-            b = incident[v]
             a.append(i)
-            b.append(i)
-            rows.append((u, len(a), v, len(b)))
+            incident[v].append(i)
             i += 1
-    incident = tuple(map(tuple, incident))  # so each run below is built as the tuple that _fill keeps
-    return incident, [incident[u][p:] + incident[v][q:] for u, p, v, q in rows]
+    return tuple(map(tuple, incident))  # so the runs built from these are the tuples that _fill keeps
+
+
+def _line_runs(runs, graph, incident):
+    """Extend ``runs`` with the line graph's run of each edge, read per vertex from ``graph``'s ``incident`` ids.
+
+    The run of edge i = uv (u < v) holds the ids after i of the edges sharing an endpoint with it: the
+    later edges at u, the edges uw with w > v, then the later edges at v, whose other ends are above u;
+    so each run ascends, and no sort is needed. Two edges of a simple graph share at most one endpoint,
+    so no id repeats. u's edges to higher ends close u's ids; a count per vertex finds i among v's.
+    """
+    passed = [0] * graph.n  # per vertex: how many of its incident ids lie at or before the edge being read
+    for ids, run in zip(incident, graph.higher):
+        p = len(ids) - len(run)
+        for v in run:
+            p += 1
+            passed[v] = q = passed[v] + 1
+            runs.append(ids[p:] + incident[v][q:])
+    return runs
 
 
 def line_graph(graph):
@@ -321,7 +329,7 @@ def line_graph(graph):
     check_budget(line_graph_edge_count(graph), graph.m, "line graph")
     degs = graph.degrees
     edge_degrees = [degs[u] + degs[v] - 2 for u, run in enumerate(graph.higher) for v in run]
-    return Graph._canonical(graph.m, _incidence(graph, 0)[1], edge_degrees)
+    return Graph._canonical(graph.m, _line_runs([], graph, _incidence(graph, 0)), edge_degrees)
 
 
 def incidence_matrix(graph):

@@ -4,7 +4,7 @@ Vertex layout conventions are fixed so that block and Kronecker structure of
 the resulting matrices is literal:
 
 * subdivision / semitotal graphs keep the original vertices at ``0..n-1`` and
-  place the vertex for edge j (canonical edge order) at ``n + j``;
+  place the vertex for edge j at ``n + j``, the ids ``graphs._incidence`` gives;
 * ``splitting(G, k)`` keeps originals at ``0..n-1`` and puts copy block
   ``c in 1..k`` at ``c*n .. c*n + n - 1``;
 * ``shadow(G, k)`` puts copy ``c in 0..k-1`` at ``c*n .. c*n + n - 1``.
@@ -17,29 +17,18 @@ builds its result through ``Graph._canonical``, which neither checks, sorts
 nor counts.
 """
 
-from .graphs import Graph, _incidence, _integer, check_budget, line_graph_edge_count
+from .graphs import Graph, _incidence, _integer, _line_runs, check_budget, line_graph_edge_count
 
 TRANSFORM_KINDS = ("subdivision", "semitotal_point", "semitotal_line", "splitting", "shadow")
 # The transforms that take a copy count k.
 K_KINDS = ("splitting", "shadow")
 
 
-def _edge_vertex_runs(graph, higher):
-    """Runs of ``0..n+m-1``: x's ``higher`` neighbours below n, then n + j for its edges j; edge-vertices get none."""
-    j = graph.n
-    for u, run in enumerate(graph.higher):
-        for v in run:
-            higher[u].append(j)
-            higher[v].append(j)
-            j += 1
-    return higher + [()] * (j - graph.n)
-
-
 def subdivision(graph):
     """Insert one new degree-2 vertex on every edge (n + m vertices, 2m edges)."""
     n, m = graph.n, graph.m
     check_budget(2 * m, n + m, "subdivision")
-    return Graph._canonical(n + m, _edge_vertex_runs(graph, [[] for _ in range(n)]), graph.degrees + (2,) * m)
+    return Graph._canonical(n + m, [*_incidence(graph, n), *[()] * m], graph.degrees + (2,) * m)
 
 
 def semitotal_point(graph):
@@ -50,7 +39,7 @@ def semitotal_point(graph):
     """
     n, m = graph.n, graph.m
     check_budget(3 * m, n + m, "semitotal_point")
-    higher = _edge_vertex_runs(graph, list(map(list, graph.higher)))
+    higher = [run + ids for run, ids in zip(graph.higher, _incidence(graph, n))] + [()] * m
     return Graph._canonical(n + m, higher, [2 * d for d in graph.degrees] + [2] * m)
 
 
@@ -62,10 +51,10 @@ def semitotal_line(graph):
     """
     n, m = graph.n, graph.m
     check_budget(line_graph_edge_count(graph) + 2 * m, n + m, "semitotal_line")
-    incident, runs = _incidence(graph, n)  # the original vertices' runs, then the edge-vertices'
+    incident = _incidence(graph, n)  # the original vertices' runs; _line_runs adds the edge-vertices'
     degs = graph.degrees
     edge_degrees = [degs[u] + degs[v] for u, run in enumerate(graph.higher) for v in run]
-    return Graph._canonical(n + m, [*incident, *runs], [*degs, *edge_degrees])
+    return Graph._canonical(n + m, _line_runs([*incident], graph, incident), [*degs, *edge_degrees])
 
 
 def _lift(graph, higher, a, copies):

@@ -395,6 +395,15 @@ def test_transform_refuses_k_without_copies(kind):
     assert code == 0 and out == to_json_text(apply_transform(kind, generate("cycle", 4))) + "\n"
 
 
+@pytest.mark.parametrize("kind", ["splitting", "shadow"])
+def test_transform_refuses_copies_without_k(kind):
+    code, out, err = run_cli("transform", kind, "--graph", "cycle:4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--k" in err and err.count("\n") == 1
+    code, out, err = run_cli("transform", kind, "--k", "3", "--graph", "cycle:4")
+    assert code == 0 and out == to_json_text(apply_transform(kind, generate("cycle", 4), 3)) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -547,7 +547,11 @@ def test_incidence_line_pairs_distinct_ascending_and_offset():
     for g in _line_graph_cases(47):
         reference = line_graph_pairs_reference(g)
         for offset in (0, 5):
-            runs = graphs._incidence(g, offset)[1]
+            incident = graphs._incidence(g, offset)
+            assert incident == tuple(
+                tuple(offset + j for j, edge in enumerate(g.edges) if x in edge) for x in range(g.n)
+            )
+            runs = graphs._line_runs([], g, incident)
             assert len(runs) == g.m
             pairs = run_pairs(runs, offset)
             assert all(i < j for i, j in pairs)
@@ -718,7 +722,8 @@ def test_graph_text_layer_matches_its_per_edge_forms(monkeypatch):
             assert to_json_text(g) == expected_json
             assert to_edge_list_text(g) == expected_text
         assert parse_edge_list_text(expected_text) == g
-        assert run_pairs(graphs._incidence(g, offset)[1], offset) == sorted(_generator_line_pairs(g, offset))
+        runs = graphs._line_runs([], g, graphs._incidence(g, offset))
+        assert run_pairs(runs, offset) == sorted(_generator_line_pairs(g, offset))
 
     check()
 

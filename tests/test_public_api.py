@@ -41,9 +41,16 @@ def test_degree_sequence_and_neighbour_lists_are_gone():
     from absspectra import graphs
 
     assert not hasattr(graphs, "degree_sequence") and not hasattr(absspectra, "degree_sequence")
-    # line_graph reads its runs straight from _incidence
+    # line_graph and semitotal_line build their edge runs through _line_runs from _incidence's ids
     assert not hasattr(graphs, "line_pairs")
     # the colouring slot holds the one two-colouring search's result, not neighbour lists
     assert absspectra.Graph.__slots__ == ("n", "higher", "degrees", "_colouring")
     assert not hasattr(absspectra.Graph, "adjacency")
     assert not hasattr(absspectra.generate("cycle", 4), "adjacency")
+
+
+def test_edge_vertex_runs_are_gone():
+    from absspectra import transforms
+
+    # the edge-vertex transforms read each vertex's incident edge ids from graphs._incidence
+    assert not hasattr(transforms, "_edge_vertex_runs")

@@ -46,16 +46,21 @@ def test_subdivision_of_star_degrees():
 
 
 def test_subdivision_counts_and_adjacency_block():
+    # all three edge-vertex transforms put the vertex of edge j at n + j, which gives these block forms
     rng = random.Random(17)
     for _ in range(15):
         g = random_graph(rng, rng.randint(1, 8))
         s = subdivision(g)
         assert s.n == g.n + g.m and s.m == 2 * g.m
-        f = incidence_matrix(g)
+        a, f = adjacency_matrix(g), incidence_matrix(g)
         expected = np.block(
             [[np.zeros((g.n, g.n)), f], [f.T, np.zeros((g.m, g.m))]]
         )
         np.testing.assert_array_equal(adjacency_matrix(s), expected)
+        expected = np.block([[a, f], [f.T, np.zeros((g.m, g.m))]])
+        np.testing.assert_array_equal(adjacency_matrix(semitotal_point(g)), expected)
+        expected = np.block([[np.zeros((g.n, g.n)), f], [f.T, adjacency_matrix(line_graph(g))]])
+        np.testing.assert_array_equal(adjacency_matrix(semitotal_line(g)), expected)
 
 
 def test_semitotal_point_of_k2_is_triangle():
