@@ -172,10 +172,11 @@ def _cmd_charpoly(args):
 
 
 def _cmd_verify(args):
-    try:
-        tol = args.tol if args.tol is not None else float(os.environ.get("ABS_SPECTRA_TOL", DEFAULT_TOL))
+    where, text = ("--tol", args.tol) if args.tol is not None else ("ABS_SPECTRA_TOL", os.getenv("ABS_SPECTRA_TOL"))
+    try:  # ASCII text without "_", as integer text is: float() alone reads "1_0e-9" and other scripts' digits
+        tol = DEFAULT_TOL if text is None else float(text if text.isascii() and "_" not in text else "not a number")
     except ValueError:
-        raise ValueError(f"tolerance ABS_SPECTRA_TOL={os.environ['ABS_SPECTRA_TOL']!r} is not a number") from None
+        raise ValueError(f"tolerance {where}={text!r} is not a number") from None
     if args.suite:
         given = [opt for opt in ("check", "graph", "k") if getattr(args, opt) is not None]
         if given:
@@ -236,7 +237,7 @@ def _verify_arguments(p):
     p.add_argument("--check", default=None, help="single check id, e.g. THM_CYCLE")
     _add_graph_option(p, required=False)
     p.add_argument("--k", type=_int_option, default=None, help="copy count for the energy checks")
-    p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-8, env ABS_SPECTRA_TOL)")
+    p.add_argument("--tol", default=None, help="tolerance (default 1e-8, env ABS_SPECTRA_TOL)")
 
 
 # name -> (help, argument adder, handler); every command also takes --csv, added last

@@ -55,7 +55,7 @@ from .spectra import (
 from .transforms import K_KINDS, TRANSFORM_KINDS, apply_transform
 
 DEFAULT_TOL = 1e-8
-# The tolerance eigensolver checks relax to on large graphs (see _tolerance).
+# The tolerance eigensolver checks relax to on large graphs (see _settle).
 RELAXED_TOL = 1e-6
 
 # Fixed evaluation points for pointwise identity checks: nonzero, for negative
@@ -178,7 +178,8 @@ class _Spectra:
         """
         groups = {}
         for key in dict.fromkeys(keys):
-            groups.setdefault(key[0].n, []).append(key)
+            if key[0].n <= linalg._JACOBI_ORDER_CAP:  # a larger order is refused, so it is not built here
+                groups.setdefault(key[0].n, []).append(key)
         for group in groups.values():
             with contextlib.suppress(Exception):  # left to spectrum, which reports it per caller
                 self._solve(group)
@@ -392,7 +393,7 @@ def _energy_variants(kind, graph, params, memo, r, transformed):
 _SINGLE = ("single",)
 _BOTH = ("corrected", "as_printed")
 
-# name -> (variants, check function, tolerance rule; see _tolerance), in report
+# name -> (variants, check function, tolerance rule; see _settle), in report
 # order; CheckId is built from it.
 _CHECKS = {
     "LEM_INCIDENCE_REG": (_SINGLE, _chk_incidence_reg, "exact"),
@@ -420,23 +421,6 @@ CheckId = enum.Enum("CheckId", [(name, name) for name in _CHECKS], module=__name
 K_CHECKS = tuple(CheckId[name] for name, (_, _, rule) in _CHECKS.items() if rule in K_KINDS)
 
 
-def _tolerance(rule, graph, params, tol, memo, applicable):
-    """(tolerance, details suffix) of one variant under its check's ``rule``.
-
-    ``"exact"`` allows 0.0 and ``"fixed"`` the run's ``tol``. Another rule
-    names the graph that limits an eigensolver check, ``"graph"`` itself or
-    its transform of that kind (already in ``memo``). An applicable outcome
-    relaxes to RELAXED_TOL when that graph has n + m > 100.
-    """
-    if rule == "exact":
-        return 0.0, ""
-    if applicable and rule != "fixed":
-        sized = graph if rule == "graph" else memo.transform(rule, graph, params)
-        if sized.n + sized.m > 100 and tol < RELAXED_TOL:
-            return RELAXED_TOL, f"; tolerance relaxed to {RELAXED_TOL:g} (n+m > 100)"
-    return tol, ""
-
-
 def _read_tol(tol):
     tol = float(linalg._real_array(tol, "tolerance", 0))
     if not (math.isfinite(tol) and tol > 0):
@@ -445,19 +429,29 @@ def _read_tol(tol):
 
 
 def _settle(outcome, rule, graph, params, tol, memo):
-    """(applicable, verdict, deviation, tolerance, details) of a variant's outcome or the shared work's exception."""
+    """(applicable, verdict, deviation, tolerance, details) of a variant's outcome or the shared work's exception.
+
+    The check's ``rule`` gives the tolerance. ``"exact"`` allows 0.0 and ``"fixed"`` the run's
+    ``tol``. Another rule names the graph that limits an eigensolver check, ``"graph"`` itself or
+    its transform of that kind (already in ``memo``). An applicable outcome relaxes to RELAXED_TOL
+    when that graph has n + m > 100. An error row carries the run's ``tol``.
+    """
     try:
         if isinstance(outcome, Exception):
             raise outcome
         applicable, deviation, details = outcome() if callable(outcome) else outcome
-        vtol, note = _tolerance(rule, graph, params, tol, memo, applicable)
         if not math.isfinite(deviation):
             raise ValueError(f"deviation is {deviation}: {details}")
+        vtol = 0.0 if rule == "exact" else tol
+        if applicable and rule not in ("exact", "fixed"):
+            sized = graph if rule == "graph" else memo.transform(rule, graph, params)
+            if sized.n + sized.m > 100 and tol < RELAXED_TOL:
+                vtol, details = RELAXED_TOL, f"{details}; tolerance relaxed to {RELAXED_TOL:g} (n+m > 100)"
     except Exception as exc:  # oracle failure -> recorded, not raised
         return True, "error", 0.0, tol, f"{type(exc).__name__}: {exc}"
     if not applicable:
         return False, "inapplicable", 0.0, vtol, details
-    return True, "pass" if deviation <= vtol else "fail", deviation, vtol, details + note
+    return True, "pass" if deviation <= vtol else "fail", float(deviation), vtol, details
 
 
 def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
@@ -486,9 +480,8 @@ def run_check(check, graph, params=None, tol=DEFAULT_TOL, *, _memo=None):
     except Exception as exc:  # shared work failed -> every variant records it
         outcomes = [exc] * len(variants)
     return [
-        CheckReport(name, variant, descriptor, applicable, verdict, float(deviation), vtol, details)
+        CheckReport(name, variant, descriptor, *_settle(outcome, rule, graph, params, tol, memo))
         for variant, outcome in zip(variants, outcomes)
-        for applicable, verdict, deviation, vtol, details in [_settle(outcome, rule, graph, params, tol, memo)]
     ]
 
 

@@ -763,15 +763,19 @@ def test_verify_env_tolerance(monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", "1_0e-9", "\u0661e-8"])
 def test_verify_rejects_nonfinite_tolerance(value, monkeypatch):
+    # --tol and ABS_SPECTRA_TOL are ASCII text without "_", as integer text is; float() alone reads
+    # "1_0e-9" as 1e-8 and Arabic-Indic "\u0661e-8" as 1e-8
+    number = value in ("nan", "inf", "-inf")
     code, out, err = run_cli("verify", "--check", "THM_CYCLE", "--graph", "cycle:5", f"--tol={value}")
-    # argparse refuses a --tol that is not a float before the command runs
-    assert code == 2 and out == "" and ("invalid float value" if value == "abc" else "tolerance") in err
+    assert code == 2 and out == "" and "tolerance" in err
+    assert number or err == f"error: tolerance --tol={value!r} is not a number\n"
     monkeypatch.setenv("ABS_SPECTRA_TOL", value)
     code, out, err = run_cli("verify", "--check", "THM_CYCLE", "--graph", "cycle:5")
     assert code == 2 and out == "" and "tolerance" in err
-    assert value != "abc" or err == "error: tolerance ABS_SPECTRA_TOL='abc' is not a number\n"
+    assert number or err == f"error: tolerance ABS_SPECTRA_TOL={value!r} is not a number\n"
+    assert not number or err == f"error: tolerance must be positive and finite, got {float(value)}\n"
 
 
 def _refuse_constant(name):

@@ -54,3 +54,10 @@ def test_edge_vertex_runs_are_gone():
 
     # the edge-vertex transforms read each vertex's incident edge ids from graphs._incidence
     assert not hasattr(transforms, "_edge_vertex_runs")
+
+
+def test_tolerance_helper_is_gone():
+    from absspectra import verifier
+
+    # _settle reads each check's tolerance rule itself
+    assert not hasattr(verifier, "_tolerance")

@@ -153,12 +153,22 @@ def test_schur_order_cap():
 
 
 def test_nonfinite_deviation_is_an_error(monkeypatch):
-    for deviation in (math.nan, math.inf):
+    def judge(order, deviation):
         row = (verifier._SINGLE, lambda graph, params, memo: (True, deviation, "lhs vs rhs"), "graph")
         monkeypatch.setitem(verifier._CHECKS, "THM_TRACE_HARMONIC", row)
-        (r,) = run_check(CheckId.THM_TRACE_HARMONIC, generate("cycle", 5))
-        assert (r.applicable, r.verdict, r.max_deviation) == (True, "error", 0.0)
-        assert r.details == f"ValueError: deviation is {deviation}: lhs vs rhs"
+        (r,) = run_check(CheckId.THM_TRACE_HARMONIC, generate("cycle", order))
+        return r
+
+    # C60 has n + m = 120, over the size that relaxes its "graph" rule: a non-finite deviation is
+    # refused first, at the run's tolerance and without the relaxation note
+    for order in (5, 60):
+        for deviation in (math.nan, math.inf):
+            r = judge(order, deviation)
+            assert (r.applicable, r.verdict, r.max_deviation, r.tolerance) == (True, "error", 0.0, 1e-8)
+            assert r.details == f"ValueError: deviation is {deviation}: lhs vs rhs"
+    r = judge(60, 3e-7)
+    assert (r.verdict, r.max_deviation, r.tolerance) == ("pass", 3e-7, 1e-6)
+    assert r.details == "lhs vs rhs; tolerance relaxed to 1e-06 (n+m > 100)"
 
 
 def test_reports_keep_float_types_whatever_the_tolerance_type():
@@ -684,7 +694,7 @@ def test_any_graph_checks_hold_on_random_graphs():
 
 @pytest.mark.parametrize("order_cap", [None, 7])
 def test_failed_stacked_solve_leaves_the_lazy_path(monkeypatch, order_cap):
-    if order_cap is not None:  # the order-8 matrices fail on both paths
+    if order_cap is not None:  # prefetch leaves the order-8 matrices to the lazy path, which refuses them
         monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", order_cap)
     with monkeypatch.context() as patch:
         patch.setattr(verifier._Spectra, "prefetch", lambda self, keys: None)
@@ -700,6 +710,21 @@ def test_failed_stacked_solve_leaves_the_lazy_path(monkeypatch, order_cap):
 
     monkeypatch.setattr(linalg, "eigenvalues_symmetric", solo_only)
     assert [run_suite([entry]) for entry in default_suite()] == lazy
+
+
+def test_prefetch_stacks_no_order_over_the_eigensolver_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_ORDER_CAP", 7)
+    real, stacks = linalg.eigenvalues_symmetric, []
+
+    def recording(matrix, *args, **kwargs):
+        stacks.append(np.shape(matrix))
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigenvalues_symmetric", recording)
+    run_suite(default_suite())
+    # an order over the cap is solved alone, on the lazy path, and refused there
+    over = [shape for shape in stacks if shape[-1] > 7]
+    assert over and all(shape[0] == 1 for shape in over)
 
 
 def test_memoized_arrays_are_read_only():
