@@ -182,18 +182,18 @@ def _cmd_verify(args):
         if given:
             raise ValueError(f"verify --suite takes no {', '.join('--' + opt for opt in given)}")
         reports = run_suite(default_suite(), tol)
-    elif args.check:
-        if not args.graph:
-            raise ValueError("verify --check needs --graph")
+    elif args.graph:
         params = {"descriptor": args.graph}
         if args.k is not None:
             k_checks = [c.value for c in K_CHECKS]
             if args.check in CheckId.__members__ and args.check not in k_checks:  # run_check names unknown ids
                 raise ValueError(f"verify --check {args.check} takes no --k (only {' and '.join(k_checks)} do)")
             params["k"] = _integer(args.k, "verify --k", 1)
-        reports = run_check(args.check, parse_graph_spec(args.graph), params, tol)
+        graph = parse_graph_spec(args.graph)
+        reports = run_suite([(graph, params)], tol) if args.check is None else run_check(args.check, graph, params, tol)
     else:
-        raise ValueError("verify needs --suite default or --check ID")
+        need = "--check needs --graph" if args.check else "needs --suite default or --graph SPEC"
+        raise ValueError(f"verify {need}")
     sys.stdout.write(reports_to_csv(reports) if args.csv else reports_to_json(reports) + "\n")
     return 1 if has_key_failure(reports) else 0
 

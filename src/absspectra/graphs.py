@@ -61,21 +61,19 @@ def _integer(value, what, least=None):
 class Graph:
     """Simple undirected graph with canonical vertex and edge ordering.
 
-    ``Graph(n, pairs)`` validates its input: it reads ``n`` and each vertex
-    id through :func:`_integer`, collapses duplicate pairs, normalizes every
-    pair to ``(min, max)`` and rejects self-loops, out-of-range ids
-    (``IndexError``), items that are not pairs, ``pairs`` that is not
-    iterable, and a vertex count below 0 or over VERTEX_BUDGET; then it sorts the edges, groups them
-    into runs and counts the degrees. Every graph read from outside the package goes through it:
+    ``Graph(n, pairs)`` validates its input: it reads ``n`` and each vertex id through :func:`_integer` and
+    rejects self-loops, out-of-range ids (``IndexError``), items that are not pairs, ``pairs`` that is not
+    iterable, and a vertex count below 0 or over VERTEX_BUDGET; then it hands the checked ids to
+    :meth:`_from_ids`, which normalizes each pair to ``(min, max)``, drops repeats, sorts the edges into runs
+    and counts the degrees. Every graph read from outside the package goes through that one step:
     :func:`from_json_dict`, unpickling, any direct call and edge-list text (:func:`parse_edge_list_text`,
-    :func:`load_graph`) outside the writer's form. Text in that form goes to :meth:`_from_ids`, which makes the same
-    checks on the whole id array and hands input that fails one to ``Graph(n, pairs)``. The graphs
-    the package derives from a valid graph, those of :func:`generate`, :func:`line_graph` and the
-    five transforms, skip all of that: their producers emit each vertex's run of distinct in-range
-    higher neighbours in ascending order and the degrees by construction and pass both to the private
-    core, :meth:`_canonical`. Instances hold ``n``, the runs ``higher`` (a tuple of tuples), the tuple
-    of vertex ``degrees`` and, once :func:`_two_colouring` has run, its result; they are immutable,
-    and all operations return new graphs.
+    :func:`load_graph`); text in the writer's form goes to it directly, which checks the whole id array.
+    The graphs the package derives from a valid graph, those of :func:`generate`, :func:`line_graph` and the
+    five transforms, skip all of that: their producers emit each vertex's run of distinct in-range higher
+    neighbours in ascending order and the degrees by construction and pass both to the private core,
+    :meth:`_canonical`. Instances hold ``n``, the runs ``higher`` (a tuple of tuples), the tuple of vertex
+    ``degrees`` and, once :func:`_two_colouring` has run, its result; they are immutable, and all operations
+    return new graphs.
     """
 
     __slots__ = ("n", "higher", "degrees", "_colouring")
@@ -87,10 +85,7 @@ class Graph:
             pairs = iter(pairs)
         except TypeError:
             raise ValueError(f"edges must be an iterable of vertex pairs, got {pairs!r}") from None
-        # a list, with repeats dropped in first-seen order, keeps the ascending
-        # runs of the input, which the sort merges in near-linear time; a set
-        # would scramble them
-        norm = []
+        ids = []
         for pair in pairs:
             try:
                 u, v = pair
@@ -102,20 +97,17 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
-            norm.append((u, v) if u < v else (v, u))
-        higher = [[] for _ in range(n)]
-        degrees = [0] * n
-        for u, v in sorted(dict.fromkeys(norm)):
-            higher[u].append(v)
-            degrees[u] += 1
-            degrees[v] += 1
-        self._fill(n, higher, degrees)
+            ids += u, v
+        # the ids passed _from_ids's range and self-loop tests above, so it never hands them back here
+        graph = Graph._from_ids(n, np.array(ids, dtype=np.int64))
+        self._fill(n, graph.higher, graph.degrees)
 
     @classmethod
     def _from_ids(cls, n, ids):
-        """``Graph(n, pairs)`` for the int64 array ``ids`` of the pairs laid end to end, built in array operations.
+        """The one sort, dedupe and count of graphs read from outside, built in array operations.
 
-        Ids that fail a check go to ``Graph(n, pairs)``, which raises its error for the first bad pair.
+        ``ids`` is the int64 array of the pairs laid end to end, from ``Graph(n, pairs)`` or writer-form text;
+        ids that fail a check go to ``Graph(n, pairs)``, which raises its error for the first bad pair.
         """
         n = _integer(n, "vertex counts", 0)
         check_budget(0, n, "graph")

@@ -13,6 +13,7 @@ import time
 import warnings
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from absspectra.indices import all_indices
 from absspectra.linalg import char_poly, eigenvalues_symmetric
 from absspectra.spectra import abs_matrix, path_abs_charpoly, spectrum_report
 from absspectra.transforms import K_KINDS, TRANSFORM_KINDS
-from absspectra.verifier import _JsonText
+from absspectra.verifier import K_CHECKS, _JsonText, has_key_failure
 
 from conftest import json_ready_reference
 
@@ -930,6 +931,58 @@ def test_verify_usage_errors():
     assert code == 2
     code, _, err = run_cli("verify", "--check", "NOT_A_CHECK", "--graph", "cycle:4")
     assert code == 2
+
+
+def _verify_each_check(spec, k=None):
+    """JSON rows and CSV texts of ``verify --check ID --graph spec`` for every check, ``--k`` to the energy checks."""
+    rows, csvs = [], []
+    for check in CheckId:
+        argv = ["verify", "--check", check.value, "--graph", spec]
+        argv += ["--k", k] if k is not None and check in K_CHECKS else []
+        rows += json.loads(run_cli(*argv)[1])
+        csvs.append(run_cli(*argv, "--csv")[1])
+    return rows, csvs
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "splitting:cycle:5:k=2", "complete_bipartite:2:3"])
+def test_verify_graph_prints_the_16_check_runs_joined(spec):
+    rows, csvs = _verify_each_check(spec)
+    code, out, err = run_cli("verify", "--graph", spec)
+    assert err == "" and out == _JsonText().text(rows) + "\n"
+    header = csvs[0].split("\n", 1)[0] + "\n"
+    assert all(text.startswith(header) for text in csvs)
+    assert run_cli("verify", "--graph", spec, "--csv") == (code, header + "".join(t[len(header) :] for t in csvs), "")
+
+
+def test_verify_graph_k_reaches_only_the_energy_checks():
+    plain = json.loads(run_cli("verify", "--graph", "complete:5")[1])
+    code, out, _ = run_cli("verify", "--graph", "complete:5", "--k", "3")
+    with_k = json.loads(out)
+    assert [r["check"] for r in with_k] == [r["check"] for r in plain]
+    assert {a["check"] for a, b in zip(plain, with_k) if a != b} == {c.value for c in K_CHECKS}
+    assert with_k == _verify_each_check("complete:5", k="3")[0]
+
+
+@pytest.mark.parametrize(
+    "argv, key_failure",
+    [
+        (("--graph", "cycle:6"), False),
+        (("--graph", "complete:5", "--k", "3", "--csv"), False),
+        (("--graph", "complete:5", "--tol", "1e-30"), True),
+        (("--graph", "cycle:4", "--tol", "1e-30", "--csv"), True),
+    ],
+)
+def test_verify_graph_exit_code_follows_has_key_failure(argv, key_failure):
+    code, out, _ = run_cli("verify", *argv)
+    code_json, out_json, _ = run_cli("verify", *(a for a in argv if a != "--csv"))
+    assert code == code_json == int(key_failure)
+    assert has_key_failure([SimpleNamespace(**r) for r in json.loads(out_json)]) is key_failure
+
+
+def test_verify_without_a_graph_names_what_it_needs():
+    need = (2, "", "error: verify needs --suite default or --graph SPEC\n")
+    assert run_cli("verify") == need and run_cli("verify", "--k", "3") == need
+    assert run_cli("verify", "--check", "THM_CYCLE") == (2, "", "error: verify --check needs --graph\n")
 
 
 def test_verify_suite_csv_shape():

@@ -146,6 +146,56 @@ def test_graph_accepts_numpy_integer_ids():
     assert all(type(x) is int for edge in g.edges for x in edge)
 
 
+def test_graph_init_hands_its_checked_ids_to_from_ids_once(monkeypatch):
+    calls = []
+    real = Graph._from_ids.__func__
+
+    def from_ids(cls, n, ids):
+        calls.append((n, ids.dtype, ids.tolist()))
+        return real(cls, n, ids)
+
+    monkeypatch.setattr(Graph, "_from_ids", classmethod(from_ids))
+    g = Graph(4, [(1, 0), (0, 1), (3, 2)])
+    assert calls == [(4, np.int64, [1, 0, 0, 1, 3, 2])]
+    assert g.higher == ((1,), (), (3,), ()) and g.degrees == (1, 1, 1, 1)
+
+
+def _set_reference(n, pairs):
+    """(higher, degrees) of the graph on ``n`` vertices with ``pairs``, collected through a set of (min, max) pairs."""
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    higher = [[] for _ in range(n)]
+    degrees = [0] * n
+    for u, v in edges:
+        higher[u].append(v)
+        degrees[u] += 1
+        degrees[v] += 1
+    return tuple(map(tuple, higher)), tuple(degrees)
+
+
+def _shuffled_pairs(rng, edges):
+    """``edges`` with a third of them repeated, each pair reversed at random, in a shuffled order."""
+    pairs = edges + rng.sample(edges, len(edges) // 3)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_graph_matches_a_set_reference_on_shuffled_pairs():
+    rng = random.Random(4001)
+    cases = []
+    for n in range(61):
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        pairs = _shuffled_pairs(rng, edges)
+        cases += [(n, pairs), (np.int64(n), [(np.int32(u), np.int64(v)) for u, v in pairs])]
+    big = 10**5
+    cases.append((big, _shuffled_pairs(rng, [(0, big - 1), (5, 70000), (99998, 99999)])))
+    for n, pairs in cases:
+        g = Graph(n, pairs)
+        assert (g.higher, g.degrees) == _set_reference(int(n), [(int(u), int(v)) for u, v in pairs]), int(n)
+        assert all(type(x) is int for x in (g.n, *chain.from_iterable(g.higher), *g.degrees))
+
+
 def test_generate_star():
     g = generate("star", 4)
     assert g.degrees == (3, 1, 1, 1)

@@ -331,7 +331,7 @@ def _assert_core_invariant(builds):
     # what Graph._canonical takes on trust: one run per vertex, each run as
     # passed strictly ascending with u < v < n for its vertex u, the degrees
     # they give, and so the graph that validating the producer's own pairs gives
-    for n, higher, degrees, graph in builds:
+    for n, higher, degrees, graph in list(builds):
         assert len(higher) == n
         assert all(a < b for run in higher for a, b in zip(run, run[1:]))
         assert all(u < v < n for u, run in enumerate(higher) for v in run)
